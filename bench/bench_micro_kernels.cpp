@@ -135,8 +135,41 @@ int main(int argc, char** argv) {
     Matrix c(24, 24);
     report_kernel(report, "matmul_t_a_acc_24", 20000, 2.0 * 99 * 24 * 24,
                   [&](const KernelTable& k) {
-                    k.matmul_t_a_acc(a.data().data(), b.data().data(),
-                                     c.data().data(), 24, 99, 24);
+                    k.matmul_t_a_acc(a.data().data(), nullptr,
+                                     b.data().data(), c.data().data(), 24, 99,
+                                     24);
+                  });
+  }
+  // The RGAT backward's relation shapes: 99 active rows of a 198-node input
+  // (every other node), hidden 24. dW_r += gather(x)^T dg, and the
+  // double-accumulated dx products: the self connection (dense, stored)
+  // and the relation scatter (row-indexed, accumulated).
+  {
+    const Matrix x = random_matrix(198, 24, rng);
+    const Matrix dg = random_matrix(99, 24, rng);
+    const Matrix w_t = random_matrix(24, 24, rng);
+    std::vector<std::uint32_t> nodes(99);
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      nodes[i] = static_cast<std::uint32_t>(2 * i);
+    Matrix dw(24, 24);
+    Matrix dx(198, 24);
+    report_kernel(report, "matmul_t_a_acc_gather_99x24x24", 20000,
+                  2.0 * 99 * 24 * 24, [&](const KernelTable& k) {
+                    k.matmul_t_a_acc(x.data().data(), nodes.data(),
+                                     dg.data().data(), dw.data().data(), 24,
+                                     99, 24);
+                  });
+    report_kernel(report, "matmul_t_b_99x24x24", 20000, 2.0 * 99 * 24 * 24,
+                  [&](const KernelTable& k) {
+                    k.matmul_t_b(dg.data().data(), w_t.data().data(),
+                                 dx.data().data(), nullptr, 99, 24, 24,
+                                 false);
+                  });
+    report_kernel(report, "matmul_t_b_scatter_acc_99x24x24", 20000,
+                  2.0 * 99 * 24 * 24, [&](const KernelTable& k) {
+                    k.matmul_t_b(dg.data().data(), w_t.data().data(),
+                                 dx.data().data(), nodes.data(), 99, 24, 24,
+                                 true);
                   });
   }
   {

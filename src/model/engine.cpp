@@ -59,15 +59,6 @@ constexpr std::uint64_t kChunkOversubscribe = 4;
 /// out instead — one big graph must scale past one core.
 constexpr std::uint64_t kIntraCostThreshold = 4 * kChunkCostBudget;
 
-/// Arena bound per thread. Varied traffic (every chunk composition is a new
-/// block-diagonal shape) would otherwise grow the shape-keyed arena for the
-/// engine's whole lifetime. The arena is dropped once it exceeds BOTH this
-/// cap and twice its post-reset single-pass footprint — the second condition
-/// keeps a legitimately large working set (one chunk bigger than the cap)
-/// from thrashing allocate/free on every call. Purely a memory bound —
-/// results are unaffected.
-constexpr std::size_t kArenaCapBytes = 64u << 20;
-
 }  // namespace
 
 InferenceEngine::InferenceEngine(const ParaGraphModel& model)
@@ -95,11 +86,6 @@ void InferenceEngine::run_chunk(std::span<const EncodedGraph* const> graphs,
                                 tensor::Matrix* embed_out, std::size_t lo,
                                 std::size_t hi) {
   ThreadState& ts = state_for_current_thread();
-  if (ts.arena_baseline > 0 &&
-      ts.ws.bytes_reserved() > std::max(kArenaCapBytes, 2 * ts.arena_baseline)) {
-    ts.ws = tensor::Workspace();
-    ts.arena_baseline = 0;
-  }
   ts.batch.pack(graphs.subspan(lo, hi - lo));
   if (embed_out != nullptr) {
     // Embed-only pass: stop at the pooled rows and scatter them into the
@@ -118,13 +104,10 @@ void InferenceEngine::run_chunk(std::span<const EncodedGraph* const> graphs,
     }
     model_->predict_batch(ts.batch, ts.aux, out.subspan(lo, hi - lo), ts.ws);
   }
-  if (ts.arena_baseline == 0) ts.arena_baseline = ts.ws.bytes_reserved();
 }
 
-void InferenceEngine::run_chunked(std::span<const EncodedGraph* const> graphs,
-                                  std::span<const std::array<float, 2>> aux,
-                                  std::span<double> out,
-                                  tensor::Matrix* embed_out) {
+std::uint64_t InferenceEngine::plan_chunks(
+    std::span<const EncodedGraph* const> graphs) {
   const std::size_t n = graphs.size();
   ThreadState& caller = state_for_current_thread();
 
@@ -140,11 +123,7 @@ void InferenceEngine::run_chunked(std::span<const EncodedGraph* const> graphs,
     total_cost += c;
     total_rows += g->features.rows();
   }
-
-  const bool nested = omp_in_parallel();
-  const auto threads =
-      nested ? std::uint64_t{1}
-             : static_cast<std::uint64_t>(omp_get_max_threads());
+  const std::uint64_t threads = plan_threads();
 
   // Plan the cut. Boundaries are a pure function of (batch, policy, thread
   // *count*) — never of thread timing — and the cut never affects values.
@@ -176,6 +155,26 @@ void InferenceEngine::run_chunked(std::span<const EncodedGraph* const> graphs,
                           total_cost / (kChunkOversubscribe * threads)));
     schedule::partition_by_cost(costs, target, fuse_chunk_, bounds);
   }
+  return total_rows;
+}
+
+std::uint64_t InferenceEngine::plan_threads() {
+  return omp_in_parallel()
+             ? std::uint64_t{1}
+             : static_cast<std::uint64_t>(omp_get_max_threads());
+}
+
+void InferenceEngine::run_chunked(std::span<const EncodedGraph* const> graphs,
+                                  std::span<const std::array<float, 2>> aux,
+                                  std::span<double> out,
+                                  tensor::Matrix* embed_out) {
+  const std::size_t n = graphs.size();
+  ThreadState& caller = state_for_current_thread();
+  const std::uint64_t total_rows = plan_chunks(graphs);
+  const auto& costs = caller.costs;
+  const auto& bounds = caller.bounds;
+  const bool nested = omp_in_parallel();
+  const std::uint64_t threads = plan_threads();
   const std::size_t num_chunks = bounds.size() - 1;
 
   stat_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -237,6 +236,26 @@ void InferenceEngine::predict_batch(std::span<const EncodedGraph> graphs,
   caller.ptrs.reserve(graphs.size());
   for (const EncodedGraph& g : graphs) caller.ptrs.push_back(&g);
   run_chunked(caller.ptrs, aux, out, nullptr);
+}
+
+void InferenceEngine::warm_pool(std::span<const EncodedGraph> graphs,
+                                std::span<const std::array<float, 2>> aux) {
+  check(graphs.size() == aux.size(),
+        "InferenceEngine::warm_pool: span length mismatch");
+  if (graphs.empty()) return;
+  ThreadState& caller = state_for_current_thread();
+  caller.ptrs.clear();
+  for (const EncodedGraph& g : graphs) caller.ptrs.push_back(&g);
+  (void)plan_chunks(caller.ptrs);
+  const auto& bounds = caller.bounds;
+#pragma omp parallel
+  {
+    // Each thread runs the whole plan on its own state; predictions land in
+    // a private scratch, so no two threads write the same output.
+    std::vector<double> scratch(graphs.size());
+    for (std::size_t c = 0; c + 1 < bounds.size(); ++c)
+      run_chunk(caller.ptrs, aux, scratch, nullptr, bounds[c], bounds[c + 1]);
+  }
 }
 
 void InferenceEngine::embed_batch(std::span<const EncodedGraph> graphs,

@@ -91,6 +91,13 @@ class InferenceEngine {
                     std::span<const std::array<float, 2>> aux,
                     std::span<double> out);
 
+  /// Runs this batch's predict_batch chunk plan in full on every pool
+  /// thread (results discarded), so each thread's workspace already holds
+  /// the largest chunk's footprint: a following predict_batch over the same
+  /// batch allocates nothing, whichever thread draws which chunk.
+  void warm_pool(std::span<const EncodedGraph> graphs,
+                 std::span<const std::array<float, 2>> aux);
+
   [[nodiscard]] const ParaGraphModel& model() const { return *model_; }
 
   /// Upper bound on graphs fused per chunk — the compile-time default (64)
@@ -130,10 +137,16 @@ class InferenceEngine {
     std::vector<std::uint32_t> bounds;     // chunk boundaries scratch
     std::vector<std::uint32_t> small_chunks;  // phase-1 (chunk-parallel)
     std::vector<std::uint32_t> big_chunks;    // phase-2 (intra-parallel)
-    std::size_t arena_baseline = 0;  // ws footprint after last reset's pass
   };
 
   ThreadState& state_for_current_thread();
+  /// Threads the chunk plan feeds: 1 inside an enclosing parallel region
+  /// (the engine then stays serial), else the OpenMP team size.
+  static std::uint64_t plan_threads();
+  /// Fills the calling thread's costs/bounds with the chunk plan for
+  /// `graphs` — a pure function of (graphs, policy, plan_threads()) — and
+  /// returns the batch's total node rows.
+  std::uint64_t plan_chunks(std::span<const EncodedGraph* const> graphs);
   /// Packs graphs [lo, hi) and runs one fused pass into out[lo, hi). When
   /// `embed_out` is non-null the pass stops at the pooled embedding and
   /// writes rows [lo, hi) of `embed_out` instead (aux/out may be empty).

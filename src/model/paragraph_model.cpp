@@ -260,7 +260,8 @@ void ParaGraphModel::run_backward(const nn::RelationalGraph& relations,
 
   tensor::Matrix& dh2 = conv3_.backward(dh3, relations, s.c3, conv3_grads, ws);
   tensor::Matrix& dh1 = conv2_.backward(dh2, relations, s.c2, conv2_grads, ws);
-  (void)conv1_.backward(dh1, relations, s.c1, conv1_grads, ws);
+  // conv1's input is the constant node features: no dL/dx to compute.
+  conv1_.backward_params(dh1, relations, s.c1, conv1_grads, ws);
 }
 
 double ParaGraphModel::accumulate_gradients(const EncodedGraph& graph,

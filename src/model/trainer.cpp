@@ -42,15 +42,6 @@ constexpr std::uint64_t kGradChunkCostTarget = 512;
 /// memory (each chunk holds a full parameter-shaped accumulator).
 constexpr std::size_t kMaxGradChunks = 64;
 
-/// Arena bound per gradient chunk. Shuffling re-composes every chunk each
-/// step, so the shape-keyed grow-only Workspace would otherwise accrete a
-/// bucket per never-seen block-diagonal shape for the whole run. The arena
-/// is dropped once it exceeds BOTH this cap and twice its post-reset
-/// single-step footprint (so a legitimately large chunk never thrashes);
-/// the trigger depends only on the (deterministic) shape history, so
-/// training stays bitwise-reproducible.
-constexpr std::size_t kChunkArenaCapBytes = 16u << 20;
-
 double evaluate_rmse_us(InferenceEngine& engine,
                         const std::vector<TrainingSample>& samples,
                         const SampleSet& set,
@@ -65,7 +56,9 @@ double evaluate_rmse_us(InferenceEngine& engine,
 }
 
 /// Everything one gradient chunk reuses across steps — all grow-only, so
-/// steady-state training does no per-batch heap work.
+/// steady-state training does no per-batch heap work. Shuffling re-composes
+/// every chunk each step; the positional Workspace absorbs that by
+/// reshaping its slots, so its footprint is bounded by the largest chunk.
 struct ChunkState {
   std::vector<tensor::Matrix> grads;
   tensor::Workspace ws;
@@ -73,7 +66,6 @@ struct ChunkState {
   tensor::Matrix aux;                     // [chunk x 2]
   std::vector<const EncodedGraph*> graphs;
   std::vector<double> targets;
-  std::size_t arena_baseline = 0;  // ws footprint after last reset's step
 };
 
 /// The optimisation core shared by the in-RAM and streaming trainers: one
@@ -120,12 +112,6 @@ class BatchStepper {
       const std::size_t lo = bounds_[c];
       const std::size_t hi = bounds_[c + 1];
       ChunkState& chunk = chunks_[c];
-      if (chunk.arena_baseline > 0 &&
-          chunk.ws.bytes_reserved() >
-              std::max(kChunkArenaCapBytes, 2 * chunk.arena_baseline)) {
-        chunk.ws = tensor::Workspace();
-        chunk.arena_baseline = 0;
-      }
       chunk.graphs.clear();
       chunk.targets.clear();
       chunk.aux.reshape(hi - lo, 2);
@@ -141,8 +127,6 @@ class BatchStepper {
       chunk_loss_[c] = model_.accumulate_gradients_batch(
           chunk.batch, chunk.aux, chunk.targets, grad_scale, chunk.grads,
           chunk.ws);
-      if (chunk.arena_baseline == 0)
-        chunk.arena_baseline = chunk.ws.bytes_reserved();
     }
 
     // Ordered reduction: chunk 0 hosts the sum; losses and gradient

@@ -7,9 +7,10 @@
 // same code paths, which is what makes the fused GraphBatch forward
 // bitwise-identical to per-graph execution.
 //
-// The hot per-relation bodies — the fused gather->project and the grouped
+// The hot per-relation bodies — the fused gather->project, the grouped
 // attention softmax + gated scatter walking the CSR group_offsets[] /
-// group_dst[] arrays — live in the runtime-dispatched SIMD kernel layer
+// group_dst[] arrays, and the backward's gathered dW_r and scattered dx
+// products — live in the runtime-dispatched SIMD kernel layer
 // (tensor/simd.hpp): width-templated register accumulators, vector loads
 // across the independent output lanes, reduction order pinned to the scalar
 // reference so every dispatch level is bitwise-identical.
@@ -181,6 +182,25 @@ tensor::Matrix& RgatConv::backward(const tensor::Matrix& dy,
                                    const Cache& cache,
                                    std::span<tensor::Matrix> grads,
                                    tensor::Workspace& ws) const {
+  check(cache.x != nullptr, "RgatConv::backward: cache without forward");
+  tensor::Matrix& dx = ws.acquire_uninit(cache.x->rows(), in_);
+  backward_into(dy, graph, cache, grads, &dx, ws);
+  return dx;
+}
+
+void RgatConv::backward_params(const tensor::Matrix& dy,
+                               const RelationalGraph& graph,
+                               const Cache& cache,
+                               std::span<tensor::Matrix> grads,
+                               tensor::Workspace& ws) const {
+  backward_into(dy, graph, cache, grads, nullptr, ws);
+}
+
+void RgatConv::backward_into(const tensor::Matrix& dy,
+                             const RelationalGraph& graph, const Cache& cache,
+                             std::span<tensor::Matrix> grads,
+                             tensor::Matrix* dx,
+                             tensor::Workspace& ws) const {
   check(grads.size() == num_params(), "RgatConv::backward: bad grad span");
   check(cache.x != nullptr, "RgatConv::backward: cache without forward");
   const tensor::Matrix& x = *cache.x;
@@ -194,9 +214,13 @@ tensor::Matrix& RgatConv::backward(const tensor::Matrix& dy,
     dpre = &masked;
   }
 
-  // Self-connection + bias.
-  tensor::Matrix& dx = ws.acquire_uninit(n, in_);
-  tensor::matmul_transpose_b_into(dx, *dpre, w_self_);
+  // Self-connection + bias. The relation loop scatters W_r^T products on
+  // top of dx, reading each W_r transposed (the kernel's lane layout).
+  tensor::Matrix* w_t = nullptr;
+  if (dx != nullptr) {
+    tensor::matmul_transpose_b_into(*dx, *dpre, w_self_);
+    w_t = &ws.acquire_uninit(out_, in_);
+  }
   tensor::matmul_transpose_a_acc(grads[3 * num_relations_], x, *dpre);
   tensor::column_sums_acc(grads[3 * num_relations_ + 1], *dpre);
 
@@ -213,9 +237,9 @@ tensor::Matrix& RgatConv::backward(const tensor::Matrix& dy,
   // LeakyReLU gradients for all edges in one dispatched elementwise pass —
   // the same values the group loop used to compute one edge at a time.
   tensor::Matrix& lrg_m = ws.acquire_uninit(1, total_edges);
-  tensor::simd::kernels().leaky_relu_grad(lrg_m.data().data(),
-                                          cache.raw->data().data(),
-                                          leaky_slope_, total_edges);
+  const tensor::simd::KernelTable& kernels = tensor::simd::kernels();
+  kernels.leaky_relu_grad(lrg_m.data().data(), cache.raw->data().data(),
+                          leaky_slope_, total_edges);
 
   std::size_t edge_off = 0;
   std::size_t row_off = 0;
@@ -289,35 +313,22 @@ tensor::Matrix& RgatConv::backward(const tensor::Matrix& dy,
       }
     }
 
-    // g = gather(x) W_r  =>  dW_r += gather(x)^T dg (fused, no x_local);
-    // dx[global] += (dg W_r^T)[local] (fused scatter, no dx_local).
-    tensor::Matrix& dw = grads[3 * r];
-    for (std::size_t i = 0; i < na; ++i) {
-      auto x_row = x.row_span(rel.nodes[i]);
-      auto dg_row = dg.row_span(row_off + i);
-      for (std::size_t k = 0; k < in_; ++k) {
-        const float aval = x_row[k];
-        if (aval == 0.0f) continue;
-        auto dw_row = dw.row_span(k);
-        for (std::size_t j = 0; j < out_; ++j) dw_row[j] += aval * dg_row[j];
-      }
-    }
-    for (std::size_t i = 0; i < na; ++i) {
-      auto dst = dx.row_span(rel.nodes[i]);
-      auto dg_row = dg.row_span(row_off + i);
-      for (std::size_t k = 0; k < in_; ++k) {
-        auto w_row = w_rel_[r].row_span(k);
-        double acc = 0.0;
-        for (std::size_t j = 0; j < out_; ++j)
-          acc += static_cast<double>(dg_row[j]) * w_row[j];
-        dst[k] += static_cast<float>(acc);
-      }
+    // g = gather(x) W_r  =>  dW_r += gather(x)^T dg (row gather, no
+    // x_local); dx[global] += (dg W_r^T)[local] (row scatter, no dx_local;
+    // a relation's active nodes are distinct).
+    const float* dg_block = dg.data().data() + row_off * out_;
+    kernels.matmul_t_a_acc(x.data().data(), rel.nodes.data(), dg_block,
+                           grads[3 * r].data().data(), in_, na, out_);
+    if (dx != nullptr) {
+      tensor::transpose_into(*w_t, w_rel_[r]);
+      kernels.matmul_t_b(dg_block, w_t->data().data(), dx->data().data(),
+                         rel.nodes.data(), na, out_, in_,
+                         /*accumulate=*/true);
     }
 
     edge_off += rel.num_edges();
     row_off += na;
   }
-  return dx;
 }
 
 std::vector<tensor::Matrix*> RgatConv::parameters() {

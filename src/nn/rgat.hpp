@@ -59,6 +59,13 @@ class RgatConv {
                            const Cache& cache, std::span<tensor::Matrix> grads,
                            tensor::Workspace& ws) const;
 
+  /// backward() without dL/dx: the same parameter gradients, bit for bit,
+  /// for a layer whose input needs no gradient (the first layer's constant
+  /// node features).
+  void backward_params(const tensor::Matrix& dy, const RelationalGraph& graph,
+                       const Cache& cache, std::span<tensor::Matrix> grads,
+                       tensor::Workspace& ws) const;
+
   /// Parameter layout: for each relation [W_r, a_src_r, a_dst_r], then
   /// W_self, b.
   [[nodiscard]] std::vector<tensor::Matrix*> parameters();
@@ -70,6 +77,11 @@ class RgatConv {
   [[nodiscard]] std::size_t num_relations() const { return num_relations_; }
 
  private:
+  /// The shared backward; dL/dx is written into *dx unless dx is null.
+  void backward_into(const tensor::Matrix& dy, const RelationalGraph& graph,
+                     const Cache& cache, std::span<tensor::Matrix> grads,
+                     tensor::Matrix* dx, tensor::Workspace& ws) const;
+
   std::size_t in_;
   std::size_t out_;
   std::size_t num_relations_;

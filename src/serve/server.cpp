@@ -5,6 +5,7 @@
 // write queues with gathered (single-syscall) flushes.
 #include "serve/server.hpp"
 
+#include <omp.h>
 #include <sys/epoll.h>
 #include <sys/uio.h>
 
@@ -50,6 +51,9 @@ ServeConfig serve_config_from_env(ServeConfig base) {
   base.io_threads = static_cast<std::size_t>(
       clamped_env("PARAGRAPH_SERVE_IO_THREADS",
                   static_cast<std::int64_t>(base.io_threads), 0, 64));
+  base.engine_threads = static_cast<std::size_t>(
+      clamped_env("PARAGRAPH_THREADS",
+                  static_cast<std::int64_t>(base.engine_threads), 1, 256));
   base.queue_depth = static_cast<std::size_t>(
       clamped_env("PARAGRAPH_SERVE_QUEUE",
                   static_cast<std::int64_t>(base.queue_depth), 1, 1 << 20));
@@ -631,7 +635,10 @@ std::vector<Server::Pending> Server::pop_batch() {
 void Server::worker_loop(std::size_t /*worker_index*/) {
   // Each worker owns its engine shard: InferenceEngine keys its per-thread
   // state by OpenMP thread ids, which distinct std::threads share — one
-  // engine per worker keeps the workspace arenas disjoint.
+  // engine per worker keeps the workspace arenas disjoint. OpenMP's thread
+  // count is per calling thread, so it is set here, before the engine sizes
+  // its pool; the main thread's setting never reaches a worker.
+  omp_set_num_threads(static_cast<int>(config_.engine_threads));
   model::InferenceEngine engine(*model_);
 
   std::vector<model::EncodedGraph> graphs;

@@ -44,7 +44,10 @@
 // connection count — thousands of mostly-idle connections cost a few
 // hundred bytes of state each, not a blocked reader thread each
 // (tests/serve_concurrency_test.cpp pins the thread ceiling under 512 idle
-// + 32 active connections).
+// + 32 active connections). Each worker applies engine_threads to its own
+// OpenMP team before building its engine shard (default 1, so the count
+// holds exactly; N adds N - 1 team threads per worker), whatever the
+// process-wide OpenMP default is.
 //
 // Shutdown (stop()): close the listener; io threads stop admitting (late
 // predict frames answer kShuttingDown); workers drain everything already
@@ -84,6 +87,7 @@ struct ServeConfig {
   std::size_t batch_max = 16;     // flush the batching window at N graphs...
   std::uint32_t batch_window_us = 200;  // ...or T microseconds, whichever first
   std::size_t workers = 1;        // InferenceEngine shards
+  std::size_t engine_threads = 1;  // OpenMP threads per shard (per worker)
   std::size_t io_threads = 0;     // reactor threads; 0 = min(4, cores)
   // Per-connection read-gating caps (level-triggered backpressure): stop
   // polling a connection for reads while it has this many admitted-but-
@@ -102,7 +106,8 @@ struct ServeConfig {
 /// Env-knob layer (documented in docs/SERVING.md): PARAGRAPH_SERVE_PORT,
 /// _WORKERS, _IO_THREADS, _QUEUE, _BATCH, _WINDOW_US, _IDLE_TIMEOUT_MS,
 /// _CONN_INFLIGHT, _WRITEQ_CAP, _CACHE, _CACHE_EPS, _CACHE_CAP override the
-/// defaults; out-of-range values are clamped to sane bounds.
+/// defaults, and PARAGRAPH_THREADS sets engine_threads; out-of-range values
+/// are clamped to sane bounds.
 ServeConfig serve_config_from_env(ServeConfig base = {});
 
 /// Monotonic counters; safe to read while the server runs.

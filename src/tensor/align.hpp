@@ -13,6 +13,8 @@
 
 #include <cstddef>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 namespace pg::tensor::simd {
 
@@ -38,6 +40,19 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, std::size_t n) noexcept {
     ::operator delete(p, n * sizeof(T), std::align_val_t{kAlignBytes});
+  }
+
+  /// Value-less construction default-initialises: a resize() that grows
+  /// back within capacity leaves floats as they were instead of zeroing
+  /// them (Matrix::reshape contents are unspecified; Workspace's
+  /// acquire_uninit relies on skipping the fill).
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 };
 

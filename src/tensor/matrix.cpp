@@ -126,7 +126,7 @@ void matmul_transpose_a_acc(Matrix& c, const Matrix& a, const Matrix& b) {
   check(c.rows() == a.cols() && c.cols() == b.cols(),
         "matmul_transpose_a_acc: destination shape mismatch");
   // C[i,j] = sum_kk A[kk,i] * B[kk,j]; kk-outer body in the kernel layer.
-  simd::kernels().matmul_t_a_acc(a.data().data(), b.data().data(),
+  simd::kernels().matmul_t_a_acc(a.data().data(), nullptr, b.data().data(),
                                  c.data().data(), a.cols(), a.rows(),
                                  b.cols());
 }
@@ -141,29 +141,30 @@ void matmul_transpose_b_into(Matrix& c, const Matrix& a, const Matrix& b) {
   check(a.cols() == b.cols(), "matmul_transpose_b: col counts differ");
   check(c.rows() == a.rows() && c.cols() == b.rows(),
         "matmul_transpose_b_into: destination shape mismatch");
-  const std::size_t m = a.rows();
-  const std::size_t k = a.cols();
-  const std::size_t n = b.rows();
-  const float* __restrict__ pa = a.data().data();
-  const float* __restrict__ pb = b.data().data();
-  float* __restrict__ pc = c.data().data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* __restrict__ arow = pa + i * k;
-    float* __restrict__ crow = pc + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* __restrict__ brow = pb + j * k;
-      double acc = 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += static_cast<double>(arow[kk]) * brow[kk];
-      crow[j] = static_cast<float>(acc);
-    }
-  }
+  // The kernel's lanes run across output columns, i.e. across B's rows, so
+  // it reads B transposed. Grow-only per-thread scratch: no steady-state
+  // allocation.
+  thread_local Matrix bt;
+  transpose_into(bt, b);
+  simd::kernels().matmul_t_b(a.data().data(), bt.data().data(),
+                             c.data().data(), nullptr, a.rows(), a.cols(),
+                             b.rows(), /*accumulate=*/false);
 }
 
 Matrix transpose(const Matrix& a) {
-  Matrix t(a.cols(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
+  Matrix t;
+  transpose_into(t, a);
   return t;
+}
+
+void transpose_into(Matrix& out, const Matrix& a) {
+  const std::size_t rows = a.rows();
+  const std::size_t cols = a.cols();
+  out.reshape(cols, rows);
+  const float* __restrict__ src = a.data().data();
+  float* __restrict__ dst = out.data().data();
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j) dst[j * rows + i] = src[i * cols + j];
 }
 
 Matrix add(const Matrix& a, const Matrix& b) {

@@ -50,9 +50,10 @@ class Matrix {
   void fill(float v);
   void zero() { fill(0.0f); }
 
-  /// Re-shapes in place; contents are unspecified afterwards. Grow-only in
-  /// capacity terms: shrinking or re-using a previously seen size performs
-  /// no allocation (the GraphBatch packer's steady-state contract).
+  /// Re-shapes in place; contents are unspecified afterwards (growth within
+  /// capacity does not zero-fill). Grow-only in capacity terms: shrinking or
+  /// re-using a previously seen size performs no allocation (the GraphBatch
+  /// packer's and the Workspace slots' steady-state contract).
   void reshape(std::size_t rows, std::size_t cols);
 
   // In-place elementwise updates.
@@ -88,6 +89,8 @@ Matrix matmul_transpose_b(const Matrix& a, const Matrix& b);
 // accumulates on top of it (the gradient-buffer pattern).
 void matmul_into(Matrix& c, const Matrix& a, const Matrix& b);
 void matmul_transpose_a_acc(Matrix& c, const Matrix& a, const Matrix& b);
+/// Each element accumulates in double and narrows once (simd::KernelTable::
+/// matmul_t_b).
 void matmul_transpose_b_into(Matrix& c, const Matrix& a, const Matrix& b);
 void column_sums_acc(Matrix& out, const Matrix& a);
 void row_mean_into(Matrix& out, const Matrix& a);
@@ -100,6 +103,9 @@ void segment_row_mean_into(Matrix& out, const Matrix& a,
                            std::span<const std::uint32_t> offsets);
 
 Matrix transpose(const Matrix& a);
+/// out = A^T, reshaping `out` (grow-only, no allocation once it has held a
+/// matrix this large).
+void transpose_into(Matrix& out, const Matrix& a);
 Matrix add(const Matrix& a, const Matrix& b);
 Matrix sub(const Matrix& a, const Matrix& b);
 Matrix hadamard(const Matrix& a, const Matrix& b);

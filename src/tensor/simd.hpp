@@ -54,10 +54,23 @@ struct KernelTable {
   /// for mostly-zero rows, branchless otherwise). C is fully written.
   void (*matmul)(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n, bool parallel);
-  /// C += A^T * B without materialising the transpose (kk-outer loop over
-  /// A's rows, zero-skip on A entries). m = A.cols, k = A.rows, n = B.cols.
-  void (*matmul_t_a_acc)(const float* a, const float* b, float* c,
-                         std::size_t m, std::size_t k, std::size_t n);
+  /// C += A'^T * B without materialising the transpose, where A' is A's
+  /// rows a_rows[0..k) (A itself when a_rows is null — the RGAT dW_r path
+  /// gathers active node rows). Each C element adds its kk terms in kk
+  /// order, skipping zero A entries. m = A.cols, k = A'.rows, n = B.cols.
+  void (*matmul_t_a_acc)(const float* a, const std::uint32_t* a_rows,
+                         const float* b, float* c, std::size_t m,
+                         std::size_t k, std::size_t n);
+  /// C (+)= A * B^T, every element accumulated in double: starting at 0.0,
+  /// += double(a[i,kk]) * double(b[c,kk]) for kk in order, narrowed to float
+  /// once; `accumulate` adds that float to C instead of storing it. Takes
+  /// bt = B^T ([k x n], row kk = B's column kk) so the lanes run across
+  /// independent output columns. Row i of the product lands on C row
+  /// c_rows[i] (row i when c_rows is null); scattered rows must be
+  /// distinct. m = A.rows, k = A.cols, n = C.cols.
+  void (*matmul_t_b)(const float* a, const float* bt, float* c,
+                     const std::uint32_t* c_rows, std::size_t m,
+                     std::size_t k, std::size_t n, bool accumulate);
   /// sums[j] += sum_i a[i,j] (bias-gradient reduction; row order preserved).
   void (*column_sums_acc)(float* sums, const float* a, std::size_t rows,
                           std::size_t cols);

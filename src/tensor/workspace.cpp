@@ -1,7 +1,5 @@
-// Shape-keyed Matrix arena: acquire/reset with grow-only slot storage.
+// Positional Matrix arena: acquire/reset over grow-only, reshaped slots.
 #include "tensor/workspace.hpp"
-
-#include "support/check.hpp"
 
 namespace pg::tensor {
 
@@ -12,24 +10,21 @@ Matrix& Workspace::acquire(std::size_t rows, std::size_t cols) {
 }
 
 Matrix& Workspace::acquire_uninit(std::size_t rows, std::size_t cols) {
-  check(rows < (std::uint64_t{1} << 32) && cols < (std::uint64_t{1} << 32),
-        "Workspace::acquire: dimension too large");
-  const std::uint64_t key = (static_cast<std::uint64_t>(rows) << 32) |
-                            static_cast<std::uint64_t>(cols);
-  Bucket& bucket = buckets_[key];
   ++num_acquires_;
-  if (bucket.in_use == 0) active_.push_back(&bucket);
-  if (bucket.in_use == bucket.slots.size()) {
-    bucket.slots.push_back(std::make_unique<Matrix>(rows, cols));
-    ++num_slots_;
-    bytes_reserved_ += rows * cols * sizeof(float);
+  const std::size_t floats = rows * cols;
+  if (next_ == slots_.size()) {
+    slots_.emplace_back(rows, cols);
+    high_water_.push_back(floats);
+    bytes_reserved_ += floats * sizeof(float);
+    return slots_[next_++];
   }
-  return *bucket.slots[bucket.in_use++];
-}
-
-void Workspace::reset() {
-  for (Bucket* bucket : active_) bucket->in_use = 0;
-  active_.clear();
+  if (floats > high_water_[next_]) {
+    bytes_reserved_ += (floats - high_water_[next_]) * sizeof(float);
+    high_water_[next_] = floats;
+  }
+  Matrix& m = slots_[next_++];
+  m.reshape(rows, cols);
+  return m;
 }
 
 }  // namespace pg::tensor

@@ -10,6 +10,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -97,11 +98,115 @@ TEST(KernelParity, MatmulTransposeAAccumulate) {
     const Matrix b = random_matrix(k, n, rng);
     Matrix c0 = random_matrix(m, n, rng);  // accumulate on identical bases
     Matrix c1 = c0;
-    scalar_table().matmul_t_a_acc(a.data().data(), b.data().data(),
+    scalar_table().matmul_t_a_acc(a.data().data(), nullptr, b.data().data(),
                                   c0.data().data(), m, k, n);
-    best_table().matmul_t_a_acc(a.data().data(), b.data().data(),
+    best_table().matmul_t_a_acc(a.data().data(), nullptr, b.data().data(),
                                 c1.data().data(), m, k, n);
     expect_bytes_equal(c0, c1, "matmul_t_a_acc");
+  }
+}
+
+/// Every dispatch level this machine can run (scalar first).
+std::vector<SimdLevel> supported_levels() {
+  std::vector<SimdLevel> levels;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2})
+    if (level_supported(level)) levels.push_back(level);
+  return levels;
+}
+
+TEST(KernelParity, MatmulTransposeAGatherAccumulateAllLevels) {
+  // The RGAT dW_r shape: C += gather(x)^T * dg, where gather picks k of the
+  // x rows. Pinned against the reference loop (row-by-row axpy in gather
+  // order, zero-skip) at every level; widths cover the templated 8/16/24/32
+  // register paths and runtime widths with lane tails. Sparsity 0 and 0.3
+  // take the dense register-tile path, 0.9 the sparse one. Column 0 of x is
+  // all zero, C starts with a -0.0 in row 0 and B holds an inf: skipped
+  // zero terms must leave the -0.0 and never turn 0 * inf into NaN.
+  pg::Rng rng(41);
+  const std::vector<std::uint32_t> rows = {3, 0, 22, 7, 8, 15, 1, 19, 11};
+  const std::size_t k = rows.size();
+  for (const double sparsity : {0.0, 0.3, 0.9}) {
+    for (const std::size_t n : {8u, 16u, 24u, 32u, 5u, 10u, 27u}) {
+      for (const std::size_t m : {1u, 8u, 13u, 48u}) {
+        Matrix x = random_matrix(23, m, rng, sparsity);
+        for (std::size_t r = 0; r < x.rows(); ++r) x(r, 0) = 0.0f;
+        Matrix b = random_matrix(k, n, rng);
+        b(2, n - 1) = std::numeric_limits<float>::infinity();
+        Matrix base = random_matrix(m, n, rng);
+        base(0, 0) = -0.0f;
+
+        Matrix expected = base;
+        for (std::size_t kk = 0; kk < k; ++kk)
+          for (std::size_t i = 0; i < m; ++i) {
+            const float aval = x(rows[kk], i);
+            if (aval == 0.0f) continue;
+            for (std::size_t j = 0; j < n; ++j)
+              expected(i, j) += aval * b(kk, j);
+          }
+        for (const SimdLevel level : supported_levels()) {
+          Matrix c = base;
+          kernels_for(level).matmul_t_a_acc(x.data().data(), rows.data(),
+                                            b.data().data(), c.data().data(),
+                                            m, k, n);
+          expect_bytes_equal(expected, c, level_name(level));
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParity, MatmulTransposeBDoubleAccumulateAllLevels) {
+  // C (+)= A * B^T with per-element double accumulation, fed B transposed.
+  // Every level must reproduce the reference sequence exactly: 0.0, then
+  // += double(a) * double(b) in kk order, one narrowing, and (scatter
+  // variant) one float add onto the indexed row. Output widths cover lane
+  // tails on every vector width (1..7 double lanes past the 8-vector tile).
+  pg::Rng rng(43);
+  for (const std::size_t n : {1u, 3u, 5u, 8u, 13u, 24u, 31u, 48u, 70u}) {
+    for (const std::size_t k : {1u, 7u, 8u, 24u}) {
+      const std::size_t m = 6;
+      const Matrix a = random_matrix(m, k, rng, 0.2);
+      const Matrix b = random_matrix(n, k, rng);
+      const Matrix bt = transpose(b);
+      const std::vector<std::uint32_t> rows = {4, 9, 0, 2, 7, 5};  // distinct
+      const Matrix base = random_matrix(10, n, rng);
+
+      Matrix stored(m, n);
+      Matrix scattered = base;
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t c = 0; c < n; ++c) {
+          double acc = 0.0;
+          for (std::size_t kk = 0; kk < k; ++kk)
+            acc += static_cast<double>(a(i, kk)) * static_cast<double>(b(c, kk));
+          stored(i, c) = static_cast<float>(acc);
+          scattered(rows[i], c) += static_cast<float>(acc);
+        }
+      for (const SimdLevel level : supported_levels()) {
+        const KernelTable& table = kernels_for(level);
+        Matrix c0(m, n, 0.25f);  // garbage: the stored variant overwrites it
+        table.matmul_t_b(a.data().data(), bt.data().data(), c0.data().data(),
+                         nullptr, m, k, n, false);
+        expect_bytes_equal(stored, c0, level_name(level));
+        Matrix c1 = base;
+        table.matmul_t_b(a.data().data(), bt.data().data(), c1.data().data(),
+                         rows.data(), m, k, n, true);
+        expect_bytes_equal(scattered, c1, level_name(level));
+      }
+    }
+  }
+}
+
+TEST(KernelParity, MatmulTransposeBIntoUsesTheKernelAtEveryLevel) {
+  LevelGuard guard;
+  pg::Rng rng(47);
+  const Matrix a = random_matrix(9, 24, rng);
+  const Matrix b = random_matrix(13, 24, rng);
+  set_active_level(SimdLevel::kScalar);
+  const Matrix reference = matmul_transpose_b(a, b);
+  for (const SimdLevel level : supported_levels()) {
+    set_active_level(level);
+    expect_bytes_equal(reference, matmul_transpose_b(a, b), level_name(level));
   }
 }
 
@@ -264,12 +369,14 @@ TEST(EndToEndParity, ForwardAndBackwardBitwiseAcrossLevels) {
   for (const std::size_t hidden : {8u, 10u, 24u}) {
     const auto [scalar_preds, scalar_grads] =
         run_model_pass(SimdLevel::kScalar, hidden);
-    const auto [simd_preds, simd_grads] =
-        run_model_pass(max_supported_level(), hidden);
-    EXPECT_EQ(scalar_preds, simd_preds) << "hidden " << hidden;
-    ASSERT_EQ(scalar_grads.size(), simd_grads.size());
-    for (std::size_t p = 0; p < scalar_grads.size(); ++p)
-      expect_bytes_equal(scalar_grads[p], simd_grads[p], "gradient");
+    for (const SimdLevel level : supported_levels()) {
+      const auto [simd_preds, simd_grads] = run_model_pass(level, hidden);
+      EXPECT_EQ(scalar_preds, simd_preds)
+          << "hidden " << hidden << " " << level_name(level);
+      ASSERT_EQ(scalar_grads.size(), simd_grads.size());
+      for (std::size_t p = 0; p < scalar_grads.size(); ++p)
+        expect_bytes_equal(scalar_grads[p], simd_grads[p], level_name(level));
+    }
   }
 }
 

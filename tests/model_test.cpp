@@ -252,6 +252,58 @@ TEST(Trainer, PredictAllClampsAtZero) {
   for (double p : preds) EXPECT_GE(p, 0.0);  // no negative runtimes
 }
 
+/// FNV-1a 64 over the raw bytes of every parameter, in parameters() order.
+std::uint64_t parameter_hash(const ParaGraphModel& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const tensor::Matrix* p : m.parameters()) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(p->data().data());
+    for (std::size_t i = 0; i < p->size() * sizeof(float); ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Trainer, TrainedParametersMatchRecordedHash) {
+  // Training pin: the exact bytes a small fixed-seed run produces. Any
+  // change to the forward/backward FP sequence, the chunking or the Adam
+  // update moves these hashes; a pure speed change must not. Hidden 8 and
+  // 24 take the templated-width kernels, 10 the runtime-width ones, and
+  // each run mixes two graph shapes (so relations differ per chunk).
+  auto nested = frontend::parse_source(R"(
+    void g(double* a, double* b) {
+      for (int i = 0; i < 16; i++) {
+        for (int j = 0; j < 12; j++) {
+          a[i * 12 + j] = a[i * 12 + j] + 2.0 * b[j];
+        }
+      }
+    }
+  )");
+  ASSERT_TRUE(nested.ok());
+  const auto nested_graph = graph::build_graph(nested.root(), {});
+  const struct {
+    std::size_t hidden;
+    std::uint64_t hash;
+  } pins[] = {
+      {8, 0x2182c63541832209ULL},
+      {10, 0xaa912226aa854196ULL},
+      {24, 0xf49fef877c839a13ULL},
+  };
+  for (const auto& pin : pins) {
+    auto set = synthetic_sample_set(40, 4);
+    for (std::size_t i = 0; i < set.train.size(); i += 2)
+      set.train[i].graph = encode_graph(nested_graph, 10.0 + 5.0 * i);
+    ParaGraphModel m(ModelConfig{.hidden_dim = pin.hidden, .seed = 17});
+    TrainConfig config;
+    config.epochs = 3;
+    config.batch_size = 16;
+    (void)train_model(m, set, config);
+    EXPECT_EQ(parameter_hash(m), pin.hash)
+        << "hidden " << pin.hidden << ": 0x" << std::hex << parameter_hash(m);
+  }
+}
+
 TEST(Trainer, EmptyTrainSetThrows) {
   SampleSet set;
   set.target_scaler.fit_bounds(0, 1);

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "nn/activation.hpp"
@@ -460,6 +462,61 @@ TEST(RgatConv, RelationCountMismatchThrows) {
   tensor::Workspace ws;
   RgatConv::Cache cache;
   EXPECT_THROW(conv.forward(x, g, cache, ws), InternalError);
+}
+
+TEST(RgatConv, SkippingInputGradientKeepsParameterGradientsBitwise) {
+  // backward_params (the first layer's path: its input needs no gradient)
+  // must accumulate exactly the parameter gradients backward() does, on
+  // random multi-relation graphs, for the model's one-hot input width and
+  // for widths with lane tails.
+  pg::Rng rng(77);
+  for (const auto& [in, out] : {std::pair<std::size_t, std::size_t>{48, 24},
+                               {24, 24},
+                               {7, 8},
+                               {10, 10}}) {
+    constexpr std::size_t kRelations = 3;
+    RgatConv conv(in, out, kRelations, rng);
+    RelationalGraph g;
+    g.num_nodes = 17;
+    for (std::size_t r = 0; r < kRelations; ++r) {
+      std::vector<RelEdge> edges;
+      for (int e = 0; e < 25; ++e)
+        edges.push_back(
+            {static_cast<std::uint32_t>(rng.uniform_int(0, 16)),
+             static_cast<std::uint32_t>(rng.uniform_int(0, 16)),
+             static_cast<float>(rng.uniform(0.1, 1.0))});
+      g.relations.push_back(RelationEdges::from_edges(edges));
+    }
+    tensor::Matrix x(g.num_nodes, in);
+    tensor::uniform_init(x, rng, -1.0f, 1.0f);
+    for (float& v : x.data())
+      if (rng.uniform() < 0.4) v = 0.0f;  // exercise the zero-skip
+    tensor::Matrix dy(g.num_nodes, out);
+    tensor::uniform_init(dy, rng, -1.0f, 1.0f);
+
+    auto fresh_grads = [&] {
+      std::vector<tensor::Matrix> grads;
+      for (const auto* p : std::as_const(conv).parameters())
+        grads.emplace_back(p->rows(), p->cols());
+      return grads;
+    };
+    std::vector<tensor::Matrix> with_dx = fresh_grads();
+    std::vector<tensor::Matrix> without_dx = fresh_grads();
+    tensor::Workspace ws;
+    RgatConv::Cache cache;
+    (void)conv.forward(x, g, cache, ws);
+    const tensor::Matrix& dx = conv.backward(dy, g, cache, with_dx, ws);
+    EXPECT_NE(dx.squared_norm(), 0.0);
+    conv.backward_params(dy, g, cache, without_dx, ws);
+    for (std::size_t p = 0; p < with_dx.size(); ++p) {
+      ASSERT_TRUE(with_dx[p].same_shape(without_dx[p]));
+      EXPECT_EQ(std::memcmp(with_dx[p].data().data(),
+                            without_dx[p].data().data(),
+                            with_dx[p].size() * sizeof(float)),
+                0)
+          << "in " << in << " out " << out << " param " << p;
+    }
+  }
 }
 
 TEST(RgatConv, ParameterLayout) {

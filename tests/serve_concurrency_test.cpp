@@ -221,8 +221,9 @@ TEST(ServeConcurrency, FixedThreadPoolServesHundredsOfIdleConnections) {
   if (rl.rlim_cur < want) {
     rlimit raised = rl;
     raised.rlim_cur = want;
-    if (setrlimit(RLIMIT_NOFILE, &raised) == 0)
+    if (setrlimit(RLIMIT_NOFILE, &raised) == 0) {
       ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &rl), 0);
+    }
   }
   // Leave ~256 fds of headroom for the server side of each connection plus
   // everything else the process holds open.

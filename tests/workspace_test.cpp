@@ -106,6 +106,44 @@ TEST(Workspace, GrowOnlyStatistics) {
   EXPECT_EQ(ws.num_acquires(), 5u);
 }
 
+TEST(Workspace, SlotsArePositionalAndReshapedInPlace) {
+  // The i-th acquire after a reset gets slot i whatever its shape, so a
+  // stream of new shapes reuses storage instead of adding buffers.
+  Workspace ws;
+  Matrix& a = ws.acquire(8, 8);
+  Matrix& b = ws.acquire(2, 3);
+  EXPECT_EQ(ws.bytes_reserved(), (64u + 6u) * sizeof(float));
+  ws.reset();
+  Matrix& a2 = ws.acquire(4, 5);   // smaller: fits slot 0's capacity
+  Matrix& b2 = ws.acquire(3, 2);   // same size, new shape
+  EXPECT_EQ(&a2, &a);
+  EXPECT_EQ(&b2, &b);
+  EXPECT_EQ(a2.rows(), 4u);
+  EXPECT_EQ(a2.cols(), 5u);
+  EXPECT_EQ(ws.num_slots(), 2u);
+  EXPECT_EQ(ws.bytes_reserved(), (64u + 6u) * sizeof(float));
+  ws.reset();
+  (void)ws.acquire(1, 1);
+  (void)ws.acquire(4, 4);  // slot 1 grows past its high-water mark
+  EXPECT_EQ(ws.num_slots(), 2u);
+  EXPECT_EQ(ws.bytes_reserved(), (64u + 16u) * sizeof(float));
+}
+
+TEST(Workspace, AcquireUninitKeepsContentsWhenGrowingWithinCapacity) {
+  Workspace ws;
+  Matrix& m = ws.acquire(4, 4);
+  for (float& v : m.data()) v = 3.0f;
+  ws.reset();
+  (void)ws.acquire_uninit(1, 2);  // shrink...
+  ws.reset();
+  Matrix& regrown = ws.acquire_uninit(4, 4);  // ...and grow back: no fill
+  ASSERT_EQ(&regrown, &m);
+  for (float v : regrown.data()) EXPECT_EQ(v, 3.0f);
+  ws.reset();
+  Matrix& zeroed = ws.acquire(4, 4);  // acquire() still scrubs
+  for (float v : zeroed.data()) EXPECT_EQ(v, 0.0f);
+}
+
 TEST(Workspace, ZeroSizedAcquireIsAllowed) {
   Workspace ws;
   Matrix& m = ws.acquire(1, 0);

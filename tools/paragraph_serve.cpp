@@ -6,8 +6,7 @@
 // Shutdown: SIGINT/SIGTERM (or --duration-s for scripted soak runs) drains
 // the queue gracefully and prints the final service counters. Exit codes:
 // 0 clean shutdown, 1 startup/runtime failure, 2 usage error.
-#include <omp.h>
-
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -19,7 +18,6 @@
 #include "model/checkpoint.hpp"
 #include "model/paragraph_model.hpp"
 #include "serve/server.hpp"
-#include "support/env.hpp"
 #include "tensor/simd.hpp"
 
 namespace {
@@ -44,7 +42,9 @@ int usage() {
   --window-us T         ...or after T microseconds (default 200)
   --idle-timeout-ms T   reactor idle-connection timeout (default 0 = none)
   --duration-s S        exit after S seconds (default 0 = run until signal)
-  --threads N           OpenMP threads per engine shard (PARAGRAPH_THREADS)
+  --threads N           OpenMP threads per worker's engine shard (default 1,
+                        or PARAGRAPH_THREADS); the daemon runs io threads +
+                        workers x N threads
   --simd LEVEL          kernel dispatch: scalar|sse2|avx2 (PARAGRAPH_SIMD)
   --cache               enable the semantic prediction cache (default off)
   --cache-eps E         embedding L2 match radius (default 0 = exact match)
@@ -87,11 +87,6 @@ int main(int argc, char** argv) {
     const char* ckpt_path = option_value(argc, argv, "--checkpoint");
     if (ckpt_path == nullptr) return usage();
 
-    const std::int64_t threads = int_option(argc, argv, "--threads", 0);
-    if (threads > 0)
-      omp_set_num_threads(static_cast<int>(threads));
-    else if (env_thread_count() > 0)
-      omp_set_num_threads(static_cast<int>(env_thread_count()));
     if (const char* level = option_value(argc, argv, "--simd")) {
       const auto parsed = tensor::simd::level_from_name(level);
       if (!parsed) {
@@ -118,6 +113,11 @@ int main(int argc, char** argv) {
     serve_config.io_threads = static_cast<std::size_t>(
         int_option(argc, argv, "--io-threads",
                    static_cast<std::int64_t>(serve_config.io_threads)));
+    serve_config.engine_threads =
+        static_cast<std::size_t>(std::max<std::int64_t>(
+            1, int_option(argc, argv, "--threads",
+                          static_cast<std::int64_t>(
+                              serve_config.engine_threads))));
     serve_config.queue_depth = static_cast<std::size_t>(
         int_option(argc, argv, "--queue-depth",
                    static_cast<std::int64_t>(serve_config.queue_depth)));
