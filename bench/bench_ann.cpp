@@ -1,4 +1,4 @@
-// bench_ann: the embedding-space ANN index + serve-time semantic cache
+// bench_ann: the embedding-space ANN index + serve-time reply cache
 // measurement (BENCH_ann.json).
 //
 // Part 1 — index quality/latency. A real-model embedding corpus is built by
@@ -10,8 +10,9 @@
 //
 // Part 2 — serve cache. An in-process Server is loaded through the shared
 // seeded RequestPicker under uniform and zipf-skewed traffic, cache off vs
-// cache on (eps = 0: exact-match hits only, replies byte-identical), and
-// the JSON records hit-rates and the graphs/s speedup.
+// cache on (payload-bytes hits only, replies byte-identical), and the JSON
+// records hit-rates and the graphs/s speedup. head_fraction records what a
+// hit in embedding space would have saved: the FC head's share of predict.
 //
 // Modes:
 //   --emit-fixture DIR  write DIR/ann.pgann (a small real-embedding index,
@@ -173,7 +174,6 @@ LoadPoint measure_serve(const AnnFixture& fx,
   serve::ServeConfig config;
   config.workers = 2;
   config.cache = cache_on;
-  config.cache_eps = 0.0;  // exact-match: replies stay byte-identical
   serve::Server server(*fx.model, fx.scalers, config);
   server.start();
 
@@ -220,7 +220,7 @@ LoadPoint measure_serve(const AnnFixture& fx,
 
 int main(int argc, char** argv) {
   bench::BenchConfig config;
-  bench::print_header("ann index + semantic cache", config);
+  bench::print_header("ann index + reply cache", config);
 
   const char* fixture_dir = option_value(argc, argv, "--emit-fixture");
   const bool smoke = config.scale == RunScale::kSmoke || fixture_dir != nullptr;
@@ -259,8 +259,8 @@ int main(int argc, char** argv) {
                 p.n, p.build_s, p.recall_at_10, p.query_p50_us);
   }
 
-  // What a cache hit actually saves: predict = embed + head, so the
-  // head's share of the forward pass bounds the best-case hit speedup.
+  // predict = embed + head: the head's share of the forward pass is all an
+  // embedding-space cache hit could skip (decode and embed already ran).
   double head_fraction = 0.0;
   {
     std::vector<model::EncodedGraph> graphs;
@@ -320,7 +320,9 @@ int main(int argc, char** argv) {
   report.add("hidden_dim", config.hidden_dim);
   report.add("base_embeddings", fx.base.rows());
   for (const IndexPoint& p : points) {
-    const std::string prefix = "n" + std::to_string(p.n) + "_";
+    std::string prefix = "n";  // += appends dodge GCC 12's bogus -Wrestrict
+    prefix += std::to_string(p.n);
+    prefix += "_";
     report.add(prefix + "build_s", p.build_s);
     report.add(prefix + "recall_at_10", p.recall_at_10);
     report.add(prefix + "query_p50_us", p.query_p50_us);

@@ -29,7 +29,7 @@
 // Request mix: --uniform (the default) and --zipf <s> share one seeded
 // picker (bench::RequestPicker; Zipf with s = 0 IS uniform), so the two
 // modes differ only in skew. --zipf concentrates traffic on a few hot
-// requests — the shape the serve-time semantic cache is built for. The
+// requests — the shape the serve-time reply cache is built for. The
 // emitted JSON records the mix descriptor alongside the numbers.
 #include <sys/resource.h>
 
@@ -484,7 +484,9 @@ int main(int argc, char** argv) {
     report.add("sweep_connections", sweep_descriptor);
     report.add("sweep_seconds", static_cast<int>(sweep_seconds));
     for (const SweepPoint& point : sweep) {
-      const std::string prefix = "c" + std::to_string(point.connections) + "_";
+      std::string prefix = "c";  // += appends dodge GCC 12's bogus -Wrestrict
+      prefix += std::to_string(point.connections);
+      prefix += "_";
       report.add(prefix + "requests_ok", static_cast<std::size_t>(point.ok));
       report.add(prefix + "p50_us", point.p50_us);
       report.add(prefix + "p99_us", point.p99_us);

@@ -85,8 +85,7 @@ class InferenceEngine {
   /// FC head over embeddings previously produced by embed_batch: one fused
   /// head pass on the calling thread (the head is a few small matmuls —
   /// chunking it would cost more than it saves). Bitwise-identical to the
-  /// head portion of predict_batch for any row subset, which is the
-  /// contract the serve-time semantic cache's miss path relies on.
+  /// head portion of predict_batch for any row subset (ann_test pins this).
   void predict_head(const tensor::Matrix& pooled,
                     std::span<const std::array<float, 2>> aux,
                     std::span<double> out);

@@ -74,8 +74,7 @@ class ParaGraphModel {
   /// FC head over externally held pooled embeddings (as produced by
   /// embed_batch): fc1/fc2 + aux embedding + concat + out_fc. Every head op
   /// is row-independent, so running any subset of rows through this is
-  /// bitwise-identical to the tail of a full predict_batch — which is what
-  /// lets the serve-time semantic cache run the head only for cache misses.
+  /// bitwise-identical to the tail of a full predict_batch.
   /// `pooled` [B x hidden] and `aux` [B x aux_dim] must not be borrowed
   /// from `ws` (this call resets `ws`).
   void predict_head(const tensor::Matrix& pooled, const tensor::Matrix& aux,

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -76,8 +75,6 @@ ServeConfig serve_config_from_env(ServeConfig base) {
       "PARAGRAPH_SERVE_IDLE_TIMEOUT_MS", base.idle_timeout_ms, 0, 3'600'000));
   base.cache =
       clamped_env("PARAGRAPH_SERVE_CACHE", base.cache ? 1 : 0, 0, 1) != 0;
-  base.cache_eps = std::max(
-      0.0, env_double("PARAGRAPH_SERVE_CACHE_EPS", base.cache_eps));
   base.cache_capacity = static_cast<std::size_t>(
       clamped_env("PARAGRAPH_SERVE_CACHE_CAP",
                   static_cast<std::int64_t>(base.cache_capacity), 1, 1 << 20));
@@ -89,8 +86,7 @@ Server::Server(const model::ParaGraphModel& model,
     : model_(&model), config_(config) {
   scalers.apply_to(scaler_set_);
   if (config_.cache)
-    cache_ = std::make_unique<SemanticCache>(
-        CacheConfig{true, config_.cache_eps, config_.cache_capacity});
+    cache_ = std::make_unique<ReplyCache>(config_.cache_capacity);
 }
 
 Server::~Server() { stop(); }
@@ -429,12 +425,12 @@ void Server::process_frame(const ConnectionPtr& conn,
         return;  // request-scoped failure: the connection lives on
       }
 
-      // Bytes fast path: a byte-identical repeat of a cached request needs
-      // no decode, no queue hop, and no forward pass — the whole pipeline
-      // is deterministic in the payload bytes, so the stored prediction IS
+      // Reply cache: a byte-identical repeat of a cached request needs no
+      // decode, no queue hop, and no forward pass — the whole pipeline is
+      // deterministic in the payload bytes, so the stored prediction IS
       // what recomputation would produce.
       if (cache_ != nullptr) {
-        if (const auto hit = cache_->lookup_bytes(frame.payload)) {
+        if (const auto hit = cache_->lookup(frame.payload)) {
           PredictReply reply;
           reply.scaled = *hit;
           reply.runtime_us = scaler_set_.from_target(*hit);
@@ -644,13 +640,6 @@ void Server::worker_loop(std::size_t /*worker_index*/) {
   std::vector<model::EncodedGraph> graphs;
   std::vector<std::array<float, 2>> aux;
   std::vector<double> scaled;
-  // Cache-path scratch: batch embeddings, the indices that missed, and the
-  // compacted head inputs/outputs for just those misses.
-  tensor::Matrix embeddings;
-  tensor::Matrix miss_pooled;
-  std::vector<std::size_t> miss_idx;
-  std::vector<std::array<float, 2>> miss_aux;
-  std::vector<double> miss_out;
   while (true) {
     std::vector<Pending> batch = pop_batch();
     if (batch.empty()) return;
@@ -666,39 +655,12 @@ void Server::worker_loop(std::size_t /*worker_index*/) {
     scaled.assign(batch.size(), 0.0);
     const model::ScheduleStats before = engine.schedule_stats();
     try {
-      if (cache_ != nullptr) {
-        // Embed once, probe per request, run the FC head only on misses.
-        // The head is row-independent, so predict_head over the compacted
-        // miss rows is bitwise what predict_batch would have produced.
-        engine.embed_batch(graphs, embeddings);
-        miss_idx.clear();
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (const auto hit = cache_->lookup(embeddings.row_span(i), aux[i]))
-            scaled[i] = *hit;
-          else
-            miss_idx.push_back(i);
-        }
-        if (!miss_idx.empty()) {
-          miss_pooled.reshape(miss_idx.size(), embeddings.cols());
-          miss_aux.clear();
-          for (std::size_t m = 0; m < miss_idx.size(); ++m) {
-            const auto src = embeddings.row_span(miss_idx[m]);
-            std::memcpy(miss_pooled.row_span(m).data(), src.data(),
-                        src.size() * sizeof(float));
-            miss_aux.push_back(aux[miss_idx[m]]);
-          }
-          miss_out.assign(miss_idx.size(), 0.0);
-          engine.predict_head(miss_pooled, miss_aux, miss_out);
-          for (std::size_t m = 0; m < miss_idx.size(); ++m) {
-            scaled[miss_idx[m]] = miss_out[m];
-            cache_->insert(embeddings.row_span(miss_idx[m]),
-                           aux[miss_idx[m]], miss_out[m],
-                           std::move(batch[miss_idx[m]].bytes));
-          }
-        }
-      } else {
-        engine.predict_batch(graphs, aux, scaled);
-      }
+      engine.predict_batch(graphs, aux, scaled);
+      // Insert before replying: a client that repeats a request after
+      // reading its reply must hit.
+      if (cache_ != nullptr)
+        for (std::size_t i = 0; i < batch.size(); ++i)
+          cache_->insert(std::move(batch[i].bytes), scaled[i]);
     } catch (const std::exception& e) {
       for (const Pending& p : batch)
         send_error(p.conn, p.request_id, ErrorCode::kInternal, e.what(),

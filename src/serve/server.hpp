@@ -75,7 +75,7 @@
 #include "model/sample.hpp"
 #include "serve/frame_assembler.hpp"
 #include "serve/protocol.hpp"
-#include "serve/semantic_cache.hpp"
+#include "serve/reply_cache.hpp"
 #include "serve/socket.hpp"
 
 namespace pg::serve {
@@ -95,19 +95,17 @@ struct ServeConfig {
   std::size_t conn_inflight_cap = 64;
   std::size_t write_queue_cap = 1 << 20;  // bytes
   int idle_timeout_ms = 0;  // reactor-timer idle close; 0 = never
-  // Semantic prediction cache (serve/semantic_cache.hpp). Off by default so
-  // replies stay bitwise-identical to predict_one; cache_eps = 0 means only
-  // bitwise-equal (embedding, aux) pairs hit — still byte-identical replies.
+  // Reply cache (serve/reply_cache.hpp): payload bytes -> prediction LRU.
+  // Off by default; either way replies stay bitwise-identical to predict_one.
   bool cache = false;
-  double cache_eps = 0.0;
   std::size_t cache_capacity = 1024;
 };
 
 /// Env-knob layer (documented in docs/SERVING.md): PARAGRAPH_SERVE_PORT,
 /// _WORKERS, _IO_THREADS, _QUEUE, _BATCH, _WINDOW_US, _IDLE_TIMEOUT_MS,
-/// _CONN_INFLIGHT, _WRITEQ_CAP, _CACHE, _CACHE_EPS, _CACHE_CAP override the
-/// defaults, and PARAGRAPH_THREADS sets engine_threads; out-of-range values
-/// are clamped to sane bounds.
+/// _CONN_INFLIGHT, _WRITEQ_CAP, _CACHE, _CACHE_CAP override the defaults,
+/// and PARAGRAPH_THREADS sets engine_threads; out-of-range values are
+/// clamped to sane bounds.
 ServeConfig serve_config_from_env(ServeConfig base = {});
 
 /// Monotonic counters; safe to read while the server runs.
@@ -131,7 +129,7 @@ struct ServerStats {
   std::uint64_t sched_chunks = 0;
   std::uint64_t sched_rows = 0;
   std::uint64_t sched_intra_chunks = 0;
-  // Semantic-cache counters (all zero when the cache is disabled).
+  // Reply-cache counters (all zero when the cache is disabled).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
@@ -253,7 +251,7 @@ class Server {
   const model::ParaGraphModel* model_;
   model::SampleSet scaler_set_;  // from_target() for microsecond replies
   ServeConfig config_;
-  std::unique_ptr<SemanticCache> cache_;  // null when config_.cache is off
+  std::unique_ptr<ReplyCache> cache_;  // null when config_.cache is off
 
   Listener listener_;
   std::vector<std::unique_ptr<IoThread>> io_threads_;

@@ -19,14 +19,6 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   return (end == nullptr || *end != '\0') ? fallback : parsed;
 }
 
-double env_double(const char* name, double fallback) {
-  const std::string raw = env_string(name, "");
-  if (raw.empty()) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(raw.c_str(), &end);
-  return (end == nullptr || *end != '\0') ? fallback : parsed;
-}
-
 std::int64_t env_thread_count() {
   const std::int64_t threads = env_int("PARAGRAPH_THREADS", 0);
   return threads > 0 ? threads : 0;

@@ -14,10 +14,6 @@ std::string env_string(const char* name, const std::string& fallback);
 /// Reads an integer environment variable (fallback on unset or parse error).
 std::int64_t env_int(const char* name, std::int64_t fallback);
 
-/// Reads a floating-point environment variable (fallback on unset or parse
-/// error). Serves the PARAGRAPH_SERVE_CACHE_EPS knob.
-double env_double(const char* name, double fallback);
-
 /// Worker-thread override: `PARAGRAPH_THREADS` as a positive integer, or 0
 /// when unset/invalid — 0 means "keep the OpenMP default". Consumers (the
 /// CLI's predict/corpus subcommands) pass a positive value to

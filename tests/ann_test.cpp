@@ -1,23 +1,19 @@
 // ANN subsystem suite (src/ann, docs/FORMAT.md .pgann):
 //   * embed_batch bitwise parity — predict_batch must equal embed_batch +
 //     predict_head bit-for-bit, across batch sizes, SIMD levels, and row
-//     subsets (the contract the serve-time semantic cache rests on);
+//     subsets;
 //   * nn-descent determinism — same seed, any OpenMP thread count, byte-
 //     identical .pgann output;
 //   * search vs brute force — small-N fallback exactness and recall;
 //   * .pgann round trips, checkpoint-fingerprint staleness rejection, and
-//     reader rejection of corrupt containers with section + offset context;
-//   * SemanticCache match rules, LRU eviction, counters, and the bytes
-//     fast path.
+//     reader rejection of corrupt containers with section + offset context.
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstring>
-#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,7 +23,6 @@
 #include "graph/builder.hpp"
 #include "model/encoding.hpp"
 #include "model/engine.hpp"
-#include "serve/semantic_cache.hpp"
 #include "support/rng.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/simd.hpp"
@@ -317,86 +312,6 @@ TEST(AnnIo, FileRoundTripViaMmap) {
   const auto loaded = ann::AnnIndex::load_file(path, 7);
   EXPECT_EQ(loaded.size(), index.size());
   EXPECT_EQ(index_bytes(loaded), index_bytes(index));
-}
-
-// --- semantic cache -------------------------------------------------------
-
-std::vector<float> vec(std::initializer_list<float> v) { return v; }
-
-TEST(SemanticCache, ExactMatchOnlyAtEpsZero) {
-  serve::SemanticCache cache({true, 0.0, 8});
-  const std::array<float, 2> aux{0.5f, 0.25f};
-  cache.insert(vec({1.0f, 2.0f}), aux, 42.0, {});
-
-  const auto hit = cache.lookup(vec({1.0f, 2.0f}), aux);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 42.0);
-  // One ULP away: not a hit at eps 0.
-  EXPECT_FALSE(
-      cache.lookup(vec({std::nextafter(1.0f, 2.0f), 2.0f}), aux).has_value());
-  // Same embedding, different aux: never a hit.
-  EXPECT_FALSE(
-      cache.lookup(vec({1.0f, 2.0f}), {0.5f, 0.5f}).has_value());
-
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);
-}
-
-TEST(SemanticCache, NearestWithinEpsWins) {
-  serve::SemanticCache cache({true, 0.5, 8});
-  const std::array<float, 2> aux{0.0f, 0.0f};
-  cache.insert(vec({0.0f, 0.0f}), aux, 1.0, {});
-  cache.insert(vec({0.3f, 0.0f}), aux, 2.0, {});
-
-  // 0.2 is within eps of both; the nearer entry (0.3) wins.
-  const auto hit = cache.lookup(vec({0.2f, 0.0f}), aux);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 2.0);
-  // Outside the radius of either: miss.
-  EXPECT_FALSE(cache.lookup(vec({2.0f, 0.0f}), aux).has_value());
-}
-
-TEST(SemanticCache, LruEvictionPrefersStaleEntries) {
-  serve::SemanticCache cache({true, 0.0, 2});
-  const std::array<float, 2> aux{0.0f, 0.0f};
-  cache.insert(vec({1.0f}), aux, 1.0, {});
-  cache.insert(vec({2.0f}), aux, 2.0, {});
-  // Refresh entry 1, then insert a third: entry 2 is the LRU victim.
-  EXPECT_TRUE(cache.lookup(vec({1.0f}), aux).has_value());
-  cache.insert(vec({3.0f}), aux, 3.0, {});
-
-  EXPECT_TRUE(cache.lookup(vec({1.0f}), aux).has_value());
-  EXPECT_FALSE(cache.lookup(vec({2.0f}), aux).has_value());
-  EXPECT_TRUE(cache.lookup(vec({3.0f}), aux).has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(SemanticCache, BytesFastPathHitsAndEvicts) {
-  serve::SemanticCache cache({true, 0.0, 2});
-  const std::array<float, 2> aux{0.0f, 0.0f};
-  EXPECT_FALSE(cache.lookup_bytes("request-a").has_value());
-  cache.insert(vec({1.0f}), aux, 1.0, "request-a");
-
-  const auto hit = cache.lookup_bytes("request-a");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 1.0);
-  // lookup_bytes misses are not counted (the embedding probe counts them).
-  EXPECT_EQ(cache.stats().misses, 0u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Evicting the entry must unlink its bytes key.
-  cache.insert(vec({2.0f}), aux, 2.0, "request-b");
-  cache.insert(vec({3.0f}), aux, 3.0, "request-c");  // evicts request-a
-  EXPECT_FALSE(cache.lookup_bytes("request-a").has_value());
-  EXPECT_TRUE(cache.lookup_bytes("request-c").has_value());
-
-  // Duplicate insert (two in-flight identical requests): latest wins, no
-  // shared map node.
-  cache.insert(vec({4.0f}), aux, 4.0, "request-c");
-  const auto dup = cache.lookup_bytes("request-c");
-  ASSERT_TRUE(dup.has_value());
-  EXPECT_EQ(*dup, 4.0);
 }
 
 }  // namespace

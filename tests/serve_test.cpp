@@ -27,6 +27,7 @@
 #include "model/paragraph_model.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
+#include "serve/reply_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
 
@@ -579,7 +580,6 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
       unsetenv("PARAGRAPH_SERVE_CONN_INFLIGHT");
       unsetenv("PARAGRAPH_SERVE_WRITEQ_CAP");
       unsetenv("PARAGRAPH_SERVE_CACHE");
-      unsetenv("PARAGRAPH_SERVE_CACHE_EPS");
       unsetenv("PARAGRAPH_SERVE_CACHE_CAP");
     }
   } restore;
@@ -590,7 +590,6 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
   setenv("PARAGRAPH_SERVE_CONN_INFLIGHT", "0", 1);  // floor is 1 -> clamped
   setenv("PARAGRAPH_SERVE_WRITEQ_CAP", "1", 1);  // floor is 4096 -> clamped
   setenv("PARAGRAPH_SERVE_CACHE", "1", 1);
-  setenv("PARAGRAPH_SERVE_CACHE_EPS", "-0.5", 1);  // negative -> clamped to 0
   setenv("PARAGRAPH_SERVE_CACHE_CAP", "64", 1);
   const serve::ServeConfig config = serve::serve_config_from_env();
   EXPECT_EQ(config.workers, 3u);
@@ -600,69 +599,130 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
   EXPECT_EQ(config.conn_inflight_cap, 1u);
   EXPECT_EQ(config.write_queue_cap, 4096u);
   EXPECT_TRUE(config.cache);
-  EXPECT_EQ(config.cache_eps, 0.0);
   EXPECT_EQ(config.cache_capacity, 64u);
 }
 
-// --- semantic cache end-to-end --------------------------------------------
+// --- reply cache ----------------------------------------------------------
 
-/// Loopback server with the semantic cache on. eps comes from the test;
-/// everything else mirrors ServeLoopback.
+TEST(ReplyCache, BytesHitReturnsStoredValue) {
+  serve::ReplyCache cache(8);
+  cache.insert("request-a", 42.0);
+  const auto hit = cache.lookup("request-a");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, 42.0);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+TEST(ReplyCache, FailedLookupCountsOneMiss) {
+  serve::ReplyCache cache(8);
+  cache.insert("request-a", 1.0);
+  EXPECT_FALSE(cache.lookup("request-b").has_value());
+  EXPECT_FALSE(cache.lookup("request-a ").has_value());  // one byte longer
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(ReplyCache, HitRefreshesRecencySoLeastRecentlyUsedIsEvicted) {
+  serve::ReplyCache cache(2);
+  cache.insert("request-a", 1.0);
+  cache.insert("request-b", 2.0);
+  // a is the older insert, but the hit makes b the least recently used.
+  EXPECT_TRUE(cache.lookup("request-a").has_value());
+  cache.insert("request-c", 3.0);
+
+  EXPECT_TRUE(cache.lookup("request-a").has_value());
+  EXPECT_FALSE(cache.lookup("request-b").has_value());
+  EXPECT_TRUE(cache.lookup("request-c").has_value());
+}
+
+TEST(ReplyCache, DuplicateInsertKeepsOneEntryWithLatestValue) {
+  // Two identical in-flight requests both miss and both insert.
+  serve::ReplyCache cache(2);
+  cache.insert("request-a", 1.0);
+  cache.insert("request-a", 2.0);
+  // One entry: a second key still fits without an eviction.
+  cache.insert("request-b", 3.0);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  const auto hit = cache.lookup("request-a");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, 2.0);
+  EXPECT_TRUE(cache.lookup("request-b").has_value());
+}
+
+TEST(ReplyCache, EvictionCounterCountsEveryDroppedEntry) {
+  serve::ReplyCache cache(2);
+  for (int i = 0; i < 5; ++i)
+    cache.insert("request-" + std::to_string(i), static_cast<double>(i));
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  // Only the two newest survive.
+  EXPECT_FALSE(cache.lookup("request-2").has_value());
+  EXPECT_TRUE(cache.lookup("request-3").has_value());
+  EXPECT_TRUE(cache.lookup("request-4").has_value());
+  EXPECT_EQ(cache.stats().evictions, 3u);
+}
+
+// --- reply cache end-to-end -------------------------------------------------
+
+/// Loopback server with the reply cache on; everything else mirrors
+/// ServeLoopback.
 class ServeCacheLoopback : public ::testing::Test {
  protected:
-  void start(double eps) {
+  void SetUp() override {
     stored_ = io::read_sample_set_file(golden_path("corpus.pgds"));
     scalers_ = model::CheckpointScalers::from_sample_set(stored_.set);
     model_ = std::make_unique<model::ParaGraphModel>(config_);
+    scalers_.apply_to(scaler_set_);
 
     serve::ServeConfig serve_config;
     serve_config.workers = 2;
     serve_config.batch_max = 4;
     serve_config.cache = true;
-    serve_config.cache_eps = eps;
     server_ = std::make_unique<serve::Server>(*model_, scalers_, serve_config);
     server_->start();
     ASSERT_NE(server_->port(), 0);
   }
 
-  void TearDown() override {
-    if (server_ != nullptr) server_->stop();
+  void TearDown() override { server_->stop(); }
+
+  /// Asserts a reply is bit-for-bit what the uncached engine computes.
+  void expect_bitwise_predict_one(const serve::Response& response,
+                                  const model::TrainingSample& sample,
+                                  const std::string& what) {
+    model::InferenceEngine engine(*model_);
+    const double expected = engine.predict_one(sample.graph, sample.aux);
+    const double expected_us = scaler_set_.from_target(expected);
+    ASSERT_EQ(response.kind, serve::FrameKind::kPredictReply)
+        << what << ": " << response.error.message;
+    EXPECT_EQ(std::memcmp(&response.prediction.scaled, &expected, 8), 0)
+        << what;
+    EXPECT_EQ(std::memcmp(&response.prediction.runtime_us, &expected_us, 8), 0)
+        << what;
   }
 
   model::ModelConfig config_;
   io::StoredSampleSet stored_;
   model::CheckpointScalers scalers_;
+  model::SampleSet scaler_set_;
   std::unique_ptr<model::ParaGraphModel> model_;
   std::unique_ptr<serve::Server> server_;
 };
 
 TEST_F(ServeCacheLoopback, ExactMatchHitsAreBitwiseIdentical) {
-  // eps = 0: every reply — miss or hit — must be bit-for-bit what the
-  // uncached engine computes. Round one populates the cache, round two is
-  // served from it (the bytes fast path), round three re-sends over a new
-  // connection; all three must agree with predict_one exactly.
-  start(/*eps=*/0.0);
-  model::InferenceEngine engine(*model_);
-  model::SampleSet scaler_set;
-  scalers_.apply_to(scaler_set);
-
+  // Every reply — miss or hit — must be bit-for-bit what the uncached
+  // engine computes. Round one populates the cache, round two is served
+  // from it, round three re-sends over a new connection; all three must
+  // agree with predict_one exactly.
   for (int round = 0; round < 3; ++round) {
     serve::Client client(server_->port(), 5000);
     for (const char* name : kGoldenNames) {
-      const model::TrainingSample sample =
-          io::read_sample_file(golden_path(std::string(name) + ".psample"));
-      const double expected = engine.predict_one(sample.graph, sample.aux);
-      const double expected_us = scaler_set.from_target(expected);
-      const auto response = client.predict_bytes(
-          slurp(golden_path(std::string(name) + ".psample")));
+      const std::string path = golden_path(std::string(name) + ".psample");
+      const auto response = client.predict_bytes(slurp(path));
       ASSERT_TRUE(response.has_value()) << name << " round " << round;
-      ASSERT_EQ(response->kind, serve::FrameKind::kPredictReply)
-          << name << ": " << response->error.message;
-      EXPECT_EQ(std::memcmp(&response->prediction.scaled, &expected, 8), 0)
-          << name << " round " << round;
-      EXPECT_EQ(
-          std::memcmp(&response->prediction.runtime_us, &expected_us, 8), 0)
-          << name << " round " << round;
+      expect_bitwise_predict_one(*response, io::read_sample_file(path),
+                                 std::string(name) + " round " +
+                                     std::to_string(round));
     }
   }
 
@@ -673,35 +733,46 @@ TEST_F(ServeCacheLoopback, ExactMatchHitsAreBitwiseIdentical) {
   EXPECT_LE(stats.cache_misses, samples);
 }
 
-TEST_F(ServeCacheLoopback, EpsRadiusServesNearbyRequestFromCache) {
-  // Byte-different requests with the same graph + aux embed identically
-  // (distance 0 <= any eps), so the second request must reuse the first's
-  // prediction through the embedding-space probe — the bytes fast path
-  // cannot see it, the semantic match must.
-  start(/*eps=*/0.5);
-  model::TrainingSample sample =
+TEST_F(ServeCacheLoopback, SameGraphWithDifferentBytesIsAMiss) {
+  // Same graph and aux, different wire bytes: the cache keys on bytes
+  // only, so the second request runs the full forward pass.
+  const model::TrainingSample original =
       io::read_sample_file(golden_path("matvec_cpu.psample"));
+  model::TrainingSample changed = original;
+  changed.runtime_us += 1.0;  // changes the wire bytes, not graph or aux
+  const std::string first_bytes = serve::Client::sample_bytes(original);
+  const std::string second_bytes = serve::Client::sample_bytes(changed);
+  ASSERT_NE(first_bytes, second_bytes);
 
   serve::Client client(server_->port(), 5000);
-  const auto first = client.predict_bytes(serve::Client::sample_bytes(sample));
+  const auto first = client.predict_bytes(first_bytes);
   ASSERT_TRUE(first.has_value());
-  ASSERT_EQ(first->kind, serve::FrameKind::kPredictReply);
-
-  sample.runtime_us += 1.0;  // changes the wire bytes, not graph or aux
-  const std::string second_bytes = serve::Client::sample_bytes(sample);
-  EXPECT_NE(second_bytes,
-            serve::Client::sample_bytes(io::read_sample_file(
-                golden_path("matvec_cpu.psample"))));
+  expect_bitwise_predict_one(*first, original, "first");
   const auto second = client.predict_bytes(second_bytes);
   ASSERT_TRUE(second.has_value());
-  ASSERT_EQ(second->kind, serve::FrameKind::kPredictReply);
-  EXPECT_EQ(std::memcmp(&second->prediction.scaled, &first->prediction.scaled,
-                        8),
-            0);
+  expect_bitwise_predict_one(*second, changed, "second");
 
   const serve::ServerStats stats = server_->stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 2u);
+}
+
+TEST_F(ServeCacheLoopback, MalformedPayloadIsNeverCached) {
+  std::string psample = slurp(golden_path("matvec_cpu.psample"));
+  psample[0] = 'X';  // bad container magic -> io::FormatError on decode
+  serve::Client client(server_->port(), 5000);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const auto response = client.predict_bytes(psample);
+    ASSERT_TRUE(response.has_value()) << "attempt " << attempt;
+    ASSERT_EQ(response->kind, serve::FrameKind::kErrorReply)
+        << "attempt " << attempt;
+    EXPECT_EQ(response->error.code, serve::ErrorCode::kBadPayload)
+        << "attempt " << attempt;
+  }
+
+  const serve::ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 2u);
 }
 
 }  // namespace

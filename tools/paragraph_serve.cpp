@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "model/checkpoint.hpp"
@@ -46,8 +47,8 @@ int usage() {
                         or PARAGRAPH_THREADS); the daemon runs io threads +
                         workers x N threads
   --simd LEVEL          kernel dispatch: scalar|sse2|avx2 (PARAGRAPH_SIMD)
-  --cache               enable the semantic prediction cache (default off)
-  --cache-eps E         embedding L2 match radius (default 0 = exact match)
+  --cache               enable the reply cache: byte-identical repeat
+                        requests answer from memory (default off)
   --cache-cap N         cache capacity before LRU eviction (default 1024)
 
   Environment defaults (overridden by the flags above): PARAGRAPH_SERVE_PORT,
@@ -55,9 +56,36 @@ int usage() {
   PARAGRAPH_SERVE_BATCH, PARAGRAPH_SERVE_WINDOW_US,
   PARAGRAPH_SERVE_IDLE_TIMEOUT_MS, PARAGRAPH_SERVE_CONN_INFLIGHT,
   PARAGRAPH_SERVE_WRITEQ_CAP, PARAGRAPH_SERVE_CACHE,
-  PARAGRAPH_SERVE_CACHE_EPS, PARAGRAPH_SERVE_CACHE_CAP.
+  PARAGRAPH_SERVE_CACHE_CAP.
 )");
   return 2;
+}
+
+/// The value-taking options of usage(); `--cache` is the only bare flag.
+constexpr std::string_view kValueOptions[] = {
+    "--checkpoint", "--hidden",          "--port",       "--port-file",
+    "--workers",    "--io-threads",      "--queue-depth", "--batch-max",
+    "--window-us",  "--idle-timeout-ms", "--duration-s", "--threads",
+    "--simd",       "--cache-cap"};
+
+/// True when every argument is an option from usage() and each
+/// value-taking one has a value after it, so a stale or misspelt option
+/// fails loudly instead of being ignored.
+bool options_valid(int argc, char** argv) {
+  for (int a = 1; a < argc; ++a) {
+    const std::string_view arg = argv[a];
+    if (arg == "--cache") continue;
+    if (std::find(std::begin(kValueOptions), std::end(kValueOptions), arg) ==
+        std::end(kValueOptions)) {
+      std::fprintf(stderr, "error: unknown option '%s'\n", argv[a]);
+      return false;
+    }
+    if (++a == argc) {
+      std::fprintf(stderr, "error: option %s needs a value\n", argv[a - 1]);
+      return false;
+    }
+  }
+  return true;
 }
 
 /// "--flag value" scanner (the CLI's Args helper is private to it; the
@@ -84,6 +112,7 @@ bool flag_option(int argc, char** argv, const char* name) {
 
 int main(int argc, char** argv) {
   try {
+    if (!options_valid(argc, argv)) return usage();
     const char* ckpt_path = option_value(argc, argv, "--checkpoint");
     if (ckpt_path == nullptr) return usage();
 
@@ -129,8 +158,6 @@ int main(int argc, char** argv) {
     serve_config.idle_timeout_ms = static_cast<int>(int_option(
         argc, argv, "--idle-timeout-ms", serve_config.idle_timeout_ms));
     if (flag_option(argc, argv, "--cache")) serve_config.cache = true;
-    if (const char* eps = option_value(argc, argv, "--cache-eps"))
-      serve_config.cache_eps = std::stod(eps);
     serve_config.cache_capacity = static_cast<std::size_t>(
         int_option(argc, argv, "--cache-cap",
                    static_cast<std::int64_t>(serve_config.cache_capacity)));
@@ -204,11 +231,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.sched_intra_chunks));
     if (serve_config.cache)
       std::printf("paragraph-serve: cache — %llu hits, %llu misses, "
-                  "%llu evictions (eps %g, cap %zu)\n",
+                  "%llu evictions (cap %zu)\n",
                   static_cast<unsigned long long>(stats.cache_hits),
                   static_cast<unsigned long long>(stats.cache_misses),
                   static_cast<unsigned long long>(stats.cache_evictions),
-                  serve_config.cache_eps, serve_config.cache_capacity);
+                  serve_config.cache_capacity);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
