@@ -1,53 +1,22 @@
-// Source: truncation-checked, budget-enforcing byte reader over either an
-// istream or an in-memory byte range (the mmap path).
+// Source's out-of-line half (budgets and the failing-read path) plus the
+// validated string/count readers.
 #include "io/binary.hpp"
 
-#include <array>
-#include <cstring>
+#include <algorithm>
 
 namespace pg::io {
 
-void Source::bytes(void* out, std::size_t n) {
-  if (budget_active_ && consumed_ + n > budget_end_)
+void Source::fail(std::uint64_t n) const {
+  if (budget_active_ && n > budget_end_ - consumed_)
     throw FormatError("section overrun: payload larger than its declared size");
-  if (data_ != nullptr) {
-    if (n > size_ - static_cast<std::size_t>(consumed_))
-      throw FormatError("truncated file: unexpected end of data");
-    std::memcpy(out, data_ + consumed_, n);
-    consumed_ += n;
-    return;
-  }
-  is_->read(static_cast<char*>(out), static_cast<std::streamsize>(n));
-  if (static_cast<std::size_t>(is_->gcount()) != n || !*is_)
-    throw FormatError("truncated file: unexpected end of data");
-  consumed_ += n;
-}
-
-void Source::skip(std::uint64_t n) {
-  if (data_ != nullptr) {
-    // Memory mode advances without copying; same budget/truncation checks
-    // as bytes().
-    if (budget_active_ && consumed_ + n > budget_end_)
-      throw FormatError(
-          "section overrun: payload larger than its declared size");
-    if (n > size_ - static_cast<std::size_t>(consumed_))
-      throw FormatError("truncated file: unexpected end of data");
-    consumed_ += n;
-    return;
-  }
-  std::array<char, 4096> scratch;
-  while (n > 0) {
-    const std::size_t chunk =
-        static_cast<std::size_t>(std::min<std::uint64_t>(n, scratch.size()));
-    bytes(scratch.data(), chunk);
-    n -= chunk;
-  }
+  throw FormatError("truncated file: unexpected end of data");
 }
 
 void Source::push_budget(std::uint64_t n) {
   if (budget_active_) throw FormatError("internal: nested section budgets");
   budget_end_ = consumed_ + n;
   budget_active_ = true;
+  limit_ = std::min<std::uint64_t>(budget_end_, size_);
 }
 
 void Source::pop_budget() {
@@ -55,48 +24,8 @@ void Source::pop_budget() {
   if (consumed_ != budget_end_)
     throw FormatError("section underrun: payload smaller than its declared size");
   budget_active_ = false;
+  limit_ = size_;
 }
-
-std::uint8_t get_u8(Source& src) {
-  std::uint8_t b = 0;
-  src.bytes(&b, 1);
-  return b;
-}
-
-std::uint16_t get_u16(Source& src) {
-  std::uint8_t b[2];
-  src.bytes(b, sizeof b);
-  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint32_t get_u32(Source& src) {
-  std::uint8_t b[4];
-  src.bytes(b, sizeof b);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-std::uint64_t get_u64(Source& src) {
-  std::uint8_t b[8];
-  src.bytes(b, sizeof b);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
-  return v;
-}
-
-std::int32_t get_i32(Source& src) {
-  return static_cast<std::int32_t>(get_u32(src));
-}
-
-std::int64_t get_i64(Source& src) {
-  return static_cast<std::int64_t>(get_u64(src));
-}
-
-float get_f32(Source& src) { return std::bit_cast<float>(get_u32(src)); }
-
-double get_f64(Source& src) { return std::bit_cast<double>(get_u64(src)); }
 
 std::string get_string(Source& src) {
   const std::uint32_t len = get_u32(src);
@@ -104,9 +33,8 @@ std::string get_string(Source& src) {
   // corrupt length from allocating anything before the read would fail.
   if (len > kMaxReasonableCount || len > src.remaining_budget())
     throw FormatError("corrupt string length");
-  std::string s(len, '\0');
-  if (len > 0) src.bytes(s.data(), len);
-  return s;
+  const unsigned char* at = src.take(len);
+  return std::string(reinterpret_cast<const char*>(at), len);
 }
 
 std::uint64_t get_count(Source& src, const char* what) {

@@ -38,8 +38,8 @@ inline constexpr std::uint32_t kIndexFooterMagic = 0x46494750;
 
 inline constexpr std::uint32_t kMaxSections = 64;
 // 1 GiB: far above any legitimate section/record in this project, and the
-// hard ceiling on what a crafted section-size field can make a reader
-// allocate transiently (the Matrix in get_sample_features is budget-bound).
+// most a section-size field can make the istream entry points buffer (they
+// still grow only as bytes arrive).
 inline constexpr std::uint64_t kMaxSectionBytes = 1ull << 30;
 // Containers are grown incrementally while bytes actually arrive, with at
 // most this much capacity reserved up front — so a corrupt count field can

@@ -138,11 +138,15 @@ tensor::Matrix get_sample_features(Source& src) {
     throw FormatError("corrupt sample: feature width does not match the "
                       "feature-order contract");
   // rows, cols <= 2^28 (get_count), so rows*cols*4 <= 2^58: no overflow.
-  if (rows * cols * sizeof(float) > src.remaining_budget())
+  const std::uint64_t bytes = rows * cols * sizeof(float);
+  if (bytes > src.remaining_budget())
     throw FormatError("corrupt sample: feature matrix larger than its section");
+  // One checked read for the whole matrix; the bytes exist before the
+  // matrix is sized for them.
+  const unsigned char* raw = src.take(static_cast<std::size_t>(bytes));
   tensor::Matrix m(static_cast<std::size_t>(rows),
                    static_cast<std::size_t>(cols));
-  for (float& v : m.data()) v = get_f32(src);
+  load_le32s(raw, m.data().data(), m.data().size());
   return m;
 }
 
@@ -203,9 +207,12 @@ nn::RelationEdges get_relation(Source& src, std::uint64_t num_global_nodes) {
       throw FormatError("corrupt relation: non-finite edge gate");
     rel.gate.push_back(gate);
   }
+  // Each array is one checked read; get_count already fit n*4 to the
+  // section, and take() finds the bytes before the vector is sized.
   auto read_u32s = [&src](std::vector<std::uint32_t>& out, std::uint64_t n) {
-    out.reserve(std::min(n, kMaxPrealloc));
-    for (std::uint64_t i = 0; i < n; ++i) out.push_back(get_u32(src));
+    const unsigned char* raw = src.take(static_cast<std::size_t>(n * 4));
+    out.resize(static_cast<std::size_t>(n));
+    load_le32s(raw, out.data(), out.size());
   };
   read_u32s(rel.nodes, get_count(src, "relation node count", 4));
   read_u32s(rel.group_offsets, get_count(src, "relation offset count", 4));
@@ -266,6 +273,22 @@ void put_sample_body(Sink& sink, const model::TrainingSample& s) {
   put_sample_relations(sink, s.graph.relations);
 }
 
+/// A whole .psample container: header, section table (sizes measured by
+/// the same code that emits the sections), then the three sections.
+template <class Sink>
+void put_sample_container(Sink& sink, const model::TrainingSample& sample) {
+  CountingSink meta_size, features_size, relations_size;
+  put_sample_meta(meta_size, sample);
+  put_sample_features(features_size, sample.graph.features);
+  put_sample_relations(relations_size, sample.graph.relations);
+
+  put_header(sink, PayloadKind::kSample, kFormatVersion, 3);
+  put_section_table(sink, {{kSecSampleMeta, meta_size.count},
+                           {kSecSampleFeatures, features_size.count},
+                           {kSecSampleRelations, relations_size.count}});
+  put_sample_body(sink, sample);
+}
+
 // --- dataset meta ---------------------------------------------------------
 
 template <class Sink>
@@ -287,6 +310,54 @@ void throw_on_stream_error(const std::ostream& os) {
   if (!os) throw FormatError("I/O error while writing");
 }
 
+// --- istream entry points: buffer the bytes, then decode from memory -------
+
+inline constexpr std::size_t kHeaderBytes = sizeof kMagic + 2 + 2 + 8 + 4;
+inline constexpr std::size_t kSectionEntryBytes = 4 + 8;
+
+/// Appends up to `n` more bytes of `is` to `buf`. The buffer grows only as
+/// bytes arrive (at most kMaxPrealloc ahead of them), so a size field that
+/// lies about the stream costs no memory beyond what the stream holds. A
+/// short stream just leaves a short buffer: the decoder then reports the
+/// truncation at the same byte the old incremental reader did.
+void read_into(std::istream& is, std::vector<unsigned char>& buf,
+               std::uint64_t n) {
+  while (n > 0) {
+    const auto chunk = static_cast<std::size_t>(std::min(n, kMaxPrealloc));
+    const std::size_t old_size = buf.size();
+    buf.resize(old_size + chunk);
+    is.read(reinterpret_cast<char*>(buf.data() + old_size),
+            static_cast<std::streamsize>(chunk));
+    const auto got = static_cast<std::size_t>(is.gcount());
+    buf.resize(old_size + got);
+    if (got != chunk) return;
+    n -= chunk;
+  }
+}
+
+/// Buffers one container: header, section table and section payloads, and
+/// not a byte past them, so the stream is left where the container ends.
+/// Nothing is validated here — the span decoder sees these bytes in the same
+/// order and raises every error — so the counts that steer the reads are
+/// bounded first: the section count by kMaxSections, each size by
+/// kMaxSectionBytes, and read_into never outruns the bytes that arrive.
+std::vector<unsigned char> buffer_container(std::istream& is) {
+  std::vector<unsigned char> buf;
+  read_into(is, buf, kHeaderBytes);
+  if (buf.size() < kHeaderBytes) return buf;
+  const std::uint32_t sections = load_le32(buf.data() + kHeaderBytes - 4);
+  if (sections == 0 || sections > kMaxSections) return buf;
+  read_into(is, buf, sections * kSectionEntryBytes);
+  if (buf.size() < kHeaderBytes + sections * kSectionEntryBytes) return buf;
+  std::uint64_t payload = 0;
+  for (std::uint32_t i = 0; i < sections; ++i)
+    payload += std::min(
+        load_le64(buf.data() + kHeaderBytes + i * kSectionEntryBytes + 4),
+        kMaxSectionBytes);
+  read_into(is, buf, payload);
+  return buf;
+}
+
 }  // namespace
 
 // --- shared codec definitions (declared in format_detail.hpp) -------------
@@ -294,9 +365,7 @@ void throw_on_stream_error(const std::ostream& os) {
 namespace detail {
 
 FileInfo get_raw_header(Source& src) {
-  char magic[sizeof kMagic];
-  src.bytes(magic, sizeof magic);
-  if (std::memcmp(magic, kMagic, sizeof kMagic) != 0)
+  if (std::memcmp(src.take(sizeof kMagic), kMagic, sizeof kMagic) != 0)
     throw FormatError("not a ParaGraph binary container (bad magic)");
   FileInfo info;
   info.version = get_u16(src);
@@ -422,7 +491,8 @@ void write_graph(std::ostream& os, const graph::ProgramGraph& graph) {
 }
 
 graph::ProgramGraph read_graph(std::istream& is) {
-  Source src(is);
+  const std::vector<unsigned char> bytes = buffer_container(is);
+  Source src(bytes.data(), bytes.size());
   const auto prologue = get_prologue(src, PayloadKind::kGraph, kFormatVersion);
 
   std::vector<graph::GraphNode> nodes;
@@ -461,24 +531,20 @@ graph::ProgramGraph read_graph(std::istream& is) {
 // --- samples --------------------------------------------------------------
 
 void write_sample(std::ostream& os, const model::TrainingSample& sample) {
-  CountingSink meta_size, features_size, relations_size;
-  put_sample_meta(meta_size, sample);
-  put_sample_features(features_size, sample.graph.features);
-  put_sample_relations(relations_size, sample.graph.relations);
-
   StreamSink sink{os};
-  put_header(sink, PayloadKind::kSample, kFormatVersion, 3);
-  put_section_table(sink, {{kSecSampleMeta, meta_size.count},
-                           {kSecSampleFeatures, features_size.count},
-                           {kSecSampleRelations, relations_size.count}});
-  put_sample_meta(sink, sample);
-  put_sample_features(sink, sample.graph.features);
-  put_sample_relations(sink, sample.graph.relations);
+  put_sample_container(sink, sample);
   throw_on_stream_error(os);
 }
 
-model::TrainingSample read_sample(std::istream& is) {
-  Source src(is);
+std::string encode_sample(const model::TrainingSample& sample) {
+  std::string out;
+  AppendSink sink{out};
+  put_sample_container(sink, sample);
+  return out;
+}
+
+model::TrainingSample read_sample(const void* data, std::size_t size) {
+  Source src(data, size);
   const auto prologue = get_prologue(src, PayloadKind::kSample, kFormatVersion);
 
   model::TrainingSample sample;
@@ -510,6 +576,11 @@ model::TrainingSample read_sample(std::istream& is) {
   if (sample.graph.features.rows() != sample.graph.relations.num_nodes)
     throw FormatError("corrupt sample: feature rows != relation graph nodes");
   return sample;
+}
+
+model::TrainingSample read_sample(std::istream& is) {
+  const std::vector<unsigned char> bytes = buffer_container(is);
+  return read_sample(bytes.data(), bytes.size());
 }
 
 // --- datasets -------------------------------------------------------------
@@ -604,7 +675,8 @@ void DatasetWriter::finish() {
 }
 
 DatasetReader::DatasetReader(std::istream& is) : is_(is) {
-  Source src(is_);
+  buffer_ = buffer_container(is_);
+  Source src(buffer_.data(), buffer_.size());
   const auto prologue =
       get_prologue(src, PayloadKind::kDataset, kDatasetFormatVersion);
   version_ = prologue.info.version;
@@ -625,15 +697,19 @@ DatasetReader::DatasetReader(std::istream& is) : is_(is) {
 
 bool DatasetReader::next(model::TrainingSample& sample, Split& split) {
   if (done_) return false;
-  Source src(is_);
+  // Each frame is buffered and then decoded from memory: 12 header bytes
+  // (marker + size, or the end marker + record count), then the body.
+  buffer_.clear();
+  read_into(is_, buffer_, 12);
+  Source head(buffer_.data(), buffer_.size());
   std::uint64_t body = 0;
   // Frame-header corruption (bad/truncated marker, implausible size) names
   // the record ordinal exactly like body-level corruption below does —
   // "which sample of the million" must never depend on where the bytes died.
   try {
-    const std::uint32_t marker = get_u32(src);
+    const std::uint32_t marker = get_u32(head);
     if (marker == kEndMarker) {
-      const std::uint64_t declared = get_u64(src);
+      const std::uint64_t declared = get_u64(head);
       if (declared != records_)
         throw FormatError("corrupt dataset file: record count mismatch at end "
                           "marker (dropped tail?)");
@@ -642,7 +718,7 @@ bool DatasetReader::next(model::TrainingSample& sample, Split& split) {
     }
     if (marker != kRecordMarker)
       throw FormatError("bad record marker");
-    body = get_u64(src);
+    body = get_u64(head);
     if (body > kMaxSectionBytes)
       throw FormatError("implausible record size");
   } catch (const FormatError& e) {
@@ -656,6 +732,9 @@ bool DatasetReader::next(model::TrainingSample& sample, Split& split) {
   // Decode failures inside the record body (truncation, budget over/underrun,
   // corrupt counts) carry the record index — "which sample of the million"
   // is the first thing a corpus-corruption report needs.
+  buffer_.clear();
+  read_into(is_, buffer_, body);
+  Source src(buffer_.data(), buffer_.size());
   try {
     src.push_budget(body);
     const std::uint8_t split_raw = get_u8(src);
@@ -760,7 +839,9 @@ StoredSampleSet read_sample_set_file(const std::string& path) {
 
 FileInfo probe_file(const std::string& path) {
   auto is = open_in(path);
-  Source src(is);
+  std::vector<unsigned char> bytes;
+  read_into(is, bytes, kHeaderBytes - 4);  // the header minus section count
+  Source src(bytes.data(), bytes.size());
   return get_raw_header(src);
 }
 

@@ -69,6 +69,13 @@ graph::ProgramGraph read_graph_file(const std::string& path);
 // --- single-sample files (.psample) --------------------------------------
 
 void write_sample(std::ostream& os, const model::TrainingSample& sample);
+/// The bytes write_sample emits, as a string: the serve wire payload.
+std::string encode_sample(const model::TrainingSample& sample);
+/// Decodes one .psample container from [data, data + size) without copying
+/// it — the decode every reader below shares.
+model::TrainingSample read_sample(const void* data, std::size_t size);
+/// Buffers exactly the container's bytes from `is`, then read_sample(data,
+/// size). The stream is left just past the container.
 model::TrainingSample read_sample(std::istream& is);
 void write_sample_file(const std::string& path, const model::TrainingSample& sample);
 model::TrainingSample read_sample_file(const std::string& path);
@@ -152,8 +159,8 @@ class DatasetReader {
   [[nodiscard]] std::uint64_t records_read() const { return records_; }
 
  private:
-  class SourceHolder;
   std::istream& is_;
+  std::vector<unsigned char> buffer_;  // the frame being decoded
   DatasetMeta meta_;
   std::uint16_t version_ = kFormatVersion;
   std::uint64_t records_ = 0;

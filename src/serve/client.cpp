@@ -2,7 +2,6 @@
 #include "serve/client.hpp"
 
 #include <chrono>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -16,9 +15,7 @@ Client::Client(std::uint16_t port, int recv_timeout_ms)
 }
 
 std::string Client::sample_bytes(const model::TrainingSample& sample) {
-  std::ostringstream os(std::ios::binary);
-  io::write_sample(os, sample);
-  return std::move(os).str();
+  return io::encode_sample(sample);
 }
 
 std::optional<Response> Client::read_response() {

@@ -32,7 +32,7 @@ class Client {
   explicit Client(std::uint16_t port, int recv_timeout_ms = 0);
 
   /// Serialises a sample to the .psample wire bytes a predict request
-  /// carries (io::write_sample — the on-disk format IS the wire format).
+  /// carries (io::encode_sample — the on-disk format IS the wire format).
   [[nodiscard]] static std::string sample_bytes(
       const model::TrainingSample& sample);
 

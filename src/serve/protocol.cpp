@@ -1,30 +1,14 @@
 // Frame header/payload codecs for the serve protocol. Byte order is
-// assembled with the pg::io little-endian primitives over an in-memory
-// sink/source, so the wire format shares one endianness implementation with
-// the on-disk containers.
+// assembled with the pg::io little-endian primitives, written straight into
+// the caller's bytes and read back through a memory io::Source, so the wire
+// format shares one endianness implementation with the on-disk containers.
 #include "serve/protocol.hpp"
 
 #include <cstring>
-#include <sstream>
 
 #include "io/binary.hpp"
 
 namespace pg::serve {
-namespace {
-
-/// Sink writing into a caller-provided byte vector (appends). resize+memcpy
-/// instead of insert(end, p, p+n): range-insert of tiny constant spans trips
-/// a GCC 12 -Wstringop-overflow false positive under -O2.
-struct VectorSink {
-  std::vector<std::uint8_t>& out;
-  void bytes(const void* data, std::size_t n) {
-    const std::size_t old_size = out.size();
-    out.resize(old_size + n);
-    std::memcpy(out.data() + old_size, data, n);
-  }
-};
-
-}  // namespace
 
 std::string_view frame_kind_name(FrameKind kind) {
   switch (kind) {
@@ -52,25 +36,19 @@ std::string_view error_code_name(ErrorCode code) {
 
 void encode_header(const FrameHeader& header,
                    std::uint8_t out[kFrameHeaderBytes]) {
-  std::vector<std::uint8_t> buffer;
-  buffer.reserve(kFrameHeaderBytes);
-  VectorSink sink{buffer};
-  sink.bytes(kFrameMagic, sizeof kFrameMagic);
-  io::put_u16(sink, header.version);
-  io::put_u16(sink, static_cast<std::uint16_t>(header.kind));
-  io::put_u64(sink, header.request_id);
-  io::put_u64(sink, header.payload_bytes);
-  std::memcpy(out, buffer.data(), kFrameHeaderBytes);
+  std::memcpy(out, kFrameMagic, sizeof kFrameMagic);
+  io::store_le16(out + 4, header.version);
+  io::store_le16(out + 6, static_cast<std::uint16_t>(header.kind));
+  io::store_le64(out + 8, header.request_id);
+  io::store_le64(out + 16, header.payload_bytes);
 }
 
 HeaderVerdict decode_header(const std::uint8_t bytes[kFrameHeaderBytes],
                             FrameHeader& out) {
   if (std::memcmp(bytes, kFrameMagic, sizeof kFrameMagic) != 0)
     return HeaderVerdict::kBadMagic;
-  std::istringstream is(
-      std::string(reinterpret_cast<const char*>(bytes) + sizeof kFrameMagic,
-                  kFrameHeaderBytes - sizeof kFrameMagic));
-  io::Source src(is);
+  io::Source src(bytes + sizeof kFrameMagic,
+                 kFrameHeaderBytes - sizeof kFrameMagic);
   out.version = io::get_u16(src);
   out.kind = static_cast<FrameKind>(io::get_u16(src));
   out.request_id = io::get_u64(src);
@@ -98,7 +76,7 @@ std::vector<std::uint8_t> encode_predict_reply_payload(
     const PredictReply& reply) {
   std::vector<std::uint8_t> out;
   out.reserve(16);
-  VectorSink sink{out};
+  io::AppendSink sink{out};
   io::put_f64(sink, reply.scaled);
   io::put_f64(sink, reply.runtime_us);
   return out;
@@ -107,7 +85,7 @@ std::vector<std::uint8_t> encode_predict_reply_payload(
 std::vector<std::uint8_t> encode_error_reply_payload(const ErrorReply& reply) {
   std::vector<std::uint8_t> out;
   out.reserve(2 + 4 + reply.message.size());
-  VectorSink sink{out};
+  io::AppendSink sink{out};
   io::put_u16(sink, static_cast<std::uint16_t>(reply.code));
   io::put_string(sink, reply.message);
   return out;
@@ -116,9 +94,7 @@ std::vector<std::uint8_t> encode_error_reply_payload(const ErrorReply& reply) {
 std::optional<PredictReply> decode_predict_reply_payload(
     const std::uint8_t* payload, std::size_t payload_bytes) {
   if (payload_bytes != 16) return std::nullopt;
-  std::istringstream is(
-      std::string(reinterpret_cast<const char*>(payload), payload_bytes));
-  io::Source src(is);
+  io::Source src(payload, payload_bytes);
   PredictReply reply;
   reply.scaled = io::get_f64(src);
   reply.runtime_us = io::get_f64(src);
@@ -129,9 +105,7 @@ std::optional<ErrorReply> decode_error_reply_payload(
     const std::uint8_t* payload, std::size_t payload_bytes) {
   if (payload_bytes < 6 || payload_bytes > kMaxFramePayload)
     return std::nullopt;
-  std::istringstream is(
-      std::string(reinterpret_cast<const char*>(payload), payload_bytes));
-  io::Source src(is);
+  io::Source src(payload, payload_bytes);
   ErrorReply reply;
   try {
     src.push_budget(payload_bytes);

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "io/pgraph_io.hpp"
@@ -123,9 +122,11 @@ void Server::stop() {
   if (!started_.load() || stopped_.exchange(true)) return;
   stopping_.store(true);
 
-  // 1. No new connections: the closed listener fd drops out of io thread
-  //    0's epoll on its own, and handle_accept is gated on stopping_.
-  listener_.close();
+  // 1. No new connections: handle_accept is gated on stopping_, and io
+  //    thread 0 — the listener's only reader — closes it once it sees the
+  //    flag. Closing it here instead would write the fd while that thread
+  //    may still be reading it.
+  if (!io_threads_.empty()) io_threads_[0]->wake.signal();
 
   // 2. Drain: workers finish everything admitted, then exit on the empty
   //    queue (pop_batch returns empty once stopping_ && queue empty). The
@@ -227,6 +228,7 @@ void Server::io_loop(std::size_t index) {
     adopt_incoming(io);
     process_dirty(io);
 
+    if (index == 0 && stopping_.load() && listener_.valid()) listener_.close();
     if (index == 0 && !stopping_.load() &&
         accept_cooldown_until_ != Clock::time_point{} &&
         Clock::now() >= accept_cooldown_until_) {
@@ -256,6 +258,7 @@ void Server::io_loop(std::size_t index) {
   for (const auto& [fd, conn] : io.conns) victims.push_back(conn);
   for (const ConnectionPtr& conn : victims) close_connection(io, conn);
   adopt_incoming(io);  // late handoffs: closed immediately under draining_
+  if (index == 0) listener_.close();  // if the loop exited before it could
 }
 
 void Server::adopt_incoming(IoThread& io) {
@@ -446,8 +449,8 @@ void Server::process_frame(const ConnectionPtr& conn,
       pending.conn = conn;
       pending.request_id = header.request_id;
       try {
-        std::istringstream is(frame.payload);
-        model::TrainingSample sample = io::read_sample(is);
+        model::TrainingSample sample =
+            io::read_sample(frame.payload.data(), frame.payload.size());
         pending.graph = std::move(sample.graph);
         pending.aux = sample.aux;
         if (cache_ != nullptr) pending.bytes = std::move(frame.payload);

@@ -6,12 +6,14 @@
 //
 //   io threads (PARAGRAPH_SERVE_IO_THREADS, default min(4, cores)), each
 //   running nonblocking sockets behind its own epoll_wait:
-//        accept:  io thread 0 owns the (nonblocking) listener; accepted
-//                 connections are assigned round-robin across io threads
+//        accept:  io thread 0 owns the (nonblocking) listener, and closes
+//                 it on stop; accepted connections are assigned
+//                 round-robin across io threads
 //        read:    readiness events feed a per-connection FrameAssembler —
 //                 partial headers/payloads accumulate as ~bytes of state
 //                 instead of parking a blocked thread; complete predict
-//                 frames decode and try_push into the admission queue
+//                 frames decode straight from their bytes (a memory
+//                 io::Source) and try_push into the admission queue
 //                 (full queue => immediate kBusyReply backpressure)
 //        write:   replies append to a bounded per-connection write queue;
 //                 the owning io thread drains it with ONE gathered
@@ -49,13 +51,13 @@
 // holds exactly; N adds N - 1 team threads per worker), whatever the
 // process-wide OpenMP default is.
 //
-// Shutdown (stop()): close the listener; io threads stop admitting (late
-// predict frames answer kShuttingDown); workers drain everything already
-// admitted; any request admitted in the shutdown race still gets a
-// kShuttingDown reply; io threads flush every queued reply (bounded drain
-// deadline for peers that stopped reading), then close all sockets. One
-// malformed frame never takes down the process: framing errors answer with
-// kErrorReply and at worst close that one connection.
+// Shutdown (stop()): io thread 0 closes the listener; io threads stop
+// admitting (late predict frames answer kShuttingDown); workers drain
+// everything already admitted; any request admitted in the shutdown race
+// still gets a kShuttingDown reply; io threads flush every queued reply
+// (bounded drain deadline for peers that stopped reading), then close all
+// sockets. One malformed frame never takes down the process: framing
+// errors answer with kErrorReply and at worst close that one connection.
 #pragma once
 
 #include <atomic>
@@ -253,7 +255,7 @@ class Server {
   ServeConfig config_;
   std::unique_ptr<ReplyCache> cache_;  // null when config_.cache is off
 
-  Listener listener_;
+  Listener listener_;  // after start(), io thread 0 alone touches its fd
   std::vector<std::unique_ptr<IoThread>> io_threads_;
   std::size_t next_io_ = 0;  // round-robin assignment (io thread 0 only)
   Clock::time_point accept_cooldown_until_{};  // io thread 0 only

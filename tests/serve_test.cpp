@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -568,6 +569,50 @@ TEST(ServeIdleTimeout, ReactorTimerClosesIdleConnections) {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
   }
   server.stop();
+}
+
+TEST(ServeShutdown, StopWhileClientsConnectClosesTheListener) {
+  // stop() only raises the flag and wakes io thread 0; that thread, the
+  // listener's one reader, closes it. Connects racing the stop are served,
+  // refused or reset — never hung — and once stop() returns nothing new
+  // gets in. Looped so a ThreadSanitizer build sees many interleavings of
+  // handle_accept and the close.
+  const io::StoredSampleSet stored =
+      io::read_sample_set_file(golden_path("corpus.pgds"));
+  const model::CheckpointScalers scalers =
+      model::CheckpointScalers::from_sample_set(stored.set);
+  model::ModelConfig config;
+  model::ParaGraphModel model(config);
+
+  serve::ServeConfig serve_config;
+  serve_config.workers = 1;
+  serve_config.io_threads = 2;
+  std::uint16_t last_port = 0;
+  for (int round = 0; round < 20; ++round) {
+    serve::Server server(model, scalers, serve_config);
+    server.start();
+    const std::uint16_t port = server.port();
+    std::atomic<bool> go{true};
+    std::atomic<int> connected{0};
+    std::thread connector([&] {
+      while (go.load()) {
+        try {
+          serve::Socket socket = serve::connect_loopback(port);
+          connected.fetch_add(1);
+        } catch (const serve::SocketError&) {
+          // refused or reset by the stopping server: expected
+        }
+      }
+    });
+    for (int wait = 0; wait < 50'000 && connected.load() < 3; ++wait)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    EXPECT_GE(connected.load(), 3) << "round " << round;
+    server.stop();
+    go.store(false);
+    connector.join();
+    last_port = port;
+  }
+  EXPECT_THROW((void)serve::connect_loopback(last_port), serve::SocketError);
 }
 
 TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
