@@ -18,6 +18,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compoff/compoff.hpp"
@@ -137,6 +138,35 @@ class JsonReport {
   };
   std::vector<Entry> entries_;
 };
+
+/// The machine header of a BENCH_*.json: hardware threads, CPU model (the
+/// first "model name" of /proc/cpuinfo, where it exists), compiler and
+/// build type — what a reader needs before comparing two files.
+inline void add_machine_header(JsonReport& report) {
+  report.add("machine_threads",
+             static_cast<std::size_t>(std::thread::hardware_concurrency()));
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto start = line.find_first_not_of(" \t:", line.find(':'));
+    if (start != std::string::npos) cpu = line.substr(start);
+    break;
+  }
+  report.add("cpu_model", cpu);
+#if defined(__clang__)
+  report.add("compiler", "clang " __clang_version__);
+#elif defined(__GNUC__)
+  report.add("compiler", "gcc " __VERSION__);
+#else
+  report.add("compiler", "unknown");
+#endif
+#if defined(NDEBUG)
+  report.add("build", "Release");
+#else
+  report.add("build", "Debug");
+#endif
+}
 
 /// Seeded request-index picker shared by every serve load mode: draws from
 /// a Zipf(s) distribution over `count` requests by inverse-CDF sampling

@@ -2,9 +2,12 @@
 // kernel timed under PARAGRAPH_SIMD=scalar and under the best level this
 // machine supports (median of 3 timed repetitions each), plus the
 // substrate-level numbers (warm single-graph predict, engine batch
-// throughput) under both levels. Emits BENCH_kernels.json (`--json <path>`
-// overrides) so the per-kernel scalar-vs-SIMD ratios are recorded across
-// PRs, not asserted. Plain main(): no google-benchmark dependency.
+// throughput) under both levels. The RGAT kernels run at one conv's shape
+// on the serve payloads (80 nodes, 200 active rows over 6 relations, about
+// 167 edges, nearly all in single-edge groups), the first layer on one-hot
+// rows. Emits BENCH_kernels.json (`--json <path>` overrides) with a machine
+// header, so the per-kernel scalar-vs-SIMD ratios are recorded across
+// changes, not asserted. Plain main(): no google-benchmark dependency.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -104,6 +107,7 @@ int main(int argc, char** argv) {
 
   pg::Rng rng(42);
   bench::JsonReport report("micro_kernels");
+  bench::add_machine_header(report);
   report.add("simd_max_level",
              tensor::simd::level_name(tensor::simd::max_supported_level()));
 
@@ -222,6 +226,102 @@ int main(int argc, char** argv) {
                   });
   }
 
+  // The RGAT conv's relation kernels at one conv's shape: 200 active rows
+  // gathered from 80 nodes, hidden 24. The first layer projects 45-wide
+  // one-hot rows (a third also carry the literal column), the later ones
+  // dense 24-wide rows.
+  {
+    constexpr std::size_t kNodes = 80;
+    constexpr std::size_t kActive = 200;
+    constexpr std::size_t kHidden = 24;
+    constexpr std::size_t kFeatures = 45;
+    Matrix onehot(kNodes, kFeatures);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      onehot(i, (7 * i) % (kFeatures - 1)) = 1.0f;
+      if (i % 3 == 0) onehot(i, kFeatures - 1) = 0.25f;
+    }
+    const Matrix dense = random_matrix(kNodes, kHidden, rng);
+    const Matrix w1 = random_matrix(kFeatures, kHidden, rng);
+    const Matrix w2 = random_matrix(kHidden, kHidden, rng);
+    std::vector<std::uint32_t> nodes(kActive);
+    for (std::size_t i = 0; i < kActive; ++i)
+      nodes[i] = static_cast<std::uint32_t>((13 * i) % kNodes);
+    Matrix g(kActive, kHidden);
+    report_kernel(report, "rgat_gather_project_onehot_200x45x24", 20000,
+                  2.0 * kActive * kHidden, [&](const KernelTable& k) {
+                    k.rgat_gather_project(nodes.data(), kActive,
+                                          onehot.data().data(), kFeatures,
+                                          w1.data().data(), g.data().data(),
+                                          kHidden, 0);
+                  });
+    report_kernel(report, "rgat_gather_project_dense_200x24x24", 20000,
+                  2.0 * kActive * kHidden * kHidden,
+                  [&](const KernelTable& k) {
+                    k.rgat_gather_project(nodes.data(), kActive,
+                                          dense.data().data(), kHidden,
+                                          w2.data().data(), g.data().data(),
+                                          kHidden, 0);
+                  });
+
+    const Matrix gv = random_matrix(kActive, kHidden, rng);
+    const Matrix a_src = random_matrix(1, kHidden, rng);
+    const Matrix a_dst = random_matrix(1, kHidden, rng);
+    Matrix ss(1, kActive), sd(1, kActive);
+    report_kernel(report, "rgat_attention_dots_200x24", 50000,
+                  4.0 * kActive * kHidden, [&](const KernelTable& k) {
+                    k.rgat_attention_dots(gv.data().data(), kActive, kHidden,
+                                          a_src.data().data(),
+                                          a_dst.data().data(),
+                                          ss.data().data(), sd.data().data());
+                  });
+
+    // One relation's attention backward: 160 destination groups, every
+    // tenth with 2 extra edges (192 edges), sources spread over the rows.
+    std::vector<std::uint32_t> offsets = {0}, group_dst, src_local, all(kActive);
+    for (std::size_t v = 0; v < 160; ++v) {
+      group_dst.push_back(static_cast<std::uint32_t>(v));
+      for (std::size_t e = 0; e < (v % 10 == 0 ? 3u : 1u); ++e)
+        src_local.push_back(
+            static_cast<std::uint32_t>((src_local.size() * 37 + 5) % kActive));
+      offsets.push_back(static_cast<std::uint32_t>(src_local.size()));
+    }
+    for (std::size_t i = 0; i < kActive; ++i)
+      all[i] = static_cast<std::uint32_t>(i);
+    const std::size_t edges = src_local.size();
+    Matrix gates(1, edges, 1.0f), alpha(1, edges, 0.5f), lrg(1, edges, 1.0f);
+    const Matrix dpre = random_matrix(kActive, kHidden, rng);
+    Matrix dscore(1, edges), dg(kActive, kHidden);
+    Matrix ds_src(1, kActive), ds_dst(1, kActive);
+    Matrix da_src(1, kHidden), da_dst(1, kHidden);
+    tensor::simd::AttentionGrad args;
+    args.group_offsets = offsets.data();
+    args.group_dst = group_dst.data();
+    args.num_groups = group_dst.size();
+    args.nodes = all.data();
+    args.src_local = src_local.data();
+    args.num_active = kActive;
+    args.out = kHidden;
+    args.gates = gates.data().data();
+    args.alpha = alpha.data().data();
+    args.lrg = lrg.data().data();
+    args.dpre = dpre.data().data();
+    args.g = gv.data().data();
+    args.a_src = a_src.data().data();
+    args.a_dst = a_dst.data().data();
+    args.dscore = dscore.data().data();
+    args.dg = dg.data().data();
+    args.ds_src = ds_src.data().data();
+    args.ds_dst = ds_dst.data().data();
+    args.da_src = da_src.data().data();
+    args.da_dst = da_dst.data().data();
+    report_kernel(report, "rgat_attention_backward_192e_200x24", 20000, 0.0,
+                  [&](const KernelTable& k) {
+                    // The accumulators grow run over run; the work per call
+                    // does not depend on their values.
+                    k.rgat_attention_backward(args);
+                  });
+  }
+
   // Substrate numbers under both levels: warm single-graph predict and the
   // 256-graph engine batch (the BENCH_substrate.json methodology).
   {
@@ -253,7 +353,5 @@ int main(int argc, char** argv) {
     tensor::simd::set_active_level(saved);
   }
 
-  report.write(json_path);
-  std::printf("wrote %s\n", json_path.c_str());
-  return 0;
+  return report.write(json_path) ? 0 : 1;
 }

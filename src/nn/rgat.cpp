@@ -7,13 +7,15 @@
 // same code paths, which is what makes the fused GraphBatch forward
 // bitwise-identical to per-graph execution.
 //
-// The hot per-relation bodies — the fused gather->project, the grouped
-// attention softmax + gated scatter walking the CSR group_offsets[] /
-// group_dst[] arrays, and the backward's gathered dW_r and scattered dx
-// products — live in the runtime-dispatched SIMD kernel layer
-// (tensor/simd.hpp): width-templated register accumulators, vector loads
-// across the independent output lanes, reduction order pinned to the scalar
-// reference so every dispatch level is bitwise-identical.
+// Every hot per-relation body lives in the runtime-dispatched SIMD kernel
+// layer (tensor/simd.hpp): the fused gather->project (one-hot rows walked
+// by nonzero mask, dense rows two at a time), the attention dots, the
+// grouped softmax + gated scatter walking the CSR group_offsets[] /
+// group_dst[] arrays, the attention backward, and the backward's gathered
+// dW_r and scattered dx products. Lanes run across independent output
+// columns or across independent rows (the dots: each lane one row's double
+// sum in j order), reduction order pinned to the scalar reference, so every
+// dispatch level is bitwise-identical. This file only sequences them.
 #include "nn/rgat.hpp"
 
 #include <cmath>
@@ -126,10 +128,10 @@ const tensor::Matrix& RgatConv::forward(const tensor::Matrix& x,
     // Project only the rows this relation touches, straight into the
     // relation's block of the concatenated cache (fused gather + matmul;
     // the g block starts zero-filled, the kernel accumulates into it), then
-    // both attention dots in one pass over g (independent double
-    // accumulators; a j-reduction, so it stays in scalar program order at
-    // every dispatch level). Row-range split: each block owns a disjoint
-    // slice of g/ss/sd rows, so the cut never changes any value.
+    // both attention dots over the rows just projected, while they are
+    // still in L1 (lanes across rows, each row's double sum in j order, so
+    // every dispatch level agrees). Row-range split: each block owns a
+    // disjoint slice of g/ss/sd rows, so the cut never changes any value.
     const float* asrc = a_src_[r].data().data();
     const float* adst = a_dst_[r].data().data();
     parallel_for_blocks(na, kGatherRowGrain, [&](std::size_t lo,
@@ -137,17 +139,9 @@ const tensor::Matrix& RgatConv::forward(const tensor::Matrix& x,
       kernels.rgat_gather_project(rel.nodes.data() + lo, hi - lo, xp, in_,
                                   w_rel_[r].data().data(), gp, out_,
                                   row_off + lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const float* __restrict__ g_row = gp + (row_off + i) * out_;
-        double acc_src = 0.0;
-        double acc_dst = 0.0;
-        for (std::size_t j = 0; j < out_; ++j) {
-          acc_src += static_cast<double>(g_row[j]) * asrc[j];
-          acc_dst += static_cast<double>(g_row[j]) * adst[j];
-        }
-        ss[row_off + i] = static_cast<float>(acc_src);
-        sd[row_off + i] = static_cast<float>(acc_dst);
-      }
+      kernels.rgat_attention_dots(gp + (row_off + lo) * out_, hi - lo, out_,
+                                  asrc, adst, ss + row_off + lo,
+                                  sd + row_off + lo);
     });
 
     // Grouped softmax + gated scatter over the relation's CSR arrays.
@@ -247,76 +241,36 @@ void RgatConv::backward_into(const tensor::Matrix& dy,
     const RelationEdges& rel = graph.relations[r];
     if (rel.empty()) continue;
     const std::size_t na = rel.num_active_nodes();
-    auto lrg = lrg_m.row_span(0);
-    auto alpha = cache.alpha->row_span(0);
-    auto ds_src = ds_src_m.row_span(0);
-    auto ds_dst = ds_dst_m.row_span(0);
-    auto dscore = dscore_m.row_span(0);
-    const std::uint32_t* src_local = rel.src_local.data();
-    const float* gates = rel.gate.data();
-
-    for (std::size_t group = 0; group < rel.num_groups(); ++group) {
-      const std::size_t lo = rel.group_offsets[group];
-      const std::size_t hi = rel.group_offsets[group + 1];
-      const std::uint32_t v_local = rel.group_dst[group];
-      const std::uint32_t v_global = rel.nodes[v_local];
-      auto dpre_row = dpre->row_span(v_global);
-
-      // dscore_e = d(out_v) . (gate_e * g_src); softmax backward within the
-      // group; message-path gradient back to g_src.
-      double weighted_sum = 0.0;  // sum_e alpha_e * dscore_e
-      for (std::size_t e = lo; e < hi; ++e) {
-        const std::uint32_t src = src_local[e];
-        const float* __restrict__ g_row =
-            cache.g->data().data() + (row_off + src) * out_;
-        double acc = 0.0;
-        for (std::size_t j = 0; j < out_; ++j)
-          acc += static_cast<double>(dpre_row[j]) * g_row[j];
-        dscore[edge_off + e] = gates[e] * static_cast<float>(acc);
-        weighted_sum +=
-            static_cast<double>(alpha[edge_off + e]) * dscore[edge_off + e];
-        const float scale = alpha[edge_off + e] * gates[e];
-        auto dg_row = dg.row_span(row_off + src);
-        for (std::size_t j = 0; j < out_; ++j) dg_row[j] += scale * dpre_row[j];
-      }
-      for (std::size_t e = lo; e < hi; ++e) {
-        const float dlogit =
-            alpha[edge_off + e] *
-            (dscore[edge_off + e] - static_cast<float>(weighted_sum));
-        const float draw = dlogit * lrg[edge_off + e];
-        ds_src[row_off + src_local[e]] += draw;
-        ds_dst[row_off + v_local] += draw;
-      }
-    }
-
-    // s = g . a  =>  dg += ds outer a; da += sum_i ds[i] * g_i.
-    auto a_src_row = a_src_[r].row_span(0);
-    auto a_dst_row = a_dst_[r].row_span(0);
-    auto da_src = grads[3 * r + 1].row_span(0);
-    auto da_dst = grads[3 * r + 2].row_span(0);
-    for (std::size_t i = 0; i < na; ++i) {
-      if (ds_src[row_off + i] != 0.0f) {
-        auto dg_row = dg.row_span(row_off + i);
-        auto g_row = cache.g->row_span(row_off + i);
-        for (std::size_t j = 0; j < out_; ++j) {
-          dg_row[j] += ds_src[row_off + i] * a_src_row[j];
-          da_src[j] += ds_src[row_off + i] * g_row[j];
-        }
-      }
-      if (ds_dst[row_off + i] != 0.0f) {
-        auto dg_row = dg.row_span(row_off + i);
-        auto g_row = cache.g->row_span(row_off + i);
-        for (std::size_t j = 0; j < out_; ++j) {
-          dg_row[j] += ds_dst[row_off + i] * a_dst_row[j];
-          da_dst[j] += ds_dst[row_off + i] * g_row[j];
-        }
-      }
-    }
+    // The attention backward: dscore per edge, the softmax backward into
+    // ds_src/ds_dst, the alpha*gate dg scatter, then dg += ds (x) a and
+    // da += ds * g (tensor/simd.hpp, AttentionGrad).
+    tensor::simd::AttentionGrad args;
+    args.group_offsets = rel.group_offsets.data();
+    args.group_dst = rel.group_dst.data();
+    args.num_groups = rel.num_groups();
+    args.nodes = rel.nodes.data();
+    args.src_local = rel.src_local.data();
+    args.num_active = na;
+    args.out = out_;
+    args.gates = rel.gate.data();
+    args.alpha = cache.alpha->data().data() + edge_off;
+    args.lrg = lrg_m.data().data() + edge_off;
+    args.dpre = dpre->data().data();
+    args.g = cache.g->data().data() + row_off * out_;
+    args.a_src = a_src_[r].data().data();
+    args.a_dst = a_dst_[r].data().data();
+    args.dscore = dscore_m.data().data() + edge_off;
+    args.dg = dg.data().data() + row_off * out_;
+    args.ds_src = ds_src_m.data().data() + row_off;
+    args.ds_dst = ds_dst_m.data().data() + row_off;
+    args.da_src = grads[3 * r + 1].data().data();
+    args.da_dst = grads[3 * r + 2].data().data();
+    kernels.rgat_attention_backward(args);
 
     // g = gather(x) W_r  =>  dW_r += gather(x)^T dg (row gather, no
     // x_local); dx[global] += (dg W_r^T)[local] (row scatter, no dx_local;
     // a relation's active nodes are distinct).
-    const float* dg_block = dg.data().data() + row_off * out_;
+    const float* dg_block = args.dg;
     kernels.matmul_t_a_acc(x.data().data(), rel.nodes.data(), dg_block,
                            grads[3 * r].data().data(), in_, na, out_);
     if (dx != nullptr) {

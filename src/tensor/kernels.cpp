@@ -5,11 +5,12 @@
 // bit lanes. The active level is resolved exactly once: compile-time ISA
 // availability + runtime cpuid, overridden by PARAGRAPH_SIMD (unknown names
 // fall back to the probe, known-but-unsupported levels clamp down — the
-// probe never fails, it degrades).
+// probe never fails, it degrades, and says so on stderr).
 #define PG_SIMD_IMPL_NS scalar_impl
 #define PG_SIMD_IMPL_TABLE table_scalar
 #include "tensor/kernels_impl.inl"
 
+#include <cstdio>
 #include <string>
 
 #include "support/env.hpp"
@@ -63,11 +64,33 @@ SimdLevel resolve_level(std::string_view name, SimdLevel fallback) {
   return level_supported(*parsed) ? *parsed : max_supported_level();
 }
 
+std::string override_warning(std::string_view name) {
+  if (name.empty()) return {};
+  const auto parsed = level_from_name(name);
+  if (parsed && level_supported(*parsed)) return {};
+  std::string msg = "paragraph: PARAGRAPH_SIMD=";
+  msg += name;
+  msg += parsed ? " is not supported on this CPU" : " is not a known level";
+  msg += "; using ";
+  msg += level_name(resolve_level(name, max_supported_level()));
+  return msg;
+}
+
 namespace {
 
+// Set by set_active_level. When an explicit level comes before the first
+// active_level() call, PARAGRAPH_SIMD decides nothing, so a mistyped value
+// is not reported (the warning would name a level that is never used).
+bool level_set_explicitly = false;
+
 SimdLevel& active_storage() {
-  static SimdLevel level =
-      resolve_level(env_string("PARAGRAPH_SIMD", ""), max_supported_level());
+  static SimdLevel level = [] {
+    const std::string name = env_string("PARAGRAPH_SIMD", "");
+    if (const std::string warning = override_warning(name);
+        !warning.empty() && !level_set_explicitly)
+      std::fprintf(stderr, "%s\n", warning.c_str());
+    return resolve_level(name, max_supported_level());
+  }();
   return level;
 }
 
@@ -76,6 +99,7 @@ SimdLevel& active_storage() {
 SimdLevel active_level() { return active_storage(); }
 
 void set_active_level(SimdLevel level) {
+  level_set_explicitly = true;
   active_storage() =
       level_supported(level) ? level : max_supported_level();
 }

@@ -1,10 +1,14 @@
 // Runtime-dispatched SIMD kernel layer under the tensor/nn hot paths.
 //
 // Design contract — BITWISE determinism across dispatch levels:
-//   * Every kernel vectorises across *independent output lanes* only (the
-//     `j` columns of a row-major destination, or independent elements of an
-//     elementwise map). Reduction axes (`k` in matmuls, edge groups in the
-//     RGAT softmax) always run in the scalar program order.
+//   * Every kernel vectorises across *independent output lanes* only. Two
+//     layouts qualify: the `j` columns of a row-major destination (or
+//     independent elements of an elementwise map), and lanes across
+//     independent rows, each lane holding one row's ordered reduction (the
+//     RGAT attention dots: lane r sums row r's products in `j` order, read
+//     through a small transpose). Reduction axes (`k` in matmuls, `j` in a
+//     dot, edge groups in the RGAT softmax) always run in the scalar
+//     program order.
 //   * Multiplies and adds are issued as separate instructions — never FMA —
 //     and the kernel translation units are compiled with -ffp-contract=off,
 //     so each lane performs exactly the float operations of the scalar
@@ -16,7 +20,8 @@
 // availability + cpuid) and can be overridden with PARAGRAPH_SIMD=
 // scalar|sse2|avx2 ("neon" names the 128-bit level on aarch64). Unknown
 // names fall back to the probe; known-but-unsupported levels clamp down to
-// the best supported one. Tests, benches, and the CLI's --simd flag may
+// the best supported one; either case prints one stderr line naming the
+// value and the level used. Tests, benches, and the CLI's --simd flag may
 // re-select with set_active_level(); that setter is not thread-safe against
 // concurrently running kernels.
 #pragma once
@@ -24,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "tensor/align.hpp"
@@ -43,6 +49,43 @@ struct AdamStep {
   double weight_decay = 0.0;
   double bias1 = 1.0;  // 1 - beta1^t
   double bias2 = 1.0;  // 1 - beta2^t
+};
+
+/// One relation's attention backward (KernelTable::rgat_attention_backward).
+/// Edge arrays (gates, alpha, lrg, dscore) start at the relation's first
+/// edge; row arrays (g, dg, ds_src, ds_dst) at its first active row; dpre
+/// is the full [N x out] pre-activation gradient, indexed by global node.
+/// For every group (destination v, edges e in group order):
+///   dscore[e] = gate[e] * float(sum_j double(dpre[v,j]) * double(g[src,j]))
+///   dg[src]  += (alpha[e] * gate[e]) * dpre[v]       (edge order)
+///   w         = sum_e double(alpha[e]) * double(dscore[e])
+///   draw      = alpha[e] * (dscore[e] - float(w)) * lrg[e]
+///   ds_src[src] += draw; ds_dst[v_local] += draw      (edge order)
+/// then for every active row i in order (rows with ds == 0 skipped):
+///   dg[i] += ds_src[i] * a_src; da_src += ds_src[i] * g[i]
+///   dg[i] += ds_dst[i] * a_dst; da_dst += ds_dst[i] * g[i]
+/// dg, ds_src, ds_dst, da_src and da_dst accumulate; dscore is scratch.
+struct AttentionGrad {
+  const std::uint32_t* group_offsets = nullptr;
+  const std::uint32_t* group_dst = nullptr;
+  std::size_t num_groups = 0;
+  const std::uint32_t* nodes = nullptr;
+  const std::uint32_t* src_local = nullptr;
+  std::size_t num_active = 0;  // rows of g/dg/ds_src/ds_dst
+  std::size_t out = 0;
+  const float* gates = nullptr;
+  const float* alpha = nullptr;
+  const float* lrg = nullptr;  // LeakyReLU gradient per edge
+  const float* dpre = nullptr;
+  const float* g = nullptr;
+  const float* a_src = nullptr;
+  const float* a_dst = nullptr;
+  float* dscore = nullptr;
+  float* dg = nullptr;
+  float* ds_src = nullptr;
+  float* ds_dst = nullptr;
+  float* da_src = nullptr;
+  float* da_dst = nullptr;
 };
 
 /// One dispatch level's kernel entry points. All pointers are non-null in
@@ -100,6 +143,14 @@ struct KernelTable {
                               const float* x, std::size_t in, const float* w,
                               float* gbuf, std::size_t out,
                               std::size_t row_off);
+  /// RGAT attention dots over `rows` consecutive rows of g ([rows x out]):
+  ///   ss[i] = float(sum_j double(g[i,j]) * double(a_src[j]))
+  ///   sd[i] = float(sum_j double(g[i,j]) * double(a_dst[j]))
+  /// each sum starting at 0.0 and adding in j order. Lanes run across
+  /// independent rows, so every level produces the same bits.
+  void (*rgat_attention_dots)(const float* g, std::size_t rows,
+                              std::size_t out, const float* a_src,
+                              const float* a_dst, float* ss, float* sd);
   /// RGAT grouped attention + gated scatter over one relation's CSR arrays:
   /// per destination group, raw logits (score gather), LeakyReLU, max-shifted
   /// exp/softmax (scalar, order-pinned) and the alpha*gate-weighted scatter
@@ -114,6 +165,12 @@ struct KernelTable {
                                  const float* sd, float slope, float* raw,
                                  float* alpha, const float* gbuf, float* pre,
                                  std::size_t out, std::size_t row_off);
+  /// RGAT attention backward over one relation (AttentionGrad): the
+  /// per-edge dscore dots (lanes across edges), the per-group softmax
+  /// backward into ds_src/ds_dst, the alpha*gate-weighted dg scatter, then
+  /// the score-vector terms dg += ds (x) a and da += ds * g (lanes across
+  /// output columns).
+  void (*rgat_attention_backward)(const AttentionGrad& args);
 };
 
 /// Best level this binary + CPU can run (probed once).
@@ -136,6 +193,12 @@ void set_active_level(SimdLevel level);
 /// max_supported_level(). Never fails — the dispatch probe degrades cleanly.
 [[nodiscard]] SimdLevel resolve_level(std::string_view name,
                                       SimdLevel fallback);
+/// The one stderr line printed when PARAGRAPH_SIMD=`name` does not select
+/// its own level (an unknown name, or a level this CPU cannot run): names
+/// the value and the level used instead. Empty when there is nothing to
+/// report (unset/empty, or a supported level). Not printed when
+/// set_active_level() picks the level before its first use.
+[[nodiscard]] std::string override_warning(std::string_view name);
 
 /// Kernel table of the active level / of an explicit level.
 [[nodiscard]] const KernelTable& kernels();

@@ -19,6 +19,7 @@
 #include "model/checkpoint.hpp"
 #include "model/engine.hpp"
 #include "model/paragraph_model.hpp"
+#include "tensor/simd.hpp"
 
 #ifndef PG_CLI_PATH
 #error "PG_CLI_PATH must point at the paragraph-cli binary"
@@ -155,6 +156,48 @@ TEST(CliPredict, BitwiseEqualToInProcessInferenceEngine) {
     EXPECT_EQ(cli_scaled[i], expected_scaled[i]) << kGoldenNames[i];
     EXPECT_EQ(cli_us[i], set.from_target(expected_scaled[i])) << kGoldenNames[i];
   }
+}
+
+TEST(CliPredict, MistypedSimdLevelIsReportedOnStderr) {
+  // PARAGRAPH_SIMD=avx9 names no level: the run still succeeds on the
+  // probed level, and stderr carries exactly one line saying so (next to
+  // predict's own "simd: <level>" line).
+  model::ModelConfig config;
+  model::ParaGraphModel model(config);
+  io::StoredSampleSet stored =
+      io::read_sample_set_file(golden_path("corpus.pgds"));
+  const std::string ckpt = temp_path("simd_warning.ckpt");
+  model::save_checkpoint_file(
+      ckpt, model, model::CheckpointScalers::from_sample_set(stored.set));
+  const std::string err = temp_path("simd_warning.err");
+  const std::string command =
+      std::string("PARAGRAPH_SIMD=avx9 ") + PG_CLI_PATH + " predict --checkpoint " +
+      quoted(ckpt) + " --out /dev/null " +
+      quoted(golden_path("matvec_cpu.psample")) + " 2> " + quoted(err);
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  const std::string text = slurp(err);
+  const std::string line =
+      std::string("paragraph: PARAGRAPH_SIMD=avx9 is not a known level; using ") +
+      tensor::simd::level_name(tensor::simd::max_supported_level()) + "\n";
+  EXPECT_NE(text.find(line), std::string::npos) << text;
+  EXPECT_EQ(text.find("PARAGRAPH_SIMD"), text.rfind("PARAGRAPH_SIMD")) << text;
+
+  // With --simd the variable decides nothing, so nothing is reported.
+  const std::string explicit_command =
+      std::string("PARAGRAPH_SIMD=avx9 ") + PG_CLI_PATH +
+      " predict --simd scalar --checkpoint " + quoted(ckpt) +
+      " --out /dev/null " + quoted(golden_path("matvec_cpu.psample")) +
+      " 2> " + quoted(err);
+  const int explicit_status = std::system(explicit_command.c_str());
+  ASSERT_TRUE(WIFEXITED(explicit_status));
+  EXPECT_EQ(WEXITSTATUS(explicit_status), 0);
+  const std::string explicit_text = slurp(err);
+  EXPECT_EQ(explicit_text.find("PARAGRAPH_SIMD"), std::string::npos)
+      << explicit_text;
+  EXPECT_NE(explicit_text.find("simd: scalar\n"), std::string::npos)
+      << explicit_text;
 }
 
 TEST(CliDump, SucceedsOnEveryGoldenKind) {

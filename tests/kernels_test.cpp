@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -325,6 +326,382 @@ TEST(KernelParity, AdamUpdateSequences) {
   }
 }
 
+// ------------------------------------------------------- RGAT kernels -----
+
+/// The dense/sparse hybrid's reference decision: dense when at least half
+/// the entries are nonzero (NaN counts as nonzero, -0.0 does not).
+bool reference_dense(const float* src, std::size_t k) {
+  std::size_t nnz = 0;
+  for (std::size_t kk = 0; kk < k; ++kk) nnz += (src[kk] != 0.0f);
+  return 2 * nnz >= k;
+}
+
+/// dst (+)= src * w, the reference hybrid: a dense row adds every term, a
+/// sparse one skips the zero entries; terms in kk order either way.
+void reference_project_row(const float* src, const Matrix& w, float* dst,
+                           bool accumulate) {
+  const std::size_t k = w.rows();
+  const std::size_t n = w.cols();
+  if (!accumulate)
+    for (std::size_t j = 0; j < n; ++j) dst[j] = 0.0f;
+  const bool dense = reference_dense(src, k);
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    if (!dense && src[kk] == 0.0f) continue;
+    for (std::size_t j = 0; j < n; ++j) dst[j] += src[kk] * w(kk, j);
+  }
+}
+
+/// Uniform index in [0, n).
+std::size_t pick(pg::Rng& rng, std::size_t n) {
+  return static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
+
+/// Node feature rows for the projection kernels, one kind per row in
+/// `kinds`: 'o' one-hot (plus the literal column on every third row), 'd'
+/// dense, 'n' a one-hot row holding a NaN, 'N' a dense row holding a NaN,
+/// 'z' a one-hot row whose other entries are -0.0 (skipped, not counted),
+/// 'h' exactly half nonzero (the dense side of the threshold).
+Matrix feature_rows(const std::string& kinds, std::size_t k, pg::Rng& rng) {
+  Matrix x = random_matrix(kinds.size(), k, rng);
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    const char kind = kinds[i];
+    if (kind == 'd') continue;
+    if (kind == 'N') {
+      x(i, pick(rng, k)) = std::numeric_limits<float>::quiet_NaN();
+      continue;
+    }
+    if (kind == 'h') {
+      for (std::size_t kk = 0; kk < k; kk += 2) x(i, kk) = 0.0f;
+      if (k % 2 == 1) x(i, k - 1) = 0.5f;
+      continue;
+    }
+    for (std::size_t kk = 0; kk < k; ++kk)
+      x(i, kk) = kind == 'z' ? -0.0f : 0.0f;
+    x(i, pick(rng, k - 1)) = 1.0f;
+    if (i % 3 == 0) x(i, k - 1) = 0.37f;
+    if (kind == 'n')
+      x(i, pick(rng, k)) = std::numeric_limits<float>::quiet_NaN();
+  }
+  return x;
+}
+
+TEST(KernelParity, RgatGatherProjectOneHotAndMixedRowsAllLevels) {
+  // The fused gather->project against the reference hybrid at every level:
+  // one-hot rows (the first layer's 45-wide features), rows holding NaN or
+  // -0.0, dense/sparse row pairs in every order (two dense neighbours run
+  // as a register pair), odd row counts, and an input wider than 64 (the
+  // nonzero walk's long-row path). The destination block starts from
+  // nonzero values at a row offset: the kernel accumulates. Where no row
+  // holds a NaN, one weight is +inf, so the path a row takes shows in the
+  // result (a skipped zero adds nothing, a dense zero adds 0 * inf = NaN).
+  pg::Rng rng(53);
+  const std::vector<std::string> row_sets = {
+      "o", "d", "od", "do", "dd", "ddd", "oooo", "ddodo",
+      "nzdhNdo", "hdddoddzd", "ododododdddoo"};
+  for (const std::size_t in : {45u, 24u, 70u, 7u}) {
+    for (const std::size_t out : {8u, 10u, 16u, 24u, 32u}) {
+      for (const std::string& kinds : row_sets) {
+        Matrix w = random_matrix(in, out, rng);
+        if (kinds.find_first_of("nN") == std::string::npos)
+          w(in - 2, out - 1) = std::numeric_limits<float>::infinity();
+        const Matrix x = feature_rows(kinds, in, rng);
+        // Gather the rows in reverse, the way a relation picks its nodes.
+        const std::size_t na = kinds.size();
+        std::vector<std::uint32_t> nodes(na);
+        for (std::size_t i = 0; i < na; ++i)
+          nodes[i] = static_cast<std::uint32_t>(na - 1 - i);
+        const std::size_t row_off = 3;
+        const Matrix base = random_matrix(row_off + na, out, rng);
+
+        Matrix expected = base;
+        for (std::size_t i = 0; i < na; ++i)
+          reference_project_row(&x(nodes[i], 0), w, &expected(row_off + i, 0),
+                                /*accumulate=*/true);
+        Matrix expected_mm(na, out);
+        for (std::size_t i = 0; i < na; ++i)
+          reference_project_row(&x(i, 0), w, &expected_mm(i, 0),
+                                /*accumulate=*/false);
+        for (const SimdLevel level : supported_levels()) {
+          const KernelTable& table = kernels_for(level);
+          Matrix got = base;
+          table.rgat_gather_project(nodes.data(), na, x.data().data(), in,
+                                    w.data().data(), got.data().data(), out,
+                                    row_off);
+          expect_bytes_equal(expected, got, level_name(level));
+          Matrix got_mm(na, out, 0.5f);
+          table.matmul(x.data().data(), w.data().data(), got_mm.data().data(),
+                       na, in, out, false);
+          expect_bytes_equal(expected_mm, got_mm, level_name(level));
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParity, RgatAttentionDotsAnyRowCountAllLevels) {
+  // Both attention dots per row, lanes across rows at the vector levels:
+  // each row's double sum from 0.0 in j order, narrowed once. Row counts
+  // around every lane width (partial last steps) and widths with column
+  // tails, hidden 10 included. Every third row cancels +-1e20 around a
+  // small term, so any change to the j order shows in the result.
+  pg::Rng rng(59);
+  for (const std::size_t out : {1u, 3u, 8u, 10u, 16u, 24u, 27u, 32u}) {
+    Matrix a_src = random_matrix(1, out, rng);
+    Matrix a_dst = random_matrix(1, out, rng);
+    if (out >= 3) a_src(0, 0) = a_src(0, 2) = a_dst(0, 0) = a_dst(0, 2) = 1.0f;
+    for (const std::size_t rows :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 13u, 17u, 31u}) {
+      Matrix g = random_matrix(rows, out, rng, 0.2);
+      for (std::size_t i = 1; out >= 3 && i < rows; i += 3) {
+        g(i, 0) = 1e20f;
+        g(i, 2) = -1e20f;
+      }
+      Matrix ss(1, rows), sd(1, rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        double acc_s = 0.0;
+        double acc_d = 0.0;
+        for (std::size_t j = 0; j < out; ++j) {
+          acc_s += static_cast<double>(g(i, j)) * static_cast<double>(a_src(0, j));
+          acc_d += static_cast<double>(g(i, j)) * static_cast<double>(a_dst(0, j));
+        }
+        ss(0, i) = static_cast<float>(acc_s);
+        sd(0, i) = static_cast<float>(acc_d);
+      }
+      for (const SimdLevel level : supported_levels()) {
+        Matrix got_s(1, rows, 7.0f), got_d(1, rows, 7.0f);
+        kernels_for(level).rgat_attention_dots(
+            g.data().data(), rows, out, a_src.data().data(),
+            a_dst.data().data(), got_s.data().data(), got_d.data().data());
+        expect_bytes_equal(ss, got_s, level_name(level));
+        expect_bytes_equal(sd, got_d, level_name(level));
+      }
+    }
+  }
+}
+
+TEST(KernelParity, RgatAttentionScatterAllLevels) {
+  // Grouped softmax + gated scatter against the scalar reference (max
+  // shift from -1e30, exp, double denominator, one division per edge) at
+  // every level. Single-edge groups are also fed the logits whose weight
+  // is not exactly 1: +inf, NaN and one below the max-scan floor.
+  pg::Rng rng(67);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::size_t> sizes = {1, 1, 3, 1, 1, 2, 1, 1, 5, 1};
+  const std::vector<float> single_src = {0.3f, inf, 0.0f, nan, -1e31f, 2.0f};
+  for (const std::size_t out : {8u, 10u, 24u}) {
+    // Wider groups draw their sources from rows 0-3; single-edge group k
+    // reads row 4 + k alone, scored single_src[k], so each non-finite
+    // score reaches exactly one destination.
+    std::vector<std::uint32_t> offsets = {0}, dst, src_local;
+    std::size_t singles = 0;
+    for (std::size_t group = 0; group < sizes.size(); ++group) {
+      dst.push_back(static_cast<std::uint32_t>(group));
+      for (std::size_t e = 0; e < sizes[group]; ++e)
+        src_local.push_back(static_cast<std::uint32_t>(
+            sizes[group] == 1 ? 4 + singles++ : pick(rng, 4)));
+      offsets.push_back(static_cast<std::uint32_t>(src_local.size()));
+    }
+    const std::size_t na = 4 + singles;
+    const std::size_t edges = src_local.size();
+    std::vector<std::uint32_t> nodes(na);
+    for (std::size_t i = 0; i < na; ++i)
+      nodes[i] = static_cast<std::uint32_t>(na - 1 - i);
+    const Matrix gates = random_matrix(1, edges, rng);
+    const Matrix g = random_matrix(na, out, rng);
+    const Matrix base = random_matrix(na, out, rng);
+    Matrix ss = random_matrix(1, na, rng);
+    const Matrix sd = random_matrix(1, na, rng);
+    for (std::size_t k = 0; k < singles; ++k)
+      ss(0, 4 + k) = single_src[k % single_src.size()];
+
+    Matrix raw(1, edges), alpha(1, edges);
+    Matrix pre = base;
+    for (std::size_t group = 0; group < sizes.size(); ++group) {
+      const std::size_t lo = offsets[group];
+      const std::size_t hi = offsets[group + 1];
+      float max_logit = -1e30f;
+      for (std::size_t e = lo; e < hi; ++e) {
+        raw(0, e) = ss(0, src_local[e]) + sd(0, dst[group]);
+        alpha(0, e) = raw(0, e) > 0.0f ? raw(0, e) : 0.2f * raw(0, e);
+        if (alpha(0, e) > max_logit) max_logit = alpha(0, e);
+      }
+      double denom = 0.0;
+      for (std::size_t e = lo; e < hi; ++e) {
+        alpha(0, e) = std::exp(alpha(0, e) - max_logit);
+        denom += alpha(0, e);
+      }
+      for (std::size_t e = lo; e < hi; ++e) {
+        alpha(0, e) = static_cast<float>(alpha(0, e) / denom);
+        const float scale = alpha(0, e) * gates(0, e);
+        for (std::size_t j = 0; j < out; ++j)
+          pre(nodes[dst[group]], j) += scale * g(src_local[e], j);
+      }
+    }
+    for (const SimdLevel level : supported_levels()) {
+      Matrix got_raw(1, edges), got_alpha(1, edges);
+      Matrix got_pre = base;
+      kernels_for(level).rgat_attention_scatter(
+          offsets.data(), dst.data(), sizes.size(), nodes.data(),
+          src_local.data(), gates.data().data(), ss.data().data(),
+          sd.data().data(), 0.2f, got_raw.data().data(),
+          got_alpha.data().data(), g.data().data(), got_pre.data().data(),
+          out, 0);
+      expect_bytes_equal(raw, got_raw, level_name(level));
+      expect_bytes_equal(alpha, got_alpha, level_name(level));
+      expect_bytes_equal(pre, got_pre, level_name(level));
+    }
+  }
+}
+
+/// One relation's attention-backward inputs and accumulators.
+struct AttentionCase {
+  std::vector<std::uint32_t> group_offsets, group_dst, nodes, src_local;
+  Matrix gates, alpha, lrg, dpre, g, a_src, a_dst;
+  Matrix dscore, dg, ds_src, ds_dst, da_src, da_dst;
+
+  AttentionGrad args() {
+    AttentionGrad a;
+    a.group_offsets = group_offsets.data();
+    a.group_dst = group_dst.data();
+    a.num_groups = group_dst.size();
+    a.nodes = nodes.data();
+    a.src_local = src_local.data();
+    a.num_active = nodes.size();
+    a.out = g.cols();
+    a.gates = gates.data().data();
+    a.alpha = alpha.data().data();
+    a.lrg = lrg.data().data();
+    a.dpre = dpre.data().data();
+    a.g = g.data().data();
+    a.a_src = a_src.data().data();
+    a.a_dst = a_dst.data().data();
+    a.dscore = dscore.data().data();
+    a.dg = dg.data().data();
+    a.ds_src = ds_src.data().data();
+    a.ds_dst = ds_dst.data().data();
+    a.da_src = da_src.data().data();
+    a.da_dst = da_dst.data().data();
+    return a;
+  }
+};
+
+/// A relation over `na` active rows of a (2 * na)-node graph whose groups
+/// have the given sizes (destination = group index, distinct).
+AttentionCase attention_case(const std::vector<std::size_t>& group_sizes,
+                             std::size_t na, std::size_t out, pg::Rng& rng) {
+  AttentionCase c;
+  c.group_offsets.push_back(0);
+  for (std::size_t group = 0; group < group_sizes.size(); ++group) {
+    c.group_dst.push_back(static_cast<std::uint32_t>(group));
+    for (std::size_t e = 0; e < group_sizes[group]; ++e)
+      c.src_local.push_back(static_cast<std::uint32_t>(pick(rng, na)));
+    c.group_offsets.push_back(static_cast<std::uint32_t>(c.src_local.size()));
+  }
+  for (std::size_t i = 0; i < na; ++i)
+    c.nodes.push_back(static_cast<std::uint32_t>(2 * na - 1 - 2 * i));
+  const std::size_t edges = c.src_local.size();
+  c.gates = random_matrix(1, edges, rng);
+  c.alpha = random_matrix(1, edges, rng);
+  c.lrg = Matrix(1, edges);
+  for (std::size_t e = 0; e < edges; ++e)
+    c.lrg(0, e) = rng.uniform() < 0.5 ? 1.0f : 0.2f;
+  c.dpre = random_matrix(2 * na, out, rng, 0.3);
+  c.g = random_matrix(na, out, rng);
+  // Row 1 of g cancels +-1e20 around a small term: the dscore dots of its
+  // edges depend on their j order.
+  if (out >= 3) {
+    for (std::size_t v = 0; v < 2 * na; ++v) c.dpre(v, 0) = c.dpre(v, 2) = 1.0f;
+    c.g(1, 0) = 1e20f;
+    c.g(1, 2) = -1e20f;
+  }
+  c.a_src = random_matrix(1, out, rng);
+  c.a_dst = random_matrix(1, out, rng);
+  c.dscore = Matrix(1, edges);
+  c.dg = random_matrix(na, out, rng);
+  c.ds_src = Matrix(1, na);  // zero: rows no edge reaches are skipped
+  c.ds_dst = Matrix(1, na);
+  c.da_src = random_matrix(1, out, rng);
+  c.da_dst = random_matrix(1, out, rng);
+  return c;
+}
+
+/// The attention backward as the scalar program it replaced: per group,
+/// each edge's dscore dot, alpha-weighted sum and dg scatter, then the
+/// softmax backward into ds; then the per-row score-vector terms.
+void reference_attention_backward(AttentionCase& c) {
+  const std::size_t out = c.g.cols();
+  for (std::size_t group = 0; group < c.group_dst.size(); ++group) {
+    const std::size_t lo = c.group_offsets[group];
+    const std::size_t hi = c.group_offsets[group + 1];
+    const std::uint32_t v_local = c.group_dst[group];
+    const std::uint32_t v_global = c.nodes[v_local];
+    double weighted_sum = 0.0;
+    for (std::size_t e = lo; e < hi; ++e) {
+      const std::uint32_t src = c.src_local[e];
+      double acc = 0.0;
+      for (std::size_t j = 0; j < out; ++j)
+        acc += static_cast<double>(c.dpre(v_global, j)) *
+               static_cast<double>(c.g(src, j));
+      c.dscore(0, e) = c.gates(0, e) * static_cast<float>(acc);
+      weighted_sum += static_cast<double>(c.alpha(0, e)) *
+                      static_cast<double>(c.dscore(0, e));
+      const float scale = c.alpha(0, e) * c.gates(0, e);
+      for (std::size_t j = 0; j < out; ++j)
+        c.dg(src, j) += scale * c.dpre(v_global, j);
+    }
+    for (std::size_t e = lo; e < hi; ++e) {
+      const float dlogit =
+          c.alpha(0, e) * (c.dscore(0, e) - static_cast<float>(weighted_sum));
+      const float draw = dlogit * c.lrg(0, e);
+      c.ds_src(0, c.src_local[e]) += draw;
+      c.ds_dst(0, v_local) += draw;
+    }
+  }
+  for (std::size_t i = 0; i < c.nodes.size(); ++i) {
+    if (c.ds_src(0, i) != 0.0f)
+      for (std::size_t j = 0; j < out; ++j) {
+        c.dg(i, j) += c.ds_src(0, i) * c.a_src(0, j);
+        c.da_src(0, j) += c.ds_src(0, i) * c.g(i, j);
+      }
+    if (c.ds_dst(0, i) != 0.0f)
+      for (std::size_t j = 0; j < out; ++j) {
+        c.dg(i, j) += c.ds_dst(0, i) * c.a_dst(0, j);
+        c.da_dst(0, j) += c.ds_dst(0, i) * c.g(i, j);
+      }
+  }
+}
+
+TEST(KernelParity, RgatAttentionBackwardAllLevels) {
+  // The attention backward kernel against the scalar program it replaced,
+  // at every level: edge counts around the lane widths (the dscore dots
+  // run lanes across edges, across group boundaries), single-edge and
+  // wide groups, templated and runtime widths.
+  pg::Rng rng(61);
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {1}, {3}, {1, 1, 1, 1, 1, 1, 1, 1}, {2, 1, 5, 1}, {1, 7, 1, 1, 3},
+      {4, 4, 4, 4, 1}, {1, 1, 2, 1, 1, 1, 9, 1, 1, 1, 1, 1, 2}};
+  for (const std::size_t out : {8u, 10u, 16u, 24u, 32u, 5u}) {
+    for (const auto& sizes : shapes) {
+      const std::size_t na = sizes.size() + 3;
+      const AttentionCase input = attention_case(sizes, na, out, rng);
+      AttentionCase expected = input;
+      reference_attention_backward(expected);
+      for (const SimdLevel level : supported_levels()) {
+        AttentionCase got = input;
+        kernels_for(level).rgat_attention_backward(got.args());
+        expect_bytes_equal(expected.dscore, got.dscore, level_name(level));
+        expect_bytes_equal(expected.dg, got.dg, level_name(level));
+        expect_bytes_equal(expected.ds_src, got.ds_src, level_name(level));
+        expect_bytes_equal(expected.ds_dst, got.ds_dst, level_name(level));
+        expect_bytes_equal(expected.da_src, got.da_src, level_name(level));
+        expect_bytes_equal(expected.da_dst, got.da_dst, level_name(level));
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------ end-to-end ---------
 
 graph::ProgramGraph small_graph() {
@@ -430,6 +807,31 @@ TEST(DispatchProbe, UnknownNamesFallBackCleanly) {
   EXPECT_EQ(resolve_level("bogus", max_supported_level()),
             max_supported_level());
   EXPECT_EQ(resolve_level("", SimdLevel::kScalar), SimdLevel::kScalar);
+}
+
+TEST(DispatchProbe, OverrideWarningNamesTheValueAndTheLevelUsed) {
+  // PARAGRAPH_SIMD is read once, at first dispatch; a value that does not
+  // select its own level is reported on stderr with this line, never
+  // silently replaced.
+  const std::string best = level_name(max_supported_level());
+  EXPECT_EQ(override_warning(""), "");  // unset: the probe, nothing to say
+  EXPECT_EQ(override_warning("scalar"), "");
+  EXPECT_EQ(override_warning("avx512"),
+            "paragraph: PARAGRAPH_SIMD=avx512 is not a known level; using " +
+                best);
+  EXPECT_EQ(override_warning("SCALAR"),
+            "paragraph: PARAGRAPH_SIMD=SCALAR is not a known level; using " +
+                best);
+  for (const SimdLevel level : {SimdLevel::kSse2, SimdLevel::kAvx2}) {
+    const std::string name = level_name(level);
+    if (level_supported(level)) {
+      EXPECT_EQ(override_warning(name), "") << name;
+    } else {
+      EXPECT_EQ(override_warning(name),
+                "paragraph: PARAGRAPH_SIMD=" + name +
+                    " is not supported on this CPU; using " + best);
+    }
+  }
 }
 
 TEST(DispatchProbe, KnownLevelsResolveAndClamp) {

@@ -4,7 +4,9 @@
 
 #include "frontend/parser.hpp"
 #include "graph/builder.hpp"
+#include "io/pgraph_io.hpp"
 #include "model/encoding.hpp"
+#include "model/engine.hpp"
 #include "model/metrics.hpp"
 #include "model/paragraph_model.hpp"
 #include "model/trainer.hpp"
@@ -301,6 +303,72 @@ TEST(Trainer, TrainedParametersMatchRecordedHash) {
     (void)train_model(m, set, config);
     EXPECT_EQ(parameter_hash(m), pin.hash)
         << "hidden " << pin.hidden << ": 0x" << std::hex << parameter_hash(m);
+  }
+}
+
+TEST(Model, PredictionsMatchRecordedHash) {
+  // Forward pin: the exact bytes predict_batch and embed_batch return for a
+  // fixed-seed model over the four golden .psample files plus two synthetic
+  // graph shapes at two weight scales each. The values were recorded before
+  // the attention dots and the one-hot projection moved onto the kernel
+  // table; any change to the forward FP sequence moves them, a pure speed
+  // change must not. Hidden 8 and 24 take the templated-width kernels, 10
+  // the runtime-width ones.
+  std::vector<EncodedGraph> graphs;
+  std::vector<std::array<float, 2>> aux;
+  for (const char* name : {"matvec_cpu", "matmul_gpu_collapse_mem",
+                           "corr_gpu_mem", "gauss_seidel_cpu_collapse"}) {
+    TrainingSample s = io::read_sample_file(std::string(PG_GOLDEN_DIR) + "/" +
+                                            name + ".psample");
+    graphs.push_back(std::move(s.graph));
+    aux.push_back(s.aux);
+  }
+  auto nested = frontend::parse_source(R"(
+    void g(double* a, double* b) {
+      for (int i = 0; i < 16; i++) {
+        for (int j = 0; j < 12; j++) {
+          a[i * 12 + j] = a[i * 12 + j] + 2.0 * b[j];
+        }
+      }
+    }
+  )");
+  ASSERT_TRUE(nested.ok());
+  const auto nested_graph = graph::build_graph(nested.root(), {});
+  const auto flat_graph = small_graph();
+  for (const double scale : {40.0, 700.0}) {
+    graphs.push_back(encode_graph(flat_graph, scale));
+    aux.push_back({0.25f, 0.75f});
+    graphs.push_back(encode_graph(nested_graph, scale));
+    aux.push_back({0.9f, 0.1f});
+  }
+
+  const struct {
+    std::size_t hidden;
+    std::uint64_t hash;
+  } pins[] = {
+      {8, 0x6a0b824c2c8c5701ULL},
+      {10, 0x28e2e103ed3613eaULL},
+      {24, 0xdd6a6ada111749deULL},
+  };
+  for (const auto& pin : pins) {
+    ParaGraphModel m(ModelConfig{.hidden_dim = pin.hidden, .seed = 29});
+    InferenceEngine engine(m);
+    std::vector<double> preds(graphs.size());
+    engine.predict_batch(graphs, aux, preds);
+    tensor::Matrix pooled;
+    engine.embed_batch(graphs, pooled);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](const void* data, std::size_t bytes) {
+      const auto* p = static_cast<const unsigned char*>(data);
+      for (std::size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ULL;
+      }
+    };
+    mix(preds.data(), preds.size() * sizeof(double));
+    mix(pooled.data().data(), pooled.size() * sizeof(float));
+    EXPECT_EQ(h, pin.hash) << "hidden " << pin.hidden << ": 0x" << std::hex
+                           << h;
   }
 }
 
