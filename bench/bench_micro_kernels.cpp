@@ -227,18 +227,20 @@ int main(int argc, char** argv) {
   }
 
   // The RGAT conv's relation kernels at one conv's shape: 200 active rows
-  // gathered from 80 nodes, hidden 24. The first layer projects 45-wide
-  // one-hot rows (a third also carry the literal column), the later ones
+  // gathered from 80 nodes, hidden 24. The first layer projects one-hot
+  // rows held as a kind byte and a literal (a third of the literals
+  // nonzero) and scatters its dW the same way; the later layers project
   // dense 24-wide rows.
   {
     constexpr std::size_t kNodes = 80;
     constexpr std::size_t kActive = 200;
     constexpr std::size_t kHidden = 24;
     constexpr std::size_t kFeatures = 45;
-    Matrix onehot(kNodes, kFeatures);
+    std::vector<std::uint8_t> kinds(kNodes);
+    std::vector<float> literals(kNodes, 0.0f);
     for (std::size_t i = 0; i < kNodes; ++i) {
-      onehot(i, (7 * i) % (kFeatures - 1)) = 1.0f;
-      if (i % 3 == 0) onehot(i, kFeatures - 1) = 0.25f;
+      kinds[i] = static_cast<std::uint8_t>((7 * i) % (kFeatures - 1));
+      if (i % 3 == 0) literals[i] = 0.25f;
     }
     const Matrix dense = random_matrix(kNodes, kHidden, rng);
     const Matrix w1 = random_matrix(kFeatures, kHidden, rng);
@@ -247,12 +249,19 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < kActive; ++i)
       nodes[i] = static_cast<std::uint32_t>((13 * i) % kNodes);
     Matrix g(kActive, kHidden);
-    report_kernel(report, "rgat_gather_project_onehot_200x45x24", 20000,
+    report_kernel(report, "onehot_project_200x24", 20000,
                   2.0 * kActive * kHidden, [&](const KernelTable& k) {
-                    k.rgat_gather_project(nodes.data(), kActive,
-                                          onehot.data().data(), kFeatures,
-                                          w1.data().data(), g.data().data(),
-                                          kHidden, 0);
+                    k.onehot_project(kinds.data(), literals.data(),
+                                     nodes.data(), kActive, w1.data().data(),
+                                     kFeatures - 1, g.data().data(), kHidden);
+                  });
+    Matrix dw(kFeatures, kHidden);
+    report_kernel(report, "onehot_scatter_acc_200x24", 20000,
+                  2.0 * kActive * kHidden, [&](const KernelTable& k) {
+                    k.onehot_scatter_acc(kinds.data(), literals.data(),
+                                         nodes.data(), kActive,
+                                         g.data().data(), dw.data().data(),
+                                         kFeatures - 1, kHidden);
                   });
     report_kernel(report, "rgat_gather_project_dense_200x24x24", 20000,
                   2.0 * kActive * kHidden * kHidden,

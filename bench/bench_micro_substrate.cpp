@@ -75,7 +75,7 @@ void BM_EncodeGraph(benchmark::State& state) {
   const auto g = graph::build_graph(parsed.root(), options);
   for (auto _ : state) {
     auto enc = model::encode_graph(g, g.max_child_weight());
-    benchmark::DoNotOptimize(enc.features.size());
+    benchmark::DoNotOptimize(enc.kinds.data());
   }
 }
 BENCHMARK(BM_EncodeGraph);
@@ -201,7 +201,7 @@ void BM_DatasetPointEndToEnd(benchmark::State& state) {
     const auto g =
         dataset::build_point_graph(point, graph::Representation::kParaGraph);
     const auto enc = model::encode_graph(g, g.max_child_weight());
-    benchmark::DoNotOptimize(runtime + enc.features.sum());
+    benchmark::DoNotOptimize(runtime + enc.literals.front());
   }
 }
 BENCHMARK(BM_DatasetPointEndToEnd);
@@ -250,7 +250,7 @@ void write_substrate_report(const std::string& path) {
   });
 
   bench::JsonReport report("micro_substrate");
-  report.add("graph_nodes", enc.features.rows());
+  report.add("graph_nodes", enc.num_nodes());
   report.add("hidden_dim", config.hidden_dim);
   report.add("predict_cold_workspace_ns", cold_ns);
   report.add("predict_warm_workspace_ns", warm_ns);

@@ -57,13 +57,11 @@ std::uint64_t mix64(std::uint64_t& state) {
 /// relations — so the cost model sees corpus-like node/edge ratios.
 EncodedGraph make_graph(std::size_t nodes, std::uint64_t seed) {
   EncodedGraph g;
-  const std::size_t feat = pg::model::kNodeFeatureDim;
-  g.features = pg::tensor::Matrix(nodes, feat);
   std::uint64_t rng = seed;
   for (std::size_t i = 0; i < nodes; ++i) {
-    auto row = g.features.row_span(i);
-    row[mix64(rng) % (feat - 1)] = 1.0f;
-    row[feat - 1] = static_cast<float>((mix64(rng) % 7)) * 0.25f;
+    g.kinds.push_back(static_cast<std::uint8_t>(
+        mix64(rng) % pg::frontend::kNumNodeKinds));
+    g.literals.push_back(static_cast<float>((mix64(rng) % 7)) * 0.25f);
   }
 
   const std::size_t num_relations = ModelConfig{}.num_relations;

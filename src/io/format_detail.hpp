@@ -36,6 +36,13 @@ inline constexpr std::uint32_t kEndMarker = 0x444e4544;
 inline constexpr std::uint32_t kIndexMarker = 0x58494750;
 inline constexpr std::uint32_t kIndexFooterMagic = 0x46494750;
 
+// The word after a features section's row count names its layout: this
+// value for one u8 kind and one f32 literal per node (every writer), or
+// model::kNodeFeatureDim (45) for the legacy dense [rows x 45] f32 matrix,
+// which readers convert. Readers predating the kind/literal layout require
+// 45 there, so they reject the new layout with a FormatError.
+inline constexpr std::uint64_t kFeatureLayoutKindLiteral = 2;
+
 inline constexpr std::uint32_t kMaxSections = 64;
 // 1 GiB: far above any legitimate section/record in this project, and the
 // most a section-size field can make the istream entry points buffer (they
@@ -67,7 +74,8 @@ Prologue get_prologue(Source& src, PayloadKind expected,
 DatasetMeta get_dataset_meta(Source& src);
 
 /// The split-tag-free sample body shared by .psample sections and .pgds
-/// record frames (meta + features + relations, fully validated).
+/// record frames (meta + features + relations, fully validated). A
+/// FormatError names the part that failed and the byte offset reached.
 model::TrainingSample get_sample_body(Source& src);
 
 // --- FNV-1a (the format's checksum primitive) -----------------------------

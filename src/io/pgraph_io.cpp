@@ -124,30 +124,107 @@ void get_sample_meta(Source& src, model::TrainingSample& s) {
   s.variant = get_string(src);
 }
 
+/// The kind/literal feature layout: u64 rows, u64 kFeatureLayoutKindLiteral
+/// (where the legacy dense layout holds its width, kNodeFeatureDim), then
+/// rows u8 node kinds and rows f32 literals.
 template <class Sink>
-void put_sample_features(Sink& sink, const tensor::Matrix& m) {
-  put_u64(sink, m.rows());
-  put_u64(sink, m.cols());
-  for (float v : m.data()) put_f32(sink, v);
+void put_sample_features(Sink& sink, const model::EncodedGraph& g) {
+  put_u64(sink, g.num_nodes());
+  put_u64(sink, kFeatureLayoutKindLiteral);
+  sink.bytes(g.kinds.data(), g.kinds.size());
+  for (const float v : g.literals) put_f32(sink, v);
 }
 
-tensor::Matrix get_sample_features(Source& src) {
+[[noreturn]] void throw_feature_error(const std::string& what,
+                                      std::uint64_t offset) {
+  throw FormatError("corrupt sample: " + what + " (features section, byte "
+                    "offset " + std::to_string(offset) + ")");
+}
+
+/// The legacy dense layout's rows (u64 rows, u64 kNodeFeatureDim, rows x 45
+/// f32 row-major), converted to kinds and literals. A row converts only if
+/// its kind columns hold exactly one 1.0f and +0.0f everywhere else — the
+/// rows encode_graph wrote — so a converted file re-encodes to the same
+/// features; the literal column may hold any value. `at` is the offset of
+/// the first row.
+void convert_dense_features(const unsigned char* raw, std::uint64_t at,
+                            model::EncodedGraph& g) {
+  constexpr std::size_t kKinds = frontend::kNumNodeKinds;
+  constexpr std::uint32_t kOne = 0x3f800000u;  // 1.0f
+  for (std::size_t i = 0; i < g.kinds.size(); ++i) {
+    const unsigned char* row = raw + i * model::kNodeFeatureDim * 4;
+    std::size_t kind = kKinds;
+    for (std::size_t c = 0; c < kKinds; ++c) {
+      const std::uint32_t word = load_le32(row + c * 4);
+      if (word == 0) continue;
+      const std::uint64_t offset = at + (row - raw) + c * 4;
+      if (word != kOne)
+        throw_feature_error("dense feature row " + std::to_string(i) +
+                                " holds a kind entry other than 0 or 1",
+                            offset);
+      if (kind != kKinds)
+        throw_feature_error("dense feature row " + std::to_string(i) +
+                                " holds two node kinds",
+                            offset);
+      kind = c;
+    }
+    if (kind == kKinds)
+      throw_feature_error("dense feature row " + std::to_string(i) +
+                              " holds no node kind",
+                          at + (row - raw));
+    g.kinds[i] = static_cast<std::uint8_t>(kind);
+    g.literals[i] = std::bit_cast<float>(load_le32(row + kKinds * 4));
+  }
+}
+
+/// Reads either feature layout into g.kinds/g.literals.
+FeatureSectionInfo get_sample_features(Source& src, model::EncodedGraph& g) {
+  const std::uint64_t start = src.consumed();
   const std::uint64_t rows = get_count(src, "feature rows");
-  const std::uint64_t cols = get_count(src, "feature cols");
-  if (cols != model::kNodeFeatureDim)
-    throw FormatError("corrupt sample: feature width does not match the "
-                      "feature-order contract");
-  // rows, cols <= 2^28 (get_count), so rows*cols*4 <= 2^58: no overflow.
-  const std::uint64_t bytes = rows * cols * sizeof(float);
+  const std::uint64_t layout = get_u64(src);
+  const std::uint64_t at = src.consumed();
+  if (layout != kFeatureLayoutKindLiteral && layout != model::kNodeFeatureDim)
+    throw_feature_error("unknown feature layout " + std::to_string(layout),
+                        at - 8);
+  const bool dense = layout == model::kNodeFeatureDim;
+  // rows <= 2^28 (get_count), so rows * 180 cannot overflow.
+  const std::uint64_t bytes = rows * (dense ? model::kNodeFeatureDim * 4 : 5);
   if (bytes > src.remaining_budget())
-    throw FormatError("corrupt sample: feature matrix larger than its section");
-  // One checked read for the whole matrix; the bytes exist before the
-  // matrix is sized for them.
+    throw_feature_error(std::string(dense ? "dense feature matrix"
+                                          : "kind and literal arrays") +
+                            " larger than the section",
+                        at);
+  // The bytes exist before the arrays are sized for them.
   const unsigned char* raw = src.take(static_cast<std::size_t>(bytes));
-  tensor::Matrix m(static_cast<std::size_t>(rows),
-                   static_cast<std::size_t>(cols));
-  load_le32s(raw, m.data().data(), m.data().size());
-  return m;
+  g.kinds.resize(static_cast<std::size_t>(rows));
+  g.literals.resize(static_cast<std::size_t>(rows));
+  if (dense) {
+    convert_dense_features(raw, at, g);
+  } else {
+    std::copy_n(raw, g.kinds.size(), g.kinds.begin());
+    for (std::size_t i = 0; i < g.kinds.size(); ++i)
+      if (g.kinds[i] >= frontend::kNumNodeKinds)
+        throw_feature_error("node kind " + std::to_string(g.kinds[i]) +
+                                " out of range",
+                            at + i);
+    load_le32s(raw + rows, g.literals.data(), g.literals.size());
+  }
+  return {src.consumed() - start, dense};
+}
+
+/// Runs one sample section's decoder. A FormatError it raises gains the
+/// section's name and the byte offset the decoder had reached, unless the
+/// text already names them.
+template <class Fn>
+void decode_section(Source& src, const char* section, Fn&& decode) {
+  try {
+    decode();
+  } catch (const FormatError& e) {
+    const std::string what = e.what();
+    if (what.find(" section, byte offset ") != std::string::npos) throw;
+    throw FormatError(what + " (" + section + " section, byte offset " +
+                      std::to_string(src.consumed()) + ")");
+  }
 }
 
 // The on-disk edge record keeps the legacy array-of-structs shape —
@@ -269,7 +346,7 @@ nn::RelationalGraph get_sample_relations(Source& src) {
 template <class Sink>
 void put_sample_body(Sink& sink, const model::TrainingSample& s) {
   put_sample_meta(sink, s);
-  put_sample_features(sink, s.graph.features);
+  put_sample_features(sink, s.graph);
   put_sample_relations(sink, s.graph.relations);
 }
 
@@ -279,7 +356,7 @@ template <class Sink>
 void put_sample_container(Sink& sink, const model::TrainingSample& sample) {
   CountingSink meta_size, features_size, relations_size;
   put_sample_meta(meta_size, sample);
-  put_sample_features(features_size, sample.graph.features);
+  put_sample_features(features_size, sample.graph);
   put_sample_relations(relations_size, sample.graph.relations);
 
   put_header(sink, PayloadKind::kSample, kFormatVersion, 3);
@@ -433,10 +510,13 @@ DatasetMeta get_dataset_meta(Source& src) {
 
 model::TrainingSample get_sample_body(Source& src) {
   model::TrainingSample s;
-  get_sample_meta(src, s);
-  s.graph.features = get_sample_features(src);
-  s.graph.relations = get_sample_relations(src);
-  if (s.graph.features.rows() != s.graph.relations.num_nodes)
+  decode_section(src, "meta", [&] { get_sample_meta(src, s); });
+  decode_section(src, "features",
+                 [&] { (void)get_sample_features(src, s.graph); });
+  decode_section(src, "relations", [&] {
+    s.graph.relations = get_sample_relations(src);
+  });
+  if (s.graph.num_nodes() != s.graph.relations.num_nodes)
     throw FormatError("corrupt sample: feature rows != relation graph nodes");
   return s;
 }
@@ -543,7 +623,8 @@ std::string encode_sample(const model::TrainingSample& sample) {
   return out;
 }
 
-model::TrainingSample read_sample(const void* data, std::size_t size) {
+model::TrainingSample read_sample(const void* data, std::size_t size,
+                                  FeatureSectionInfo* features) {
   Source src(data, size);
   const auto prologue = get_prologue(src, PayloadKind::kSample, kFormatVersion);
 
@@ -551,36 +632,48 @@ model::TrainingSample read_sample(const void* data, std::size_t size) {
   bool have_meta = false;
   bool have_features = false;
   bool have_relations = false;
+  FeatureSectionInfo feature_info;
   for (const SectionEntry& entry : prologue.table) {
     src.push_budget(entry.size);
     switch (entry.id) {
       case kSecSampleMeta:
-        get_sample_meta(src, sample);
+        decode_section(src, "meta", [&] {
+          get_sample_meta(src, sample);
+          src.pop_budget();
+        });
         have_meta = true;
         break;
       case kSecSampleFeatures:
-        sample.graph.features = get_sample_features(src);
+        decode_section(src, "features", [&] {
+          feature_info = get_sample_features(src, sample.graph);
+          src.pop_budget();
+        });
         have_features = true;
         break;
       case kSecSampleRelations:
-        sample.graph.relations = get_sample_relations(src);
+        decode_section(src, "relations", [&] {
+          sample.graph.relations = get_sample_relations(src);
+          src.pop_budget();
+        });
         have_relations = true;
         break;
       default:
         src.skip(entry.size);
+        src.pop_budget();
     }
-    src.pop_budget();
   }
   if (!have_meta || !have_features || !have_relations)
     throw FormatError("corrupt sample file: missing required section");
-  if (sample.graph.features.rows() != sample.graph.relations.num_nodes)
+  if (sample.graph.num_nodes() != sample.graph.relations.num_nodes)
     throw FormatError("corrupt sample: feature rows != relation graph nodes");
+  if (features != nullptr) *features = feature_info;
   return sample;
 }
 
-model::TrainingSample read_sample(std::istream& is) {
+model::TrainingSample read_sample(std::istream& is,
+                                  FeatureSectionInfo* features) {
   const std::vector<unsigned char> bytes = buffer_container(is);
-  return read_sample(bytes.data(), bytes.size());
+  return read_sample(bytes.data(), bytes.size(), features);
 }
 
 // --- datasets -------------------------------------------------------------
@@ -732,10 +825,12 @@ bool DatasetReader::next(model::TrainingSample& sample, Split& split) {
   // Decode failures inside the record body (truncation, budget over/underrun,
   // corrupt counts) carry the record index — "which sample of the million"
   // is the first thing a corpus-corruption report needs.
-  buffer_.clear();
+  // The body joins the frame header in the buffer, so the byte offsets in
+  // a body error count from the frame start, as DatasetView's do.
   read_into(is_, buffer_, body);
   Source src(buffer_.data(), buffer_.size());
   try {
+    src.skip(12);
     src.push_budget(body);
     const std::uint8_t split_raw = get_u8(src);
     if (split_raw > static_cast<std::uint8_t>(Split::kValidation))
@@ -819,9 +914,10 @@ void write_sample_file(const std::string& path,
   write_sample(os, sample);
 }
 
-model::TrainingSample read_sample_file(const std::string& path) {
+model::TrainingSample read_sample_file(const std::string& path,
+                                       FeatureSectionInfo* features) {
   auto is = open_in(path);
-  return read_sample(is);
+  return read_sample(is, features);
 }
 
 void write_sample_set_file(const std::string& path, const model::SampleSet& set,

@@ -71,14 +71,24 @@ graph::ProgramGraph read_graph_file(const std::string& path);
 void write_sample(std::ostream& os, const model::TrainingSample& sample);
 /// The bytes write_sample emits, as a string: the serve wire payload.
 std::string encode_sample(const model::TrainingSample& sample);
+/// What a sample's features section held (docs/FORMAT.md, "Features").
+struct FeatureSectionInfo {
+  std::uint64_t bytes = 0;  // the section's size in the container
+  bool from_dense = false;  // the legacy dense layout, converted on read
+};
+
 /// Decodes one .psample container from [data, data + size) without copying
-/// it — the decode every reader below shares.
-model::TrainingSample read_sample(const void* data, std::size_t size);
+/// it — the decode every reader below shares. Either feature layout is
+/// accepted; `features`, when given, reports which one and its size.
+model::TrainingSample read_sample(const void* data, std::size_t size,
+                                  FeatureSectionInfo* features = nullptr);
 /// Buffers exactly the container's bytes from `is`, then read_sample(data,
 /// size). The stream is left just past the container.
-model::TrainingSample read_sample(std::istream& is);
+model::TrainingSample read_sample(std::istream& is,
+                                  FeatureSectionInfo* features = nullptr);
 void write_sample_file(const std::string& path, const model::TrainingSample& sample);
-model::TrainingSample read_sample_file(const std::string& path);
+model::TrainingSample read_sample_file(const std::string& path,
+                                       FeatureSectionInfo* features = nullptr);
 
 // --- dataset files (.pgds) -----------------------------------------------
 

@@ -1,4 +1,4 @@
-// ProgramGraph -> EncodedGraph: node-feature assembly, per-relation edge
+// ProgramGraph -> EncodedGraph: node kinds and literals, per-relation edge
 // lists, and weight normalisation.
 #include "model/encoding.hpp"
 
@@ -29,13 +29,13 @@ EncodedGraph encode_graph(const graph::ProgramGraph& graph,
   EncodedGraph out;
 
   const std::size_t n = graph.num_nodes();
-  out.features = tensor::Matrix(n, kNodeFeatureDim);
+  out.kinds.resize(n);
+  out.literals.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto kind = static_cast<std::size_t>(graph.nodes()[i].kind);
     check(kind < frontend::kNumNodeKinds, "bad node kind");
-    out.features(i, kind) = 1.0f;
-    out.features(i, frontend::kNumNodeKinds) =
-        literal_magnitude(graph.nodes()[i]);
+    out.kinds[i] = static_cast<std::uint8_t>(kind);
+    out.literals[i] = literal_magnitude(graph.nodes()[i]);
   }
 
   std::vector<std::vector<nn::RelEdge>> per_relation(graph::kNumEdgeTypes);

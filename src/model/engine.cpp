@@ -121,7 +121,7 @@ std::uint64_t InferenceEngine::plan_chunks(
     const std::uint64_t c = schedule::graph_cost(*g);
     costs.push_back(c);
     total_cost += c;
-    total_rows += g->features.rows();
+    total_rows += g->num_nodes();
   }
   const std::uint64_t threads = plan_threads();
 

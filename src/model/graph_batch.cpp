@@ -1,4 +1,4 @@
-// Block-diagonal packing of encoded graphs: feature concatenation plus
+// Block-diagonal packing of encoded graphs: kind/literal concatenation plus
 // offset-shifted concatenation of every relation's CSR/SoA arrays.
 #include "model/graph_batch.hpp"
 
@@ -16,25 +16,24 @@ void GraphBatch::pack(std::span<const EncodedGraph* const> graphs) {
   std::size_t num_relations = 0;
   for (const EncodedGraph* g : graphs) {
     check(g != nullptr, "GraphBatch::pack: null graph");
-    check(g->features.cols() == kNodeFeatureDim,
-          "GraphBatch::pack: feature width mismatch");
-    check(g->features.rows() == g->relations.num_nodes,
-          "GraphBatch::pack: feature rows != relation nodes");
+    check(g->literals.size() == g->num_nodes(),
+          "GraphBatch::pack: kind/literal count mismatch");
+    check(g->num_nodes() == g->relations.num_nodes,
+          "GraphBatch::pack: node count != relation nodes");
     if (offsets_.size() == 1)
       num_relations = g->relations.relations.size();
     else
       check(g->relations.relations.size() == num_relations,
             "GraphBatch::pack: relation count mismatch across the batch");
-    total_nodes += g->features.rows();
+    total_nodes += g->num_nodes();
     offsets_.push_back(static_cast<std::uint32_t>(total_nodes));
   }
 
-  features_.reshape(total_nodes, kNodeFeatureDim);
-  for (std::size_t b = 0; b < graphs.size(); ++b) {
-    auto src = graphs[b]->features.data();
-    std::copy(src.begin(), src.end(),
-              features_.data().begin() +
-                  static_cast<std::ptrdiff_t>(offsets_[b] * kNodeFeatureDim));
+  kinds_.clear();
+  literals_.clear();
+  for (const EncodedGraph* g : graphs) {
+    kinds_.insert(kinds_.end(), g->kinds.begin(), g->kinds.end());
+    literals_.insert(literals_.end(), g->literals.begin(), g->literals.end());
   }
 
   relations_.num_nodes = total_nodes;

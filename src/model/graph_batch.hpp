@@ -12,8 +12,8 @@
 // floating-point operations in exactly the same order as a per-graph
 // forward: predictions are bitwise-identical (engine_test pins this).
 //
-// All buffers are grow-only (vector/Matrix capacity is retained across
-// pack() calls), so a warmed-up pack performs zero heap allocations.
+// All buffers are grow-only (vector capacity is retained across pack()
+// calls), so a warmed-up pack performs zero heap allocations.
 #pragma once
 
 #include <span>
@@ -21,15 +21,13 @@
 
 #include "model/encoding.hpp"
 #include "nn/relational_graph.hpp"
-#include "tensor/matrix.hpp"
 
 namespace pg::model {
 
 class GraphBatch {
  public:
   /// Re-fills the batch from `graphs` (pointers stay borrowed only for the
-  /// duration of the call). Every graph must carry the same feature width
-  /// and relation count.
+  /// duration of the call). Every graph must carry the same relation count.
   void pack(std::span<const EncodedGraph* const> graphs);
   /// Convenience overload over a contiguous span of graphs.
   void pack(std::span<const EncodedGraph> graphs);
@@ -39,8 +37,11 @@ class GraphBatch {
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
 
-  /// Concatenated node features, [total_nodes x feature_dim].
-  [[nodiscard]] const tensor::Matrix& features() const { return features_; }
+  /// The graphs' node kinds and literals, concatenated: the feature rows
+  /// as conv1 reads them.
+  [[nodiscard]] nn::OneHotRows node_rows() const {
+    return {kinds_, literals_};
+  }
   /// Block-diagonal relations over the concatenated node numbering.
   [[nodiscard]] const nn::RelationalGraph& relations() const {
     return relations_;
@@ -52,7 +53,8 @@ class GraphBatch {
   }
 
  private:
-  tensor::Matrix features_;
+  std::vector<std::uint8_t> kinds_;
+  std::vector<float> literals_;
   nn::RelationalGraph relations_;
   std::vector<std::uint32_t> offsets_;
   std::vector<const EncodedGraph*> scratch_;  // for the value-span overload

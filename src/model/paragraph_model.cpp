@@ -37,7 +37,7 @@ ParaGraphModel::ParaGraphModel(const ModelConfig& config)
     : config_(config),
       conv1_([&] {
         pg::Rng rng(config.seed);
-        return nn::RgatConv(config.node_feature_dim, config.hidden_dim,
+        return nn::RgatConv(kNodeFeatureDim, config.hidden_dim,
                             config.num_relations, rng);
       }()),
       conv2_([&] {
@@ -67,7 +67,7 @@ ParaGraphModel::ParaGraphModel(const ModelConfig& config)
         return nn::Linear(config.hidden_dim + config.aux_embed_dim, 1, rng);
       }()) {}
 
-void ParaGraphModel::run_embed(const tensor::Matrix& features,
+void ParaGraphModel::run_embed(const nn::OneHotRows& features,
                                const nn::RelationalGraph& relations,
                                std::span<const std::uint32_t> offsets,
                                ForwardState& s, tensor::Workspace& ws) const {
@@ -118,7 +118,7 @@ void ParaGraphModel::run_head(const tensor::Matrix& aux_in, ForwardState& s,
   s.out = &out_fc_.forward(concat, ws);
 }
 
-void ParaGraphModel::run_forward(const tensor::Matrix& features,
+void ParaGraphModel::run_forward(const nn::OneHotRows& features,
                                  const nn::RelationalGraph& relations,
                                  std::span<const std::uint32_t> offsets,
                                  const tensor::Matrix& aux_in,
@@ -136,7 +136,7 @@ void ParaGraphModel::embed_batch(const GraphBatch& batch, tensor::Matrix& out,
   }
   ws.reset();
   ForwardState s;
-  run_embed(batch.features(), batch.relations(), batch.node_offsets(), s, ws);
+  run_embed(batch.node_rows(), batch.relations(), batch.node_offsets(), s, ws);
   out.reshape(batch.size(), config_.hidden_dim);
   for (std::size_t b = 0; b < batch.size(); ++b) {
     // Pure copies (no FP ops), so memcpy is bitwise-neutral.
@@ -169,9 +169,9 @@ double ParaGraphModel::predict(const EncodedGraph& graph,
   tensor::Matrix& aux_in = ws.acquire_uninit(1, config_.aux_dim);
   std::copy(aux.begin(), aux.end(), aux_in.row_span(0).begin());
   const std::uint32_t offsets[2] = {
-      0, static_cast<std::uint32_t>(graph.features.rows())};
+      0, static_cast<std::uint32_t>(graph.num_nodes())};
   ForwardState s;
-  run_forward(graph.features, graph.relations, offsets, aux_in, s, ws);
+  run_forward(graph.node_rows(), graph.relations, offsets, aux_in, s, ws);
   return static_cast<double>((*s.out)(0, 0));
 }
 
@@ -189,7 +189,7 @@ void ParaGraphModel::predict_batch(const GraphBatch& batch,
   if (batch.empty()) return;
   ws.reset();
   ForwardState s;
-  run_forward(batch.features(), batch.relations(), batch.node_offsets(), aux,
+  run_forward(batch.node_rows(), batch.relations(), batch.node_offsets(), aux,
               s, ws);
   for (std::size_t b = 0; b < out.size(); ++b)
     out[b] = static_cast<double>((*s.out)(b, 0));
@@ -274,9 +274,9 @@ double ParaGraphModel::accumulate_gradients(const EncodedGraph& graph,
   tensor::Matrix& aux_in = ws.acquire_uninit(1, config_.aux_dim);
   std::copy(aux.begin(), aux.end(), aux_in.row_span(0).begin());
   const std::uint32_t offsets[2] = {
-      0, static_cast<std::uint32_t>(graph.features.rows())};
+      0, static_cast<std::uint32_t>(graph.num_nodes())};
   ForwardState s;
-  run_forward(graph.features, graph.relations, offsets, aux_in, s, ws);
+  run_forward(graph.node_rows(), graph.relations, offsets, aux_in, s, ws);
   const double prediction = static_cast<double>((*s.out)(0, 0));
 
   tensor::Matrix& dout = ws.acquire_uninit(1, 1);
@@ -302,7 +302,7 @@ double ParaGraphModel::accumulate_gradients_batch(
   if (batch.empty()) return 0.0;
   ws.reset();
   ForwardState s;
-  run_forward(batch.features(), batch.relations(), batch.node_offsets(), aux,
+  run_forward(batch.node_rows(), batch.relations(), batch.node_offsets(), aux,
               s, ws);
 
   tensor::Matrix& dout = ws.acquire_uninit(batch.size(), 1);

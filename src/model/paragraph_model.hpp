@@ -33,7 +33,6 @@
 namespace pg::model {
 
 struct ModelConfig {
-  std::size_t node_feature_dim = kNodeFeatureDim;
   std::size_t num_relations = graph::kNumEdgeTypes;
   std::size_t hidden_dim = 24;
   std::size_t aux_dim = 2;        // num_teams, num_threads
@@ -118,19 +117,19 @@ class ParaGraphModel {
 
  private:
   struct ForwardState;
-  /// The batched core: features/relations may be one graph or a
+  /// The batched core: node rows/relations may be one graph or a
   /// block-diagonal batch; `offsets` (size B+1) marks per-graph node blocks
   /// and `aux_in` is [B x aux_dim]. Fills state; predictions are
   /// state.out(b, 0). Composed of run_embed (conv stack + pool) followed by
   /// run_head (FC head), so the public embed/head entry points share its
   /// exact FP operations by construction.
-  void run_forward(const tensor::Matrix& features,
+  void run_forward(const nn::OneHotRows& features,
                    const nn::RelationalGraph& relations,
                    std::span<const std::uint32_t> offsets,
                    const tensor::Matrix& aux_in, ForwardState& state,
                    tensor::Workspace& ws) const;
   /// Conv stack + segmented mean-pool: fills state.h1..h3 and state.pooled.
-  void run_embed(const tensor::Matrix& features,
+  void run_embed(const nn::OneHotRows& features,
                  const nn::RelationalGraph& relations,
                  std::span<const std::uint32_t> offsets, ForwardState& state,
                  tensor::Workspace& ws) const;

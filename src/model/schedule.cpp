@@ -10,7 +10,7 @@ std::uint64_t graph_cost(std::size_t nodes, std::size_t edges) {
 }
 
 std::uint64_t graph_cost(const EncodedGraph& graph) {
-  return graph_cost(graph.features.rows(), graph.relations.num_edges());
+  return graph_cost(graph.num_nodes(), graph.relations.num_edges());
 }
 
 void partition_by_cost(std::span<const std::uint64_t> costs,

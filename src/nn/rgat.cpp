@@ -8,14 +8,16 @@
 // bitwise-identical to per-graph execution.
 //
 // Every hot per-relation body lives in the runtime-dispatched SIMD kernel
-// layer (tensor/simd.hpp): the fused gather->project (one-hot rows walked
-// by nonzero mask, dense rows two at a time), the attention dots, the
-// grouped softmax + gated scatter walking the CSR group_offsets[] /
-// group_dst[] arrays, the attention backward, and the backward's gathered
-// dW_r and scattered dx products. Lanes run across independent output
-// columns or across independent rows (the dots: each lane one row's double
-// sum in j order), reduction order pinned to the scalar reference, so every
-// dispatch level is bitwise-identical. This file only sequences them.
+// layer (tensor/simd.hpp): the fused gather->project (sparse rows walked by
+// nonzero mask, dense rows two at a time), the first layer's one-hot
+// projection and dW row scatter (a kind byte and a literal per node), the
+// attention dots, the grouped softmax + gated scatter walking the CSR
+// group_offsets[] / group_dst[] arrays, the attention backward, and the
+// backward's gathered dW_r and scattered dx products. Lanes run across
+// independent output columns or across independent rows (the dots: each
+// lane one row's double sum in j order), reduction order pinned to the
+// scalar reference, so every dispatch level is bitwise-identical. This file
+// only sequences them.
 #include "nn/rgat.hpp"
 
 #include <cmath>
@@ -83,6 +85,31 @@ const tensor::Matrix& RgatConv::forward(const tensor::Matrix& x,
                                         tensor::Workspace& ws) const {
   check(x.cols() == in_, "RgatConv::forward: feature dim mismatch");
   check(x.rows() == graph.num_nodes, "RgatConv::forward: node count mismatch");
+  cache.x = &x;
+  cache.one_hot = {};
+  return forward_rows(x.rows(), graph, cache, ws);
+}
+
+const tensor::Matrix& RgatConv::forward(const OneHotRows& x,
+                                        const RelationalGraph& graph,
+                                        Cache& cache,
+                                        tensor::Workspace& ws) const {
+  check(x.literals.size() == x.rows(),
+        "RgatConv::forward: kind/literal count mismatch");
+  check(x.rows() == graph.num_nodes, "RgatConv::forward: node count mismatch");
+  // The last weight row is the literal's; every kind must name a row above
+  // it (the kernels index W by kind unchecked).
+  for (const std::uint8_t kind : x.kinds)
+    check(kind + 1u < in_, "RgatConv::forward: node kind out of range");
+  cache.x = nullptr;
+  cache.one_hot = x;
+  return forward_rows(x.rows(), graph, cache, ws);
+}
+
+const tensor::Matrix& RgatConv::forward_rows(std::size_t n,
+                                             const RelationalGraph& graph,
+                                             Cache& cache,
+                                             tensor::Workspace& ws) const {
   check(graph.relations.size() == num_relations_,
         "RgatConv::forward: relation count mismatch");
 
@@ -90,16 +117,31 @@ const tensor::Matrix& RgatConv::forward(const tensor::Matrix& x,
   std::size_t total_active = 0;
   relation_totals(graph, &total_edges, &total_active);
 
-  cache.x = &x;
-  // g accumulates (+=) and must start zeroed; raw/alpha/pre/s_src/s_dst are
+  // g accumulates (+=) and must start zeroed, as must pre for the one-hot
+  // self projection; raw/alpha/s_src/s_dst and the dense matmul's pre are
   // fully written before any read, so they skip the acquire memset.
+  const tensor::Matrix* x = cache.x;
+  const OneHotRows& one_hot = cache.one_hot;
+  const std::size_t lit_row = in_ - 1;  // the one-hot input's literal row
   cache.g = &ws.acquire(total_active, out_);
   cache.raw = &ws.acquire_uninit(1, total_edges);
   cache.alpha = &ws.acquire_uninit(1, total_edges);
-  cache.pre = &ws.acquire_uninit(x.rows(), out_);
+  cache.pre = x != nullptr ? &ws.acquire_uninit(n, out_) : &ws.acquire(n, out_);
 
+  const tensor::simd::KernelTable& kernels = tensor::simd::kernels();
   tensor::Matrix& pre = *cache.pre;
-  tensor::matmul_into(pre, x, w_self_);
+  float* prep = pre.data().data();
+  if (x != nullptr) {
+    tensor::matmul_into(pre, *x, w_self_);
+  } else {
+    parallel_for_blocks(n, kGatherRowGrain, [&](std::size_t lo,
+                                                std::size_t hi) {
+      kernels.onehot_project(one_hot.kinds.data() + lo,
+                             one_hot.literals.data() + lo, nullptr, hi - lo,
+                             w_self_.data().data(), lit_row, prep + lo * out_,
+                             out_);
+    });
+  }
   parallel_for_blocks(pre.rows(), kBiasRowGrain, [&](std::size_t lo,
                                                      std::size_t hi) {
     tensor::simd::kernels().add_bias_rows(pre.data().data() + lo * out_,
@@ -109,15 +151,12 @@ const tensor::Matrix& RgatConv::forward(const tensor::Matrix& x,
   tensor::Matrix& s_src = ws.acquire_uninit(1, total_active);
   tensor::Matrix& s_dst = ws.acquire_uninit(1, total_active);
 
-  const float* xp = x.data().data();
   float* gp = cache.g->data().data();
-  float* prep = pre.data().data();
   float* ss = s_src.data().data();
   float* sd = s_dst.data().data();
   float* rawp = cache.raw->data().data();
   float* alphap = cache.alpha->data().data();
 
-  const tensor::simd::KernelTable& kernels = tensor::simd::kernels();
   std::size_t edge_off = 0;
   std::size_t row_off = 0;
   for (std::size_t r = 0; r < num_relations_; ++r) {
@@ -134,11 +173,17 @@ const tensor::Matrix& RgatConv::forward(const tensor::Matrix& x,
     // disjoint slice of g/ss/sd rows, so the cut never changes any value.
     const float* asrc = a_src_[r].data().data();
     const float* adst = a_dst_[r].data().data();
+    const float* w = w_rel_[r].data().data();
     parallel_for_blocks(na, kGatherRowGrain, [&](std::size_t lo,
                                                  std::size_t hi) {
-      kernels.rgat_gather_project(rel.nodes.data() + lo, hi - lo, xp, in_,
-                                  w_rel_[r].data().data(), gp, out_,
-                                  row_off + lo);
+      if (x != nullptr)
+        kernels.rgat_gather_project(rel.nodes.data() + lo, hi - lo,
+                                    x->data().data(), in_, w, gp, out_,
+                                    row_off + lo);
+      else
+        kernels.onehot_project(one_hot.kinds.data(), one_hot.literals.data(),
+                               rel.nodes.data() + lo, hi - lo, w, lit_row,
+                               gp + (row_off + lo) * out_, out_);
       kernels.rgat_attention_dots(gp + (row_off + lo) * out_, hi - lo, out_,
                                   asrc, adst, ss + row_off + lo,
                                   sd + row_off + lo);
@@ -166,7 +211,7 @@ const tensor::Matrix& RgatConv::forward(const tensor::Matrix& x,
   }
 
   if (!apply_relu_) return pre;
-  tensor::Matrix& y = ws.acquire_uninit(x.rows(), out_);
+  tensor::Matrix& y = ws.acquire_uninit(n, out_);
   relu_into(y, pre);
   return y;
 }
@@ -176,7 +221,7 @@ tensor::Matrix& RgatConv::backward(const tensor::Matrix& dy,
                                    const Cache& cache,
                                    std::span<tensor::Matrix> grads,
                                    tensor::Workspace& ws) const {
-  check(cache.x != nullptr, "RgatConv::backward: cache without forward");
+  check(cache.x != nullptr, "RgatConv::backward: no dense forward cached");
   tensor::Matrix& dx = ws.acquire_uninit(cache.x->rows(), in_);
   backward_into(dy, graph, cache, grads, &dx, ws);
   return dx;
@@ -196,9 +241,11 @@ void RgatConv::backward_into(const tensor::Matrix& dy,
                              tensor::Matrix* dx,
                              tensor::Workspace& ws) const {
   check(grads.size() == num_params(), "RgatConv::backward: bad grad span");
-  check(cache.x != nullptr, "RgatConv::backward: cache without forward");
-  const tensor::Matrix& x = *cache.x;
-  const std::size_t n = x.rows();
+  check(cache.pre != nullptr, "RgatConv::backward: cache without forward");
+  const tensor::Matrix* x = cache.x;
+  const OneHotRows& one_hot = cache.one_hot;
+  const std::size_t lit_row = in_ - 1;
+  const std::size_t n = cache.pre->rows();
   check(dy.rows() == n && dy.cols() == out_, "RgatConv::backward: dy shape");
 
   const tensor::Matrix* dpre = &dy;
@@ -215,7 +262,14 @@ void RgatConv::backward_into(const tensor::Matrix& dy,
     tensor::matmul_transpose_b_into(*dx, *dpre, w_self_);
     w_t = &ws.acquire_uninit(out_, in_);
   }
-  tensor::matmul_transpose_a_acc(grads[3 * num_relations_], x, *dpre);
+  const tensor::simd::KernelTable& kernels = tensor::simd::kernels();
+  if (x != nullptr)
+    tensor::matmul_transpose_a_acc(grads[3 * num_relations_], *x, *dpre);
+  else
+    kernels.onehot_scatter_acc(one_hot.kinds.data(), one_hot.literals.data(),
+                               nullptr, n, dpre->data().data(),
+                               grads[3 * num_relations_].data().data(),
+                               lit_row, out_);
   tensor::column_sums_acc(grads[3 * num_relations_ + 1], *dpre);
 
   std::size_t total_edges = 0;
@@ -231,7 +285,6 @@ void RgatConv::backward_into(const tensor::Matrix& dy,
   // LeakyReLU gradients for all edges in one dispatched elementwise pass —
   // the same values the group loop used to compute one edge at a time.
   tensor::Matrix& lrg_m = ws.acquire_uninit(1, total_edges);
-  const tensor::simd::KernelTable& kernels = tensor::simd::kernels();
   kernels.leaky_relu_grad(lrg_m.data().data(), cache.raw->data().data(),
                           leaky_slope_, total_edges);
 
@@ -268,11 +321,18 @@ void RgatConv::backward_into(const tensor::Matrix& dy,
     kernels.rgat_attention_backward(args);
 
     // g = gather(x) W_r  =>  dW_r += gather(x)^T dg (row gather, no
-    // x_local); dx[global] += (dg W_r^T)[local] (row scatter, no dx_local;
-    // a relation's active nodes are distinct).
+    // x_local; for one-hot rows a scatter of dg rows onto kind rows);
+    // dx[global] += (dg W_r^T)[local] (row scatter, no dx_local; a
+    // relation's active nodes are distinct).
     const float* dg_block = args.dg;
-    kernels.matmul_t_a_acc(x.data().data(), rel.nodes.data(), dg_block,
-                           grads[3 * r].data().data(), in_, na, out_);
+    if (x != nullptr)
+      kernels.matmul_t_a_acc(x->data().data(), rel.nodes.data(), dg_block,
+                             grads[3 * r].data().data(), in_, na, out_);
+    else
+      kernels.onehot_scatter_acc(one_hot.kinds.data(),
+                                 one_hot.literals.data(), rel.nodes.data(),
+                                 na, dg_block, grads[3 * r].data().data(),
+                                 lit_row, out_);
     if (dx != nullptr) {
       tensor::transpose_into(*w_t, w_rel_[r]);
       kernels.matmul_t_b(dg_block, w_t->data().data(), dx->data().data(),

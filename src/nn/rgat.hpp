@@ -13,11 +13,16 @@
 // `gate` carries the ParaGraph edge weight (MinMax-scaled) for Child edges
 // and is 1 elsewhere — the graph-side realisation of W in Eq. (2).
 //
+// The first layer's input is the node features, which are one-hot: a kind
+// byte and a literal per node (OneHotRows). Its projections are row reads
+// of W_self/W_r rather than matmuls; the later layers take dense rows.
+//
 // All buffers — the output, the cached activations, and every scratch
 // matrix — are borrowed from the caller's Workspace, so a warmed-up
 // forward/backward pair performs zero heap allocations.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -27,6 +32,16 @@
 #include "tensor/workspace.hpp"
 
 namespace pg::nn {
+
+/// One-hot input rows without the zeros: row i is the one-hot of kinds[i]
+/// over the first in-1 columns, with literals[i] in the last column (the
+/// node features of model/encoding.hpp). Borrowed views.
+struct OneHotRows {
+  std::span<const std::uint8_t> kinds;
+  std::span<const float> literals;
+
+  [[nodiscard]] std::size_t rows() const { return kinds.size(); }
+};
 
 class RgatConv {
  public:
@@ -40,7 +55,8 @@ class RgatConv {
   /// Per-relation data is concatenated: relation r's block starts at the
   /// running sum of earlier relations' edge / active-node counts.
   struct Cache {
-    const tensor::Matrix* x = nullptr;  // borrowed input [N x in]
+    const tensor::Matrix* x = nullptr;  // borrowed dense input [N x in]
+    OneHotRows one_hot;                 // borrowed one-hot input (x null)
     tensor::Matrix* g = nullptr;        // [sum_r |nodes_r| x out] projections
     tensor::Matrix* raw = nullptr;      // [1 x total_edges] pre-LeakyReLU logits
     tensor::Matrix* alpha = nullptr;    // [1 x total_edges] attention weights
@@ -52,16 +68,25 @@ class RgatConv {
                                 const RelationalGraph& graph, Cache& cache,
                                 tensor::Workspace& ws) const;
 
+  /// The same forward over one-hot rows (kinds < in - 1): each projection
+  /// adds the kind's weight row, then the literal times the last row when
+  /// the literal is nonzero — the adds the dense forward performs on the
+  /// expanded rows, so the output is bitwise that of forward(dense x).
+  const tensor::Matrix& forward(const OneHotRows& x,
+                                const RelationalGraph& graph, Cache& cache,
+                                tensor::Workspace& ws) const;
+
   /// Accumulates parameter gradients into `grads` (layout = parameters())
   /// and returns dL/dx (borrowed from `ws`). The cache's workspace must not
-  /// have been reset since the matching forward.
+  /// have been reset since the matching (dense) forward.
   tensor::Matrix& backward(const tensor::Matrix& dy, const RelationalGraph& graph,
                            const Cache& cache, std::span<tensor::Matrix> grads,
                            tensor::Workspace& ws) const;
 
   /// backward() without dL/dx: the same parameter gradients, bit for bit,
   /// for a layer whose input needs no gradient (the first layer's constant
-  /// node features).
+  /// node features). After a one-hot forward, dW_self and dW_r are row
+  /// scatters in node order (the adds of the dense dW products).
   void backward_params(const tensor::Matrix& dy, const RelationalGraph& graph,
                        const Cache& cache, std::span<tensor::Matrix> grads,
                        tensor::Workspace& ws) const;
@@ -77,6 +102,10 @@ class RgatConv {
   [[nodiscard]] std::size_t num_relations() const { return num_relations_; }
 
  private:
+  /// The shared forward body once cache.x / cache.one_hot is set.
+  const tensor::Matrix& forward_rows(std::size_t n,
+                                     const RelationalGraph& graph,
+                                     Cache& cache, tensor::Workspace& ws) const;
   /// The shared backward; dL/dx is written into *dx unless dx is null.
   void backward_into(const tensor::Matrix& dy, const RelationalGraph& graph,
                      const Cache& cache, std::span<tensor::Matrix> grads,

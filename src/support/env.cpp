@@ -2,9 +2,29 @@
 #include "support/env.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <set>
+#include <utility>
 
 namespace pg {
+namespace {
+
+/// The one stderr line for a PARAGRAPH_* value that is not understood
+/// (`problem`) and the value `used` instead, printed once per (variable,
+/// value) pair: "paragraph: NAME=VALUE <problem>; using USED".
+void report_fallback(const char* name, const std::string& value,
+                     const char* problem, const std::string& used) {
+  static std::mutex mutex;
+  static std::set<std::pair<std::string, std::string>> reported;
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (!reported.emplace(name, value).second) return;
+  std::fprintf(stderr, "paragraph: %s=%s %s; using %s\n", name, value.c_str(),
+               problem, used.c_str());
+}
+
+}  // namespace
 
 std::string env_string(const char* name, const std::string& fallback) {
   const char* value = std::getenv(name);
@@ -16,7 +36,11 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   if (raw.empty()) return fallback;
   char* end = nullptr;
   const long long parsed = std::strtoll(raw.c_str(), &end, 10);
-  return (end == nullptr || *end != '\0') ? fallback : parsed;
+  if (end == nullptr || *end != '\0') {
+    report_fallback(name, raw, "is not an integer", std::to_string(fallback));
+    return fallback;
+  }
+  return parsed;
 }
 
 std::int64_t env_thread_count() {
@@ -35,8 +59,11 @@ std::size_t env_chunk_size(std::size_t fallback) {
 }
 
 SchedPolicy sched_policy_from_env() {
-  return env_string("PARAGRAPH_SCHED", "cost") == "fixed" ? SchedPolicy::kFixed
-                                                          : SchedPolicy::kCost;
+  const std::string raw = env_string("PARAGRAPH_SCHED", "cost");
+  if (raw == "fixed") return SchedPolicy::kFixed;
+  if (raw != "cost")
+    report_fallback("PARAGRAPH_SCHED", raw, "is not a known policy", "cost");
+  return SchedPolicy::kCost;
 }
 
 const char* to_string(SchedPolicy policy) {
@@ -47,6 +74,8 @@ RunScale run_scale_from_env() {
   const std::string raw = env_string("PARAGRAPH_SCALE", "default");
   if (raw == "smoke") return RunScale::kSmoke;
   if (raw == "full") return RunScale::kFull;
+  if (raw != "default")
+    report_fallback("PARAGRAPH_SCALE", raw, "is not a known scale", "default");
   return RunScale::kDefault;
 }
 

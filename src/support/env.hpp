@@ -12,6 +12,9 @@ namespace pg {
 std::string env_string(const char* name, const std::string& fallback);
 
 /// Reads an integer environment variable (fallback on unset or parse error).
+/// A value that does not parse prints one stderr line per process, as every
+/// knob below does for a value it does not understand:
+/// "paragraph: NAME=VALUE is not an integer; using FALLBACK".
 std::int64_t env_int(const char* name, std::int64_t fallback);
 
 /// Worker-thread override: `PARAGRAPH_THREADS` as a positive integer, or 0
@@ -39,7 +42,8 @@ std::size_t env_chunk_size(std::size_t fallback);
 /// cut (and is implied by a PARAGRAPH_CHUNK override, which pins the width).
 enum class SchedPolicy { kCost, kFixed };
 
-/// `PARAGRAPH_SCHED` = "cost" | "fixed"; unset or unrecognised -> kCost.
+/// `PARAGRAPH_SCHED` = "cost" | "fixed"; unset or unrecognised -> kCost
+/// (an unrecognised value is reported on stderr).
 SchedPolicy sched_policy_from_env();
 
 /// Human-readable name of a policy value ("cost"/"fixed").
@@ -47,7 +51,8 @@ const char* to_string(SchedPolicy policy);
 
 /// Dataset scale selector: `PARAGRAPH_SCALE` = "smoke" | "default" | "full".
 /// Controls how many sweep points the dataset generator emits; see
-/// `dataset::SweepScale`.
+/// `dataset::SweepScale`. An unrecognised value runs kDefault and is
+/// reported on stderr.
 enum class RunScale { kSmoke, kDefault, kFull };
 
 RunScale run_scale_from_env();

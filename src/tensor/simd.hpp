@@ -143,6 +143,28 @@ struct KernelTable {
                               const float* x, std::size_t in, const float* w,
                               float* gbuf, std::size_t out,
                               std::size_t row_off);
+  /// One-hot projection (the first RGAT layer's W_self and fused W_r
+  /// gather): for i in [0, m), v = rows[i] (i when rows is null),
+  ///   dst[i,:] += w[kinds[v],:];
+  ///   if (literals[v] != 0.0f) dst[i,:] += literals[v] * w[lit_row,:]
+  /// (NaN counts as nonzero). These are exactly the adds matmul and
+  /// rgat_gather_project perform on the expanded one-hot row — its two
+  /// nonzeros in column order, the 1.0f * w product being w itself — so
+  /// over a zero-filled dst the result is theirs bit for bit.
+  void (*onehot_project)(const std::uint8_t* kinds, const float* literals,
+                         const std::uint32_t* rows, std::size_t m,
+                         const float* w, std::size_t lit_row, float* dst,
+                         std::size_t out);
+  /// One-hot dW scatter, the transpose of onehot_project: for i in [0, m)
+  /// in order, v = rows[i] (i when rows is null),
+  ///   c[kinds[v],:] += dy[i,:];
+  ///   if (literals[v] != 0.0f) c[lit_row,:] += literals[v] * dy[i,:]
+  /// — the adds of matmul_t_a_acc's sparse path over the expanded rows, so
+  /// every c element accumulates its terms in the same row order.
+  void (*onehot_scatter_acc)(const std::uint8_t* kinds, const float* literals,
+                             const std::uint32_t* rows, std::size_t m,
+                             const float* dy, float* c, std::size_t lit_row,
+                             std::size_t out);
   /// RGAT attention dots over `rows` consecutive rows of g ([rows x out]):
   ///   ss[i] = float(sum_j double(g[i,j]) * double(a_src[j]))
   ///   sd[i] = float(sum_j double(g[i,j]) * double(a_dst[j]))

@@ -16,8 +16,8 @@ namespace {
 
 EncodedGraph tiny_graph() {
   EncodedGraph g;
-  g.features = tensor::Matrix(4, kNodeFeatureDim);
-  for (std::size_t i = 0; i < 4; ++i) g.features(i, i) = 1.0f;
+  g.kinds = {0, 1, 2, 3};
+  g.literals.assign(4, 0.0f);
   g.relations.num_nodes = 4;
   g.relations.relations.resize(graph::kNumEdgeTypes);
   g.relations.relations[0] = nn::RelationEdges::from_edges(

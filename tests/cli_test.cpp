@@ -27,6 +27,9 @@
 #ifndef PG_GOLDEN_DIR
 #error "PG_GOLDEN_DIR must point at tests/golden"
 #endif
+#ifndef PG_GOLDEN_LEGACY_DIR
+#error "PG_GOLDEN_LEGACY_DIR must point at tests/golden_legacy"
+#endif
 
 namespace pg {
 namespace {
@@ -210,6 +213,34 @@ TEST(CliDump, SucceedsOnEveryGoldenKind) {
   EXPECT_EQ(run_cli(std::string("dump ") + quoted(golden_path("corpus.pgds")) +
                     " > /dev/null"),
             0);
+}
+
+TEST(CliDump, SampleReportsItsFeatureLayoutAndSectionSize) {
+  // matvec_cpu has 59 nodes: 16 + 59 * 5 bytes of kinds and literals, or
+  // 16 + 59 * 45 * 4 bytes in the frozen dense fixture.
+  const std::string out = temp_path("dump_sample.txt");
+  ASSERT_EQ(run_cli("dump " + quoted(golden_path("matvec_cpu.psample")) +
+                    " > " + quoted(out)),
+            0);
+  const std::string text = slurp(out);
+  EXPECT_NE(text.find("features: 59 nodes (kind u8 + literal f32)\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("feature section: 311 bytes\n"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("converted"), std::string::npos) << text;
+
+  const std::string legacy =
+      std::string(PG_GOLDEN_LEGACY_DIR) + "/matvec_cpu.psample";
+  ASSERT_EQ(run_cli("dump " + quoted(legacy) + " > " + quoted(out)), 0);
+  const std::string legacy_text = slurp(out);
+  EXPECT_NE(legacy_text.find("features: 59 nodes (kind u8 + literal f32)\n"),
+            std::string::npos)
+      << legacy_text;
+  EXPECT_NE(legacy_text.find("feature section: 10636 bytes (converted from "
+                             "the legacy dense layout)\n"),
+            std::string::npos)
+      << legacy_text;
 }
 
 TEST(CliErrors, CleanFailuresNotCrashes) {

@@ -10,13 +10,22 @@
 // exception type. Build with -DPARAGRAPH_SANITIZE=ON to run this under
 // ASan+UBSan.
 //
+// The same mutations run over the frozen dense-feature corpus
+// (tests/golden_legacy/corpus_v2.pgds), whose records readers convert.
+//
 // Targeted cases then pin the index-specific failure modes: lying counts
 // (rejected *before* allocation), out-of-bounds and overlapping index
-// entries, flipped footers, and checksums that disagree with record bytes.
+// entries, flipped footers, and checksums that disagree with record bytes;
+// and the record feature sections in both layouts: lying row counts, node
+// kinds past the last one, truncated kind or literal arrays, and dense rows
+// that are not one-hot. Those errors name the record, the section and the
+// byte offset within the record frame.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -29,10 +38,23 @@
 #include "io/pgraph_io.hpp"
 #include "model/encoding.hpp"
 
+#ifndef PG_GOLDEN_LEGACY_DIR
+#error "PG_GOLDEN_LEGACY_DIR must point at tests/golden_legacy"
+#endif
+
 namespace pg::io {
 namespace {
 
-std::string base_corpus() {
+std::string legacy_corpus() {
+  std::ifstream is(std::string(PG_GOLDEN_LEGACY_DIR) + "/corpus_v2.pgds",
+                   std::ios::binary);
+  EXPECT_TRUE(static_cast<bool>(is)) << "cannot open the legacy corpus";
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  return buffer.str();
+}
+
+std::string base_corpus(std::uint16_t version = 2) {
   auto r = frontend::parse_source(
       "void f(void) { for (int i = 0; i < 12; i++) { double x = 1.0; } }");
   EXPECT_TRUE(r.ok());
@@ -56,7 +78,7 @@ std::string base_corpus() {
     (i % 3 ? set.train : set.validation).push_back(s);
   }
   std::ostringstream os(std::ios::binary);
-  write_sample_set(os, set, "fuzz", "ParaGraph", 7, 2);
+  write_sample_set(os, set, "fuzz", "ParaGraph", 7, version);
   return os.str();
 }
 
@@ -99,8 +121,7 @@ void expect_graceful(const std::string& bytes, std::uint64_t seed) {
   }
 }
 
-TEST(CorpusFuzz, ThousandSeededMutationsNeverCrash) {
-  const std::string base = base_corpus();
+void thousand_mutations(const std::string& base) {
   for (std::uint64_t seed = 0; seed < 1000; ++seed) {
     std::mt19937_64 rng(seed);
     std::string bytes = base;
@@ -149,6 +170,14 @@ TEST(CorpusFuzz, ThousandSeededMutationsNeverCrash) {
     expect_graceful(bytes, seed);
     (void)n;
   }
+}
+
+TEST(CorpusFuzz, ThousandSeededMutationsNeverCrash) {
+  thousand_mutations(base_corpus());
+}
+
+TEST(CorpusFuzz, ThousandSeededMutationsOfTheDenseLayoutNeverCrash) {
+  thousand_mutations(legacy_corpus());
 }
 
 // --- targeted index attacks -----------------------------------------------
@@ -296,6 +325,193 @@ TEST(CorpusFuzz, LyingChecksumFailsOnlyTheLiedAboutRecord) {
     } else {
       EXPECT_NO_THROW(view.decode(i, sample)) << "record " << i;
     }
+  }
+}
+
+// --- record feature sections ----------------------------------------------
+
+/// Record 0 of a v1 corpus (no record checksums, so both readers reach the
+/// feature decode): where its frame starts and where its features section
+/// starts, found by its (u64 rows, u64 layout word) prefix.
+struct RecordLayout {
+  std::string bytes;
+  std::size_t frame = 0;     // the "RECD" marker
+  std::size_t features = 0;  // u64 rows, u64 layout word
+  std::uint64_t rows = 0;
+};
+
+RecordLayout record_layout(std::string bytes, std::uint64_t layout_word) {
+  RecordLayout l;
+  l.bytes = std::move(bytes);
+  const DatasetView view(l.bytes.data(), l.bytes.size());
+  l.frame = static_cast<std::size_t>(view.record_offset(0));
+  for (std::size_t at = l.frame + 13; at + 16 <= l.bytes.size(); ++at) {
+    std::uint64_t rows = 0;
+    std::uint64_t word = 0;
+    std::memcpy(&rows, l.bytes.data() + at, 8);
+    std::memcpy(&word, l.bytes.data() + at + 8, 8);
+    if (word == layout_word && rows > 0 && rows < 1024) {
+      l.features = at;
+      l.rows = rows;
+      return l;
+    }
+  }
+  ADD_FAILURE() << "no features section found in record 0";
+  return l;
+}
+
+/// The frozen dense-layout corpus at format v1 (no record checksums).
+std::string legacy_v1_corpus() {
+  std::ifstream is(std::string(PG_GOLDEN_LEGACY_DIR) + "/corpus.pgds",
+                   std::ios::binary);
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  return buffer.str();
+}
+
+/// Both readers over a corpus whose record 0 is corrupt: each must throw a
+/// FormatError naming record 0 and ending in `what` (containing it, when
+/// `exact_end` is false).
+void expect_record0_rejected(const std::string& bytes, const std::string& what,
+                             const char* label, bool exact_end = true) {
+  const auto heap = std::make_unique<unsigned char[]>(bytes.size());
+  std::memcpy(heap.get(), bytes.data(), bytes.size());
+  const auto check_text = [&](const FormatError& e, const char* reader) {
+    const std::string text = e.what();
+    EXPECT_EQ(text.rfind("corrupt dataset record 0 ", 0), 0u)
+        << label << " (" << reader << "): " << text;
+    const std::size_t at = text.rfind(what);
+    EXPECT_TRUE(at != std::string::npos &&
+                (!exact_end || at + what.size() == text.size()))
+        << label << " (" << reader << "): " << text << "\nwanted: " << what;
+  };
+  try {
+    const DatasetView view(heap.get(), bytes.size());
+    model::TrainingSample sample;
+    view.decode(0, sample);
+    ADD_FAILURE() << label << ": DatasetView decoded record 0";
+  } catch (const FormatError& e) {
+    check_text(e, "DatasetView");
+  }
+  try {
+    std::istringstream is(bytes, std::ios::binary);
+    DatasetReader reader(is);
+    model::TrainingSample sample;
+    Split split = Split::kTrain;
+    (void)reader.next(sample, split);
+    ADD_FAILURE() << label << ": DatasetReader decoded record 0";
+  } catch (const FormatError& e) {
+    check_text(e, "DatasetReader");
+  }
+}
+
+std::string at_offset(std::size_t offset) {
+  return " (features section, byte offset " + std::to_string(offset) + ")";
+}
+
+TEST(CorpusFuzz, RecordNodeKindPastTheLastKindIsRejected) {
+  const RecordLayout l =
+      record_layout(base_corpus(1), /*kind/literal layout=*/2);
+  for (const int kind : {44, 200}) {
+    std::string bytes = l.bytes;
+    const std::size_t at = l.features + 16 + 3;
+    bytes[at] = static_cast<char>(kind);
+    expect_record0_rejected(bytes,
+                            "corrupt sample: node kind " +
+                                std::to_string(kind) + " out of range" +
+                                at_offset(at - l.frame),
+                            "kind");
+  }
+}
+
+TEST(CorpusFuzz, RecordLyingRowCountIsRejected) {
+  // Records have no per-section budget: a row count the record cannot hold
+  // fails the size check; a plausible lie shifts the arrays and fails in
+  // the features or a later section — always naming one.
+  for (const std::uint64_t layout_word : {std::uint64_t{2}, std::uint64_t{45}}) {
+    const RecordLayout l = record_layout(
+        layout_word == 2 ? base_corpus(1) : legacy_v1_corpus(), layout_word);
+    std::string bytes = l.bytes;
+    const std::uint64_t lie = std::uint64_t{1} << 20;
+    std::memcpy(bytes.data() + l.features, &lie, 8);
+    expect_record0_rejected(
+        bytes,
+        std::string("corrupt sample: ") +
+            (layout_word == 2 ? "kind and literal arrays"
+                              : "dense feature matrix") +
+            " larger than the section" + at_offset(l.features + 16 - l.frame),
+        "huge rows");
+    for (const std::uint64_t rows : {l.rows + 1, l.rows - 1}) {
+      std::string shifted = l.bytes;
+      std::memcpy(shifted.data() + l.features, &rows, 8);
+      expect_record0_rejected(shifted, " section, byte offset ", "shifted rows",
+                              /*exact_end=*/false);
+    }
+  }
+}
+
+TEST(CorpusFuzz, RecordTruncatedInsideTheArraysIsRejected) {
+  const RecordLayout l = record_layout(base_corpus(1), 2);
+  for (const std::size_t cut :
+       {l.features + 16 + 2, l.features + 16 + l.rows + 5}) {
+    std::istringstream is(l.bytes.substr(0, cut), std::ios::binary);
+    DatasetReader reader(is);
+    model::TrainingSample sample;
+    Split split = Split::kTrain;
+    try {
+      (void)reader.next(sample, split);
+      ADD_FAILURE() << "truncated record decoded";
+    } catch (const FormatError& e) {
+      const std::string want = "truncated file: unexpected end of data" +
+                               at_offset(l.features + 16 - l.frame);
+      const std::string text = e.what();
+      EXPECT_NE(text.find(want), std::string::npos) << text;
+    }
+  }
+}
+
+TEST(CorpusFuzz, RecordDenseRowsThatAreNotOneHotAreRejected) {
+  const RecordLayout l = record_layout(legacy_v1_corpus(), 45);
+  const auto cell = [&](std::size_t col) {
+    return l.features + 16 + col * 4;  // row 0
+  };
+  std::size_t kind = 0;
+  for (std::size_t c = 0; c < 44; ++c) {
+    std::uint32_t word = 0;
+    std::memcpy(&word, l.bytes.data() + cell(c), 4);
+    if (word == 0x3f800000u) kind = c;
+  }
+  const auto put = [](std::string& s, std::size_t at, float v) {
+    const auto word = std::bit_cast<std::uint32_t>(v);
+    std::memcpy(s.data() + at, &word, 4);
+  };
+  const std::size_t other = kind == 43 ? 0 : 43;
+  {
+    std::string bytes = l.bytes;
+    put(bytes, cell(other), 1.0f);
+    expect_record0_rejected(
+        bytes,
+        "corrupt sample: dense feature row 0 holds two node kinds" +
+            at_offset(cell(std::max(kind, other)) - l.frame),
+        "two kinds");
+  }
+  {
+    std::string bytes = l.bytes;
+    put(bytes, cell(kind), 0.5f);
+    expect_record0_rejected(bytes,
+                            "corrupt sample: dense feature row 0 holds a kind "
+                            "entry other than 0 or 1" +
+                                at_offset(cell(kind) - l.frame),
+                            "half kind");
+  }
+  {
+    std::string bytes = l.bytes;
+    put(bytes, cell(kind), 0.0f);
+    expect_record0_rejected(
+        bytes,
+        "corrupt sample: dense feature row 0 holds no node kind" +
+            at_offset(cell(0) - l.frame),
+        "no kind");
   }
 }
 

@@ -147,8 +147,9 @@ TEST(GraphBatch, BlockDiagonalPackingIsExact) {
   const auto offsets = batch.node_offsets();
   ASSERT_EQ(offsets.size(), 4u);
   EXPECT_EQ(offsets[0], 0u);
-  EXPECT_EQ(offsets[3], batch.features().rows());
-  EXPECT_EQ(batch.relations().num_nodes, batch.features().rows());
+  EXPECT_EQ(offsets[3], batch.node_rows().rows());
+  EXPECT_EQ(batch.node_rows().literals.size(), batch.node_rows().rows());
+  EXPECT_EQ(batch.relations().num_nodes, batch.node_rows().rows());
 
   // Every relation is the per-graph relations concatenated with offsets:
   // expanding the packed CSR must reproduce each graph's triples shifted

@@ -237,11 +237,12 @@ TEST(GradCheck, ParaGraphModelEndToEnd) {
   config.seed = 11;
   model::ParaGraphModel gnn(config);
 
-  // A small encoded graph: 6 nodes with one-hot-ish features over all
-  // kNumNodeKinds dims and the 8 standard relations (most empty).
+  // A small encoded graph: 6 nodes of 6 kinds, two with nonzero literals
+  // (so the literal row's gradient is checked too), and the 8 standard
+  // relations (most empty).
   model::EncodedGraph graph;
-  graph.features = Matrix(6, config.node_feature_dim);
-  for (std::size_t i = 0; i < 6; ++i) graph.features(i, i % 7) = 1.0f;
+  graph.kinds = {0, 1, 2, 3, 4, 43};
+  graph.literals = {0.0f, 0.5f, 0.0f, 0.0f, 1.25f, 0.0f};
   graph.relations.num_nodes = 6;
   graph.relations.relations.resize(graph::kNumEdgeTypes);
   graph.relations.relations[0] = nn::RelationEdges::from_edges(

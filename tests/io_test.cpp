@@ -2,9 +2,12 @@
 // (tests/golden/): byte-exact round trips for all three payload kinds,
 // rejection of bad magic / versions / schema hashes, truncation and
 // corrupt-section-table error paths, and the graph builder pinned against
-// the golden text dumps (any encoder/builder drift fails here first).
+// the golden text dumps (any encoder/builder drift fails here first). The
+// frozen dense-feature fixtures (tests/golden_legacy/) must decode to their
+// regenerated counterparts and re-encode to those files' bytes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -18,8 +21,8 @@
 #include "io/pgraph_io.hpp"
 #include "model/encoding.hpp"
 
-#ifndef PG_GOLDEN_DIR
-#error "PG_GOLDEN_DIR must point at tests/golden"
+#if !defined(PG_GOLDEN_DIR) || !defined(PG_GOLDEN_LEGACY_DIR)
+#error "PG_GOLDEN_DIR / PG_GOLDEN_LEGACY_DIR must point at the golden corpora"
 #endif
 
 namespace pg {
@@ -27,6 +30,10 @@ namespace {
 
 std::string golden_path(const std::string& name) {
   return std::string(PG_GOLDEN_DIR) + "/" + name;
+}
+
+std::string legacy_path(const std::string& name) {
+  return std::string(PG_GOLDEN_LEGACY_DIR) + "/" + name;
 }
 
 std::string slurp(const std::string& path) {
@@ -221,8 +228,8 @@ TEST(IoRoundTrip, SampleBytesAreStable) {
 
   // Spot-check decoded contents, down to feature bits.
   EXPECT_EQ(sample.variant, "gpu_collapse_mem");
-  EXPECT_EQ(sample.graph.features.cols(), model::kNodeFeatureDim);
-  EXPECT_EQ(sample.graph.features.rows(), sample.graph.relations.num_nodes);
+  EXPECT_EQ(sample.graph.literals.size(), sample.graph.num_nodes());
+  EXPECT_EQ(sample.graph.num_nodes(), sample.graph.relations.num_nodes);
   EXPECT_DOUBLE_EQ(sample.runtime_us, 850.0);
 }
 
@@ -291,6 +298,95 @@ TEST(IoRoundTrip, DatasetStreamingReaderSeesEveryRecord) {
   EXPECT_EQ(reader.records_read(), 4u);
   // A drained reader stays drained.
   EXPECT_FALSE(reader.next(sample, split));
+}
+
+// --- the frozen dense-feature fixtures ------------------------------------
+
+constexpr const char* kGoldenSampleNames[] = {
+    "matvec_cpu", "matmul_gpu_collapse_mem", "corr_gpu_mem",
+    "gauss_seidel_cpu_collapse"};
+
+/// Field-by-field equality of two decoded samples, bits for floats.
+void expect_same_sample(const model::TrainingSample& a,
+                        const model::TrainingSample& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.graph.kinds, b.graph.kinds) << label;
+  ASSERT_EQ(a.graph.literals.size(), b.graph.literals.size()) << label;
+  for (std::size_t i = 0; i < a.graph.literals.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(a.graph.literals[i]),
+              std::bit_cast<std::uint32_t>(b.graph.literals[i]))
+        << label << " literal " << i;
+  ASSERT_EQ(a.graph.relations.num_nodes, b.graph.relations.num_nodes) << label;
+  ASSERT_EQ(a.graph.relations.relations.size(),
+            b.graph.relations.relations.size())
+      << label;
+  for (std::size_t r = 0; r < a.graph.relations.relations.size(); ++r)
+    EXPECT_EQ(a.graph.relations.relations[r].to_edges(),
+              b.graph.relations.relations[r].to_edges())
+        << label << " relation " << r;
+  EXPECT_EQ(a.aux, b.aux) << label;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.target_scaled),
+            std::bit_cast<std::uint64_t>(b.target_scaled))
+      << label;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.runtime_us),
+            std::bit_cast<std::uint64_t>(b.runtime_us))
+      << label;
+  EXPECT_EQ(a.app_id, b.app_id) << label;
+  EXPECT_EQ(a.app_name, b.app_name) << label;
+  EXPECT_EQ(a.variant, b.variant) << label;
+}
+
+TEST(IoLegacy, DenseSamplesDecodeToTheRegeneratedSamples) {
+  for (const char* name : kGoldenSampleNames) {
+    const std::string file = std::string(name) + ".psample";
+    io::FeatureSectionInfo legacy_info;
+    io::FeatureSectionInfo new_info;
+    const model::TrainingSample legacy =
+        io::read_sample_file(legacy_path(file), &legacy_info);
+    const model::TrainingSample current =
+        io::read_sample_file(golden_path(file), &new_info);
+    expect_same_sample(legacy, current, file);
+    EXPECT_TRUE(legacy_info.from_dense) << file;
+    EXPECT_FALSE(new_info.from_dense) << file;
+    const std::size_t n = current.graph.num_nodes();
+    EXPECT_EQ(legacy_info.bytes, 16 + n * model::kNodeFeatureDim * 4) << file;
+    EXPECT_EQ(new_info.bytes, 16 + n * 5) << file;
+    // Written back, a converted sample is the regenerated file, byte for
+    // byte: writers emit only the kind/literal layout.
+    EXPECT_TRUE(io::encode_sample(legacy) == slurp(golden_path(file))) << file;
+  }
+}
+
+TEST(IoLegacy, DenseCorporaDecodeToTheRegeneratedCorpora) {
+  for (const auto& [file, version] :
+       {std::pair{"corpus.pgds", std::uint16_t{1}},
+        std::pair{"corpus_v2.pgds", std::uint16_t{2}}}) {
+    const io::StoredSampleSet legacy =
+        io::read_sample_set_file(legacy_path(file));
+    const io::StoredSampleSet current =
+        io::read_sample_set_file(golden_path(file));
+    ASSERT_EQ(legacy.set.train.size(), current.set.train.size()) << file;
+    ASSERT_EQ(legacy.set.validation.size(), current.set.validation.size());
+    for (std::size_t i = 0; i < legacy.set.train.size(); ++i)
+      expect_same_sample(legacy.set.train[i], current.set.train[i],
+                         std::string(file) + " record " + std::to_string(i));
+    EXPECT_EQ(legacy.meta.platform, current.meta.platform) << file;
+    EXPECT_EQ(legacy.meta.representation, current.meta.representation);
+    EXPECT_EQ(legacy.meta.seed, current.meta.seed) << file;
+    EXPECT_EQ(legacy.meta.child_weight_scale, current.meta.child_weight_scale);
+    EXPECT_EQ(legacy.meta.target_min, current.meta.target_min) << file;
+    EXPECT_EQ(legacy.meta.target_max, current.meta.target_max) << file;
+
+    std::ostringstream os(std::ios::binary);
+    io::write_sample_set(os, legacy.set, legacy.meta.platform,
+                         legacy.meta.representation, legacy.meta.seed,
+                         version);
+    EXPECT_TRUE(os.str() == slurp(golden_path(file))) << file;
+    // The kind/literal layout is what shrinks the corpus.
+    EXPECT_LT(slurp(golden_path(file)).size() * 3,
+              slurp(legacy_path(file)).size())
+        << file;
+  }
 }
 
 // --- rejection paths ------------------------------------------------------

@@ -388,7 +388,7 @@ Matrix feature_rows(const std::string& kinds, std::size_t k, pg::Rng& rng) {
 
 TEST(KernelParity, RgatGatherProjectOneHotAndMixedRowsAllLevels) {
   // The fused gather->project against the reference hybrid at every level:
-  // one-hot rows (the first layer's 45-wide features), rows holding NaN or
+  // one-hot rows (the sparse rows of the dense path), rows holding NaN or
   // -0.0, dense/sparse row pairs in every order (two dense neighbours run
   // as a register pair), odd row counts, and an input wider than 64 (the
   // nonzero walk's long-row path). The destination block starts from
@@ -434,6 +434,107 @@ TEST(KernelParity, RgatGatherProjectOneHotAndMixedRowsAllLevels) {
                        na, in, out, false);
           expect_bytes_equal(expected_mm, got_mm, level_name(level));
         }
+      }
+    }
+  }
+}
+
+TEST(KernelParity, OneHotProjectAndScatterMatchTheDensePathAllLevels) {
+  // The first layer's one-hot kernels against the dense kernels they
+  // replace, run on the same rows expanded to the [m x 45] one-hot matrix:
+  // onehot_project against matmul (W_self, from a zero block) and against
+  // rgat_gather_project (W_r, gathered rows accumulating into a nonzero
+  // block), onehot_scatter_acc against matmul_t_a_acc (dW_self, and the
+  // gathered dW_r) accumulating into a block holding a -0.0. Kinds 0 and 43
+  // always occur; literals cycle through 0.0, -0.0, NaN, 1e30 and ordinary
+  // values; weights and dy hold -0.0, NaN and +inf. Every result must equal
+  // the dense path's bytes at the same level and at the scalar level.
+  constexpr std::size_t kIn = model::kNodeFeatureDim;
+  constexpr std::size_t kLit = kIn - 1;
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  pg::Rng rng(67);
+  for (std::size_t m = 1; m <= 31; ++m) {
+    for (const std::size_t out : {8u, 10u, 16u, 24u, 32u}) {
+      std::vector<std::uint8_t> kinds(m);
+      std::vector<float> literals(m);
+      const float cycle[] = {0.0f, -0.0f, kNaN, 1e30f, 0.37f, 1.5f};
+      for (std::size_t i = 0; i < m; ++i) {
+        kinds[i] = static_cast<std::uint8_t>(pick(rng, kLit));
+        literals[i] = cycle[(i + m) % 6];
+      }
+      kinds[0] = 0;
+      kinds[m - 1] = 43;
+      Matrix x(m, kIn);
+      for (std::size_t i = 0; i < m; ++i) {
+        x(i, kinds[i]) = 1.0f;
+        x(i, kLit) = literals[i];
+      }
+      Matrix w = random_matrix(kIn, out, rng);
+      w(0, 0) = -0.0f;
+      w(43, out - 1) = kInf;
+      w(kinds[m / 2], 1) = kNaN;
+      w(kLit, out / 2) = -0.0f;
+      w(kLit, 2) = kInf;
+      Matrix dy = random_matrix(m, out, rng);
+      dy(0, 0) = -0.0f;
+      dy(m - 1, out - 1) = kNaN;
+      dy(m / 2, 3) = kInf;
+      std::vector<std::uint32_t> nodes(m);  // every row, shuffled
+      for (std::size_t i = 0; i < m; ++i)
+        nodes[i] = static_cast<std::uint32_t>((7 * i + 3) % m);
+      if (m % 7 == 0)
+        for (std::size_t i = 0; i < m; ++i)
+          nodes[i] = static_cast<std::uint32_t>(m - 1 - i);
+      Matrix base = random_matrix(m, out, rng);
+      Matrix dw_base = random_matrix(kIn, out, rng);
+      dw_base(43, 0) = -0.0f;
+      dw_base(kLit, 1) = -0.0f;
+
+      const auto run = [&](const KernelTable& t, bool one_hot,
+                           std::array<Matrix, 4>& r) {
+        r[0] = Matrix(m, out);  // self projection
+        r[1] = base;            // gathered projection
+        r[2] = dw_base;         // dW_self
+        r[3] = dw_base;         // dW_r
+        if (one_hot) {
+          t.onehot_project(kinds.data(), literals.data(), nullptr, m,
+                           w.data().data(), kLit, r[0].data().data(), out);
+          t.onehot_project(kinds.data(), literals.data(), nodes.data(), m,
+                           w.data().data(), kLit, r[1].data().data(), out);
+          t.onehot_scatter_acc(kinds.data(), literals.data(), nullptr, m,
+                               dy.data().data(), r[2].data().data(), kLit,
+                               out);
+          t.onehot_scatter_acc(kinds.data(), literals.data(), nodes.data(),
+                               m, dy.data().data(), r[3].data().data(), kLit,
+                               out);
+        } else {
+          t.matmul(x.data().data(), w.data().data(), r[0].data().data(), m,
+                   kIn, out, false);
+          t.rgat_gather_project(nodes.data(), m, x.data().data(), kIn,
+                                w.data().data(), r[1].data().data(), out, 0);
+          t.matmul_t_a_acc(x.data().data(), nullptr, dy.data().data(),
+                           r[2].data().data(), kIn, m, out);
+          t.matmul_t_a_acc(x.data().data(), nodes.data(), dy.data().data(),
+                           r[3].data().data(), kIn, m, out);
+        }
+      };
+      std::array<Matrix, 4> reference;
+      run(scalar_table(), /*one_hot=*/false, reference);
+      for (const SimdLevel level : supported_levels()) {
+        std::array<Matrix, 4> dense;
+        std::array<Matrix, 4> sparse;
+        run(kernels_for(level), false, dense);
+        run(kernels_for(level), true, sparse);
+        const char* what[] = {"self projection", "gathered projection",
+                              "dW_self scatter", "dW_r scatter"};
+        for (std::size_t c = 0; c < 4; ++c) {
+          SCOPED_TRACE(std::string(level_name(level)) + " m=" +
+                       std::to_string(m) + " out=" + std::to_string(out));
+          expect_bytes_equal(dense[c], sparse[c], what[c]);
+          expect_bytes_equal(reference[c], sparse[c], what[c]);
+        }
+        if (::testing::Test::HasFailure()) return;
       }
     }
   }

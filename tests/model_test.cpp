@@ -35,30 +35,26 @@ graph::ProgramGraph small_graph(graph::Representation representation =
 TEST(Encoding, OneHotFeatures) {
   const auto g = small_graph();
   const EncodedGraph enc = encode_graph(g, 40.0);
-  ASSERT_EQ(enc.features.rows(), g.num_nodes());
-  ASSERT_EQ(enc.features.cols(), kNodeFeatureDim);
+  ASSERT_EQ(enc.num_nodes(), g.num_nodes());
+  ASSERT_EQ(enc.literals.size(), g.num_nodes());
   for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-    // The kind block is one-hot; the extra column carries literal magnitude.
-    float row_sum = 0.0f;
-    for (std::size_t j = 0; j < frontend::kNumNodeKinds; ++j)
-      row_sum += enc.features(i, j);
-    EXPECT_FLOAT_EQ(row_sum, 1.0f) << "node " << i;
-    EXPECT_FLOAT_EQ(
-        enc.features(i, static_cast<std::size_t>(g.nodes()[i].kind)), 1.0f);
+    // One kind byte per node (the one-hot's hot column).
+    EXPECT_EQ(enc.kinds[i], static_cast<std::uint8_t>(g.nodes()[i].kind))
+        << "node " << i;
+    EXPECT_LT(enc.kinds[i], frontend::kNumNodeKinds);
   }
 }
 
 TEST(Encoding, LiteralMagnitudeColumn) {
   const auto g = small_graph();  // loop bound literal 40
   const EncodedGraph enc = encode_graph(g, 40.0);
-  const std::size_t col = frontend::kNumNodeKinds;
   float bound_feature = 0.0f;
   for (std::size_t i = 0; i < g.num_nodes(); ++i) {
     if (g.nodes()[i].kind == frontend::NodeKind::kIntegerLiteral &&
         g.nodes()[i].label == "40")
-      bound_feature = enc.features(i, col);
+      bound_feature = enc.literals[i];
     if (g.nodes()[i].kind != frontend::NodeKind::kIntegerLiteral) {
-      EXPECT_FLOAT_EQ(enc.features(i, col), 0.0f);
+      EXPECT_FLOAT_EQ(enc.literals[i], 0.0f);
     }
   }
   EXPECT_NEAR(bound_feature, std::log2(41.0) / 16.0, 1e-6);

@@ -164,13 +164,11 @@ std::uint64_t mix64(std::uint64_t& state) {
 /// sparse random relations — enough structure to exercise every kernel.
 EncodedGraph make_graph(std::size_t nodes, std::uint64_t seed) {
   EncodedGraph g;
-  const std::size_t feat = kNodeFeatureDim;
-  g.features = tensor::Matrix(nodes, feat);
   std::uint64_t rng = seed;
   for (std::size_t i = 0; i < nodes; ++i) {
-    auto row = g.features.row_span(i);
-    row[mix64(rng) % (feat - 1)] = 1.0f;
-    row[feat - 1] = static_cast<float>(mix64(rng) % 5) * 0.5f;
+    g.kinds.push_back(
+        static_cast<std::uint8_t>(mix64(rng) % frontend::kNumNodeKinds));
+    g.literals.push_back(static_cast<float>(mix64(rng) % 5) * 0.5f);
   }
   const std::size_t num_relations = ModelConfig{}.num_relations;
   g.relations.num_nodes = nodes;
@@ -293,7 +291,7 @@ TEST_F(EngineParity, ScheduleStatsCountBatchesChunksAndRows) {
   ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 9});
   const MixFixture mix = make_mix(std::vector<std::size_t>(16, 50));
   std::size_t total_rows = 0;
-  for (const EncodedGraph& g : mix.graphs) total_rows += g.features.rows();
+  for (const EncodedGraph& g : mix.graphs) total_rows += g.num_nodes();
 
   InferenceEngine engine(m);
   EXPECT_EQ(engine.schedule_stats().batches, 0u);

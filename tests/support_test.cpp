@@ -313,5 +313,66 @@ TEST(Env, ChunkSizeValidatesAndClamps) {
   ::unsetenv("PARAGRAPH_CHUNK");
 }
 
+// A value that is not understood still falls back as before, and says so
+// once on stderr: the variable, the value and the value used.
+
+TEST(EnvWarning, UnknownSchedPolicyIsReported) {
+  ::setenv("PARAGRAPH_SCHED", "cots", 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kCost);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: PARAGRAPH_SCHED=cots is not a known policy; using "
+            "cost\n");
+  // Once per value: a second read is silent, and known values never warn.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kCost);
+  ::setenv("PARAGRAPH_SCHED", "fixed", 1);
+  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kFixed);
+  ::setenv("PARAGRAPH_SCHED", "cost", 1);
+  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kCost);
+  ::unsetenv("PARAGRAPH_SCHED");
+  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kCost);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
+TEST(EnvWarning, UnknownRunScaleIsReported) {
+  ::setenv("PARAGRAPH_SCALE", "smok", 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_scale_from_env(), RunScale::kDefault);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: PARAGRAPH_SCALE=smok is not a known scale; using "
+            "default\n");
+  ::testing::internal::CaptureStderr();
+  for (const char* known : {"smoke", "default", "full"}) {
+    ::setenv("PARAGRAPH_SCALE", known, 1);
+    EXPECT_STREQ(to_string(run_scale_from_env()), known);
+  }
+  ::unsetenv("PARAGRAPH_SCALE");
+  EXPECT_EQ(run_scale_from_env(), RunScale::kDefault);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
+TEST(EnvWarning, JunkIntegerIsReported) {
+  ::setenv("PARAGRAPH_THREADS", "4x", 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(env_thread_count(), 0);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: PARAGRAPH_THREADS=4x is not an integer; using 0\n");
+  ::setenv("PG_TEST_INT_WARN", "12 ", 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(env_int("PG_TEST_INT_WARN", 7), 7);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: PG_TEST_INT_WARN=12  is not an integer; using 7\n");
+  // Integers, even out-of-range ones the caller then rejects, are silent.
+  ::testing::internal::CaptureStderr();
+  ::setenv("PARAGRAPH_THREADS", "-3", 1);
+  EXPECT_EQ(env_thread_count(), 0);
+  ::setenv("PARAGRAPH_THREADS", "4", 1);
+  EXPECT_EQ(env_thread_count(), 4);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  ::unsetenv("PARAGRAPH_THREADS");
+  ::unsetenv("PG_TEST_INT_WARN");
+}
+
 }  // namespace
 }  // namespace pg

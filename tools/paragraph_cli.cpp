@@ -428,11 +428,17 @@ void dump_graph_summary(const graph::ProgramGraph& graph) {
                 histogram[t]);
 }
 
-void dump_sample_summary(const model::TrainingSample& sample) {
+void dump_sample_summary(const model::TrainingSample& sample,
+                         const io::FeatureSectionInfo& features) {
   std::printf("app: %s (id %d)\nvariant: %s\n", sample.app_name.c_str(),
               sample.app_id, sample.variant.c_str());
-  std::printf("features: %zu x %zu\n", sample.graph.features.rows(),
-              sample.graph.features.cols());
+  std::printf("features: %zu nodes (kind u8 + literal f32)\n",
+              sample.graph.num_nodes());
+  std::printf("feature section: %llu bytes%s\n",
+              static_cast<unsigned long long>(features.bytes),
+              features.from_dense
+                  ? " (converted from the legacy dense layout)"
+                  : "");
   std::printf("aux (scaled): %.9g %.9g\n",
               static_cast<double>(sample.aux[0]),
               static_cast<double>(sample.aux[1]));
@@ -461,9 +467,12 @@ int cmd_dump(const Args& args) {
     case io::PayloadKind::kGraph:
       dump_graph_summary(io::read_graph_file(path));
       break;
-    case io::PayloadKind::kSample:
-      dump_sample_summary(io::read_sample_file(path));
+    case io::PayloadKind::kSample: {
+      io::FeatureSectionInfo features;
+      const model::TrainingSample sample = io::read_sample_file(path, &features);
+      dump_sample_summary(sample, features);
       break;
+    }
     case io::PayloadKind::kDataset: {
       std::ifstream is(path, std::ios::binary);
       io::DatasetReader reader(is);
