@@ -1,14 +1,13 @@
 // Thread-scaling bench for the fused InferenceEngine: sweeps OpenMP thread
-// counts (1..omp_get_max_threads()) x chunk policy (cost | fixed) x
-// graph-size skew (uniform | zipf | one_giant) over synthetic encoded
-// graphs, and writes BENCH_scaling.json (flags: --json PATH, --threads N to
+// counts (1..omp_get_max_threads()) x graph-size skew (uniform | zipf |
+// one_giant) over synthetic encoded graphs, and writes BENCH_scaling.json (flags: --json PATH, --threads N to
 // cap the sweep, --emit-fixture for the quick CI smoke that still gates on
 // parity). PARAGRAPH_SCALE=smoke shrinks batches and iteration counts.
 //
 // Every configuration's predictions are compared bitwise against the
-// 1-thread cost-policy reference for its mix — the bench doubles as an
-// end-to-end determinism gate across thread counts and chunk policies (the
-// unit-level version lives in tests/schedule_test.cpp). Any mismatch makes
+// 1-thread reference for its mix — the bench doubles as an end-to-end
+// determinism gate across thread counts (the unit-level version lives in
+// tests/schedule_test.cpp). Any mismatch makes
 // the bench exit non-zero.
 //
 // Headline derived metrics:
@@ -179,110 +178,83 @@ int main(int argc, char** argv) {
   report.add("giant_nodes", giant_nodes);
 
   std::printf("=== thread scaling: fused engine ===\n");
-  std::printf("threads 1..%d, %zu-graph batches, policies cost|fixed\n\n",
-              max_threads, batch);
+  std::printf("threads 1..%d, %zu-graph batches\n\n", max_threads, batch);
 
-  const char* saved_sched = std::getenv("PARAGRAPH_SCHED");
-  const std::string saved_sched_value = saved_sched ? saved_sched : "";
-
-  // Per-mix bitwise reference: 1 thread, cost policy.
+  // Per-mix bitwise reference: 1 thread.
   std::vector<std::vector<double>> reference(mixes.size());
   bool parity_ok = true;
 
-  // throughputs[mix][policy][threads] in graphs/s (median of reps).
-  const char* policies[2] = {"cost", "fixed"};
-  std::vector<std::vector<std::vector<double>>> tput(
+  // tput[mix][threads] in graphs/s (median of reps).
+  std::vector<std::vector<double>> tput(
       mixes.size(),
-      std::vector<std::vector<double>>(
-          2, std::vector<double>(static_cast<std::size_t>(max_threads) + 1,
-                                 0.0)));
-  pg::model::ScheduleStats giant_cost_stats{};
+      std::vector<double>(static_cast<std::size_t>(max_threads) + 1, 0.0));
+  pg::model::ScheduleStats giant_stats{};
 
   for (std::size_t m = 0; m < mixes.size(); ++m) {
     const Mix& mix = mixes[m];
     std::vector<double> out(mix.graphs.size());
-    for (int p = 0; p < 2; ++p) {
-      ::setenv("PARAGRAPH_SCHED", policies[p], 1);
-      for (int t = 1; t <= max_threads; ++t) {
-        omp_set_num_threads(t);
-        InferenceEngine engine(model);
-        std::vector<double> times;
-        engine.predict_batch(mix.graphs, mix.aux, out);  // warm the arenas
-        for (int r = 0; r < reps; ++r) {
-          const double t0 = now_s();
-          for (int it = 0; it < iters; ++it)
-            engine.predict_batch(mix.graphs, mix.aux, out);
-          times.push_back((now_s() - t0) / iters);
-        }
-        std::sort(times.begin(), times.end());
-        const double median = times[times.size() / 2];
-        tput[m][static_cast<std::size_t>(p)][static_cast<std::size_t>(t)] =
-            static_cast<double>(mix.graphs.size()) / median;
-
-        if (p == 0 && t == 1) {
-          reference[m] = out;
-        } else if (out != reference[m]) {
-          parity_ok = false;
-          std::fprintf(stderr,
-                       "PARITY MISMATCH: mix=%s policy=%s threads=%d\n",
-                       mix.name.c_str(), policies[p], t);
-        }
-        if (m == 2 && p == 0 && t == max_threads)
-          giant_cost_stats = engine.schedule_stats();
-
-        const std::string key = mix.name + "_" + policies[p] + "_t" +
-                                std::to_string(t) + "_graphs_per_s";
-        report.add(key, tput[m][static_cast<std::size_t>(p)]
-                            [static_cast<std::size_t>(t)]);
-        std::printf("%-10s %-5s t=%d: %10.1f graphs/s\n", mix.name.c_str(),
-                    policies[p], t,
-                    tput[m][static_cast<std::size_t>(p)]
-                        [static_cast<std::size_t>(t)]);
+    for (int t = 1; t <= max_threads; ++t) {
+      omp_set_num_threads(t);
+      InferenceEngine engine(model);
+      std::vector<double> times;
+      engine.predict_batch(mix.graphs, mix.aux, out);  // warm the arenas
+      for (int r = 0; r < reps; ++r) {
+        const double t0 = now_s();
+        for (int it = 0; it < iters; ++it)
+          engine.predict_batch(mix.graphs, mix.aux, out);
+        times.push_back((now_s() - t0) / iters);
       }
+      std::sort(times.begin(), times.end());
+      const double median = times[times.size() / 2];
+      double& graphs_per_s = tput[m][static_cast<std::size_t>(t)];
+      graphs_per_s = static_cast<double>(mix.graphs.size()) / median;
+
+      if (t == 1) {
+        reference[m] = out;
+      } else if (out != reference[m]) {
+        parity_ok = false;
+        std::fprintf(stderr, "PARITY MISMATCH: mix=%s threads=%d\n",
+                     mix.name.c_str(), t);
+      }
+      if (m == 2 && t == max_threads) giant_stats = engine.schedule_stats();
+
+      report.add(mix.name + "_t" + std::to_string(t) + "_graphs_per_s",
+                 graphs_per_s);
+      std::printf("%-10s t=%d: %10.1f graphs/s\n", mix.name.c_str(), t,
+                  graphs_per_s);
     }
   }
-
-  // Restore the inherited scheduler policy (or clear our override).
-  if (saved_sched)
-    ::setenv("PARAGRAPH_SCHED", saved_sched_value.c_str(), 1);
-  else
-    ::unsetenv("PARAGRAPH_SCHED");
   omp_set_num_threads(max_threads);
 
   const auto tmax = static_cast<std::size_t>(max_threads);
   const double uniform_eff =
-      tput[0][0][tmax] /
-      (static_cast<double>(max_threads) * tput[0][0][1]);
-  const double giant_speedup = tput[2][0][tmax] / tput[2][0][1];
-  const double zipf_cost_vs_fixed = tput[1][0][tmax] / tput[1][1][tmax];
+      tput[0][tmax] / (static_cast<double>(max_threads) * tput[0][1]);
+  const double giant_speedup = tput[2][tmax] / tput[2][1];
   report.add("uniform_efficiency_at_cores", uniform_eff);
   report.add("one_giant_speedup", giant_speedup);
-  report.add("zipf_cost_over_fixed", zipf_cost_vs_fixed);
-  report.add("giant_chunks", giant_cost_stats.chunks);
-  report.add("giant_intra_chunks", giant_cost_stats.intra_chunks);
+  report.add("giant_chunks", giant_stats.chunks);
+  report.add("giant_intra_chunks", giant_stats.intra_chunks);
   report.add("giant_rows_per_chunk",
-             giant_cost_stats.chunks > 0
-                 ? static_cast<double>(giant_cost_stats.rows) /
-                       static_cast<double>(giant_cost_stats.chunks)
+             giant_stats.chunks > 0
+                 ? static_cast<double>(giant_stats.rows) /
+                       static_cast<double>(giant_stats.chunks)
                  : 0.0);
-  report.add("giant_last_imbalance", giant_cost_stats.last_imbalance);
+  report.add("giant_last_imbalance", giant_stats.last_imbalance);
   report.add("parity_ok", parity_ok ? 1 : 0);
 
   std::printf("\nuniform efficiency at %d threads: %.3f\n", max_threads,
               uniform_eff);
   std::printf("one-giant speedup at %d threads:  %.3fx\n", max_threads,
               giant_speedup);
-  std::printf("zipf cost-policy over fixed:      %.3fx\n",
-              zipf_cost_vs_fixed);
 
   if (!json_path.empty() && !report.write(json_path)) return 1;
   if (!parity_ok) {
     std::fprintf(stderr,
                  "bench_thread_scaling: bitwise parity FAILED across thread "
-                 "counts/policies\n");
+                 "counts\n");
     return 1;
   }
-  std::printf("parity: all configurations bitwise-equal to 1-thread cost "
+  std::printf("parity: all configurations bitwise-equal to the 1-thread "
               "reference\n");
   return 0;
 }

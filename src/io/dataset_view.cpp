@@ -19,19 +19,6 @@
 
 namespace pg::io {
 
-namespace {
-
-[[noreturn]] void throw_record_error(std::size_t ordinal, std::uint64_t body,
-                                     std::uint64_t offset, const char* what) {
-  // Ordinal + frame size + absolute byte offset: "which sample of the
-  // million, and where in the file" is the whole of a corruption report.
-  throw FormatError("corrupt dataset record " + std::to_string(ordinal) +
-                    " (" + std::to_string(body) + "-byte frame at byte offset " +
-                    std::to_string(offset) + "): " + what);
-}
-
-}  // namespace
-
 DatasetView::DatasetView(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) throw FormatError("cannot open for reading: " + path);
@@ -205,6 +192,8 @@ void DatasetView::open_bytes() {
   bool done = false;
   while (!done) {
     const std::size_t ordinal = entries_.size();
+    const std::uint64_t frame_at = src.consumed();
+    std::uint64_t body = 0;
     try {
       const std::uint32_t marker = get_u32(src);
       if (marker == d::kEndMarker) {
@@ -219,11 +208,12 @@ void DatasetView::open_bytes() {
         continue;
       }
       if (marker != d::kRecordMarker) throw FormatError("bad record marker");
-      const std::uint64_t body = get_u64(src);
-      if (body == 0 || body > d::kMaxSectionBytes)
+      const std::uint64_t size = get_u64(src);
+      if (size == 0 || size > d::kMaxSectionBytes)
         throw FormatError("implausible record size");
+      body = size;
       Entry e;
-      e.offset = src.consumed() - 12;
+      e.offset = frame_at;
       e.length = 12 + body;
       const std::uint8_t split_raw = get_u8(src);
       if (split_raw > static_cast<std::uint8_t>(Split::kValidation))
@@ -238,8 +228,7 @@ void DatasetView::open_bytes() {
       if (std::string_view(e.what()).find("trailing bytes") !=
           std::string_view::npos)
         throw;
-      throw FormatError("corrupt dataset record " + std::to_string(ordinal) +
-                        " (frame header): " + e.what());
+      d::throw_record_error(ordinal, frame_at, body, e.what());
     }
   }
 }
@@ -265,12 +254,14 @@ void DatasetView::decode(std::size_t i, model::TrainingSample& sample) const {
   const Entry& e = entries_[i];
   const unsigned char* frame = data_ + e.offset;
   const std::uint64_t body = e.length - 12;
+  std::uint64_t checked = 0;  // the body size, once the frame header holds
   try {
     Source src(frame, static_cast<std::size_t>(e.length));
     if (get_u32(src) != d::kRecordMarker)
       throw FormatError("bad record marker");
     if (get_u64(src) != body)
       throw FormatError("frame size field disagrees with the index");
+    checked = body;
     if (version_ >= 2 &&
         d::fnv1a(frame + 12, static_cast<std::size_t>(body)) != e.checksum)
       throw FormatError(
@@ -284,7 +275,7 @@ void DatasetView::decode(std::size_t i, model::TrainingSample& sample) const {
     sample = d::get_sample_body(src);
     src.pop_budget();
   } catch (const FormatError& err) {
-    throw_record_error(i, body, e.offset, err.what());
+    d::throw_record_error(i, e.offset, checked, err.what());
   }
 }
 

@@ -78,6 +78,17 @@ DatasetMeta get_dataset_meta(Source& src);
 /// FormatError names the part that failed and the byte offset reached.
 model::TrainingSample get_sample_body(Source& src);
 
+/// The one corrupt-record report both dataset readers throw: the record
+/// ordinal, the file offset of its frame and, once the frame header has
+/// been read, the body size — "which sample of the million, and where in
+/// the file" is the whole of a corruption report:
+/// "corrupt dataset record N (B-byte frame at byte offset O): WHAT", or
+/// "(frame header at byte offset O)" while `body` is 0 (no valid frame has
+/// an empty body).
+[[noreturn]] void throw_record_error(std::uint64_t ordinal,
+                                     std::uint64_t offset, std::uint64_t body,
+                                     const char* what);
+
 // --- FNV-1a (the format's checksum primitive) -----------------------------
 
 inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;

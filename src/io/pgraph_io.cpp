@@ -521,6 +521,15 @@ model::TrainingSample get_sample_body(Source& src) {
   return s;
 }
 
+void throw_record_error(std::uint64_t ordinal, std::uint64_t offset,
+                        std::uint64_t body, const char* what) {
+  throw FormatError(
+      "corrupt dataset record " + std::to_string(ordinal) + " (" +
+      (body == 0 ? std::string("frame header")
+                 : std::to_string(body) + "-byte frame") +
+      " at byte offset " + std::to_string(offset) + "): " + what);
+}
+
 }  // namespace detail
 
 std::string_view payload_kind_name(PayloadKind kind) {
@@ -786,6 +795,7 @@ DatasetReader::DatasetReader(std::istream& is) : is_(is) {
   }
   if (!have_meta)
     throw FormatError("corrupt dataset file: missing meta section");
+  offset_ = src.consumed();
 }
 
 bool DatasetReader::next(model::TrainingSample& sample, Split& split) {
@@ -797,8 +807,8 @@ bool DatasetReader::next(model::TrainingSample& sample, Split& split) {
   Source head(buffer_.data(), buffer_.size());
   std::uint64_t body = 0;
   // Frame-header corruption (bad/truncated marker, implausible size) names
-  // the record ordinal exactly like body-level corruption below does —
-  // "which sample of the million" must never depend on where the bytes died.
+  // the record ordinal and frame offset exactly like body-level corruption
+  // below does, and exactly as DatasetView reports the same bytes.
   try {
     const std::uint32_t marker = get_u32(head);
     if (marker == kEndMarker) {
@@ -811,20 +821,17 @@ bool DatasetReader::next(model::TrainingSample& sample, Split& split) {
     }
     if (marker != kRecordMarker)
       throw FormatError("bad record marker");
-    body = get_u64(head);
-    if (body > kMaxSectionBytes)
+    const std::uint64_t size = get_u64(head);
+    if (size == 0 || size > kMaxSectionBytes)
       throw FormatError("implausible record size");
+    body = size;
   } catch (const FormatError& e) {
     // The end-marker count mismatch is a whole-file diagnostic, not a
     // per-record one — let it through untouched.
     if (std::string_view(e.what()).find("end marker") != std::string_view::npos)
       throw;
-    throw FormatError("corrupt dataset record " + std::to_string(records_) +
-                      " (frame header): " + e.what());
+    throw_record_error(records_, offset_, 0, e.what());
   }
-  // Decode failures inside the record body (truncation, budget over/underrun,
-  // corrupt counts) carry the record index — "which sample of the million"
-  // is the first thing a corpus-corruption report needs.
   // The body joins the frame header in the buffer, so the byte offsets in
   // a body error count from the frame start, as DatasetView's do.
   read_into(is_, buffer_, body);
@@ -839,10 +846,9 @@ bool DatasetReader::next(model::TrainingSample& sample, Split& split) {
     sample = get_sample_body(src);
     src.pop_budget();
   } catch (const FormatError& e) {
-    throw FormatError("corrupt dataset record " + std::to_string(records_) +
-                      " (" + std::to_string(body) + "-byte frame): " +
-                      e.what());
+    throw_record_error(records_, offset_, body, e.what());
   }
+  offset_ += 12 + body;
   ++records_;
   return true;
 }

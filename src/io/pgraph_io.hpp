@@ -174,6 +174,7 @@ class DatasetReader {
   DatasetMeta meta_;
   std::uint16_t version_ = kFormatVersion;
   std::uint64_t records_ = 0;
+  std::uint64_t offset_ = 0;  // stream bytes before the next frame
   bool done_ = false;
 };
 

@@ -1,12 +1,10 @@
 // InferenceEngine: per-thread GraphBatch/workspace state + chunk-fused
 // batch prediction. Chunk boundaries come from the deterministic cost model
-// in model/schedule.hpp (policy kCost, the default) or from the legacy
-// fixed-width cut (policy kFixed / a PARAGRAPH_CHUNK override). Cheap
-// chunks fan out across OpenMP threads with dynamic stealing; an oversized
-// chunk — a single graph past the intra threshold — runs in a serial phase
-// where the fused forward's intra-batch split points use the whole
-// machine. Results never depend on the cut, because the fused forward is
-// bitwise-equal per graph.
+// in model/schedule.hpp. Cheap chunks fan out across OpenMP threads with
+// dynamic stealing; an oversized chunk — a single graph past the intra
+// threshold — runs in a serial phase where the fused forward's intra-batch
+// split points use the whole machine. Results never depend on the cut,
+// because the fused forward is bitwise-equal per graph.
 #include "model/engine.hpp"
 
 #include <omp.h>
@@ -16,32 +14,22 @@
 
 #include "model/schedule.hpp"
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace pg::model {
 namespace {
 
-/// Graphs fused per chunk when PARAGRAPH_CHUNK is unset: large enough to
-/// amortise per-call dispatch and packing, small enough to keep the
-/// per-thread workspace arena modest and to leave parallelism on the table
-/// for multi-core batch calls. The env override (validated and clamped by
-/// env_chunk_override) lets bench sweeps vary the fusion width without a
-/// recompile; the cut never affects values, only throughput.
+/// Upper bound on graphs fused per chunk: large enough to amortise per-call
+/// dispatch and packing over tiny graphs, small enough to keep the
+/// per-thread workspace arena modest. The cut never affects values, only
+/// throughput.
 constexpr std::size_t kFuseChunk = 64;
 
-/// Cache-footprint cap for the kFixed policy: a fused chunk's intermediates
-/// grow with its total node-row count (~1.4 KB/node at hidden 24 across the
-/// conv stack), so chunks far beyond a few hundred rows evict the per-core
-/// working set and run *slower* per graph than smaller fusions (a
-/// PARAGRAPH_CHUNK sweep on the 99-node bench graph peaks at 2-4
-/// graphs/chunk on one core). Chunks therefore also cap at ~this many
-/// concatenated rows; tiny graphs keep fusing deeply (up to kFuseChunk) to
-/// amortise dispatch.
-constexpr std::size_t kChunkNodeBudget = 256;
-
-/// The same cache budget for the kCost policy, in cost units
-/// (nodes + 2*edges + overhead — roughly 2048 cost per ~256 rows at the
-/// corpus's typical edge density). A chunk's cost never exceeds this unless
+/// Cache-footprint cap on a chunk, in cost units (nodes + 2*edges +
+/// overhead): a fused chunk's intermediates grow with its total node-row
+/// count (~1.4 KB/node at hidden 24 across the conv stack), so chunks far
+/// beyond a few hundred rows evict the per-core working set and run slower
+/// per graph than smaller fusions. 2048 cost is roughly 256 rows at the
+/// corpus's typical edge density. A chunk's cost never exceeds this unless
 /// a single graph does.
 constexpr std::uint64_t kChunkCostBudget = 2048;
 
@@ -63,11 +51,7 @@ constexpr std::uint64_t kIntraCostThreshold = 4 * kChunkCostBudget;
 
 InferenceEngine::InferenceEngine(const ParaGraphModel& model)
     : model_(&model),
-      pool_(static_cast<std::size_t>(omp_get_max_threads())),
-      chunk_override_(env_chunk_override()),
-      fuse_chunk_(chunk_override_.value_or(kFuseChunk)),
-      policy_(chunk_override_ ? SchedPolicy::kFixed
-                              : sched_policy_from_env()) {}
+      pool_(static_cast<std::size_t>(omp_get_max_threads())) {}
 
 InferenceEngine::ThreadState& InferenceEngine::state_for_current_thread() {
   const auto tid = static_cast<std::size_t>(omp_get_thread_num());
@@ -108,7 +92,6 @@ void InferenceEngine::run_chunk(std::span<const EncodedGraph* const> graphs,
 
 std::uint64_t InferenceEngine::plan_chunks(
     std::span<const EncodedGraph* const> graphs) {
-  const std::size_t n = graphs.size();
   ThreadState& caller = state_for_current_thread();
 
   // Per-graph cost model (known at pack time). Cheap relative to a
@@ -123,38 +106,17 @@ std::uint64_t InferenceEngine::plan_chunks(
     total_cost += c;
     total_rows += g->num_nodes();
   }
-  const std::uint64_t threads = plan_threads();
 
-  // Plan the cut. Boundaries are a pure function of (batch, policy, thread
-  // *count*) — never of thread timing — and the cut never affects values.
-  auto& bounds = caller.bounds;
-  if (policy_ == SchedPolicy::kFixed) {
-    // Legacy equal-width cut: chunk size balances fusion against feeding
-    // every thread (2x oversubscribed), capped by the node-row cache
-    // budget unless PARAGRAPH_CHUNK pinned the width explicitly.
-    std::size_t cap = fuse_chunk_;
-    if (!chunk_override_) {
-      const std::size_t avg_nodes =
-          std::max<std::size_t>(1, static_cast<std::size_t>(total_rows) / n);
-      cap = std::clamp<std::size_t>(kChunkNodeBudget / avg_nodes, 1,
-                                    fuse_chunk_);
-    }
-    const std::size_t chunk_size = std::clamp<std::size_t>(
-        (n + 2 * threads - 1) / (2 * threads), 1, cap);
-    bounds.clear();
-    for (std::size_t lo = 0; lo < n; lo += chunk_size)
-      bounds.push_back(static_cast<std::uint32_t>(lo));
-    bounds.push_back(static_cast<std::uint32_t>(n));
-  } else {
-    // Cost-balanced cut: aim for kChunkOversubscribe chunks per thread so
-    // dynamic stealing can absorb the tail, bounded below by the packing-
-    // overhead floor and above by the cache budget.
-    const std::uint64_t target =
-        std::min(kChunkCostBudget,
-                 std::max(kChunkCostFloor,
-                          total_cost / (kChunkOversubscribe * threads)));
-    schedule::partition_by_cost(costs, target, fuse_chunk_, bounds);
-  }
+  // Cost-balanced cut: aim for kChunkOversubscribe chunks per thread so
+  // dynamic stealing can absorb the tail, bounded below by the packing-
+  // overhead floor and above by the cache budget. Boundaries are a pure
+  // function of (batch, thread *count*) — never of thread timing — and the
+  // cut never affects values.
+  const std::uint64_t target =
+      std::min(kChunkCostBudget,
+               std::max(kChunkCostFloor,
+                        total_cost / (kChunkOversubscribe * plan_threads())));
+  schedule::partition_by_cost(costs, target, kFuseChunk, caller.bounds);
   return total_rows;
 }
 

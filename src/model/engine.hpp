@@ -23,14 +23,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "model/graph_batch.hpp"
 #include "model/paragraph_model.hpp"
 #include "model/sample.hpp"
-#include "support/env.hpp"
 #include "tensor/workspace.hpp"
 
 namespace pg::model {
@@ -99,19 +97,6 @@ class InferenceEngine {
 
   [[nodiscard]] const ParaGraphModel& model() const { return *model_; }
 
-  /// Upper bound on graphs fused per chunk — the compile-time default (64)
-  /// unless PARAGRAPH_CHUNK overrode it at engine construction (validated
-  /// and clamped to [1, kMaxChunkSize] by pg::env_chunk_override). Under
-  /// the cost policy the effective chunk is usually smaller — bounded by
-  /// the cost budget (see engine.cpp). Chunking affects throughput only,
-  /// never values.
-  [[nodiscard]] std::size_t fuse_chunk() const { return fuse_chunk_; }
-
-  /// Active chunk policy: SchedPolicy::kCost balances chunk costs
-  /// (default); SchedPolicy::kFixed is the legacy fixed-width cut, implied
-  /// by a PARAGRAPH_CHUNK override or selected via PARAGRAPH_SCHED=fixed.
-  [[nodiscard]] SchedPolicy chunk_policy() const { return policy_; }
-
   /// Cumulative scheduler counters (relaxed-atomic snapshot).
   [[nodiscard]] ScheduleStats schedule_stats() const;
 
@@ -143,7 +128,7 @@ class InferenceEngine {
   /// (the engine then stays serial), else the OpenMP team size.
   static std::uint64_t plan_threads();
   /// Fills the calling thread's costs/bounds with the chunk plan for
-  /// `graphs` — a pure function of (graphs, policy, plan_threads()) — and
+  /// `graphs` — a pure function of (graphs, plan_threads()) — and
   /// returns the batch's total node rows.
   std::uint64_t plan_chunks(std::span<const EncodedGraph* const> graphs);
   /// Packs graphs [lo, hi) and runs one fused pass into out[lo, hi). When
@@ -153,21 +138,18 @@ class InferenceEngine {
                  std::span<const std::array<float, 2>> aux,
                  std::span<double> out, tensor::Matrix* embed_out,
                  std::size_t lo, std::size_t hi);
-  /// The shared chunk fan-out: plans chunk boundaries (cost-balanced or
-  /// fixed-width), runs cheap chunks OpenMP-parallel with dynamic
-  /// stealing, then runs oversized chunks serially so the fused forward's
-  /// intra-batch split points can use the whole machine. All public batch
-  /// entry points (predict and embed) route through here so the threading
-  /// policy cannot diverge between them.
+  /// The shared chunk fan-out: plans cost-balanced chunk boundaries, runs
+  /// cheap chunks OpenMP-parallel with dynamic stealing, then runs
+  /// oversized chunks serially so the fused forward's intra-batch split
+  /// points can use the whole machine. All public batch entry points
+  /// (predict and embed) route through here so the threading policy cannot
+  /// diverge between them.
   void run_chunked(std::span<const EncodedGraph* const> graphs,
                    std::span<const std::array<float, 2>> aux,
                    std::span<double> out, tensor::Matrix* embed_out);
 
   const ParaGraphModel* model_;
   std::vector<ThreadState> pool_;  // one per OpenMP thread
-  std::optional<std::size_t> chunk_override_;  // PARAGRAPH_CHUNK, if set
-  std::size_t fuse_chunk_;         // graphs-per-chunk cap (env-overridable)
-  SchedPolicy policy_;             // cost-balanced vs fixed-width cut
 
   // Scheduler counters (ScheduleStats): relaxed — monitoring only.
   std::atomic<std::uint64_t> stat_batches_{0};

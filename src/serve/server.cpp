@@ -20,10 +20,9 @@
 namespace pg::serve {
 namespace {
 
-std::int64_t clamped_env(const char* name, std::int64_t fallback,
-                         std::int64_t lo, std::int64_t hi) {
-  return std::clamp(env_int(name, fallback), lo, hi);
-}
+// Upper bound on PARAGRAPH_SERVE_BATCH: one fused batch of this many graphs
+// is already far past the fusion sweet spot.
+constexpr std::int64_t kMaxBatch = 4096;
 
 // Epoll tags: connections are tagged with their own fd (always a small
 // non-negative number), so the top of the u64 range is free for sentinels.
@@ -42,41 +41,30 @@ constexpr auto kAcceptCooldown = std::chrono::milliseconds(10);
 }  // namespace
 
 ServeConfig serve_config_from_env(ServeConfig base) {
-  base.port = static_cast<std::uint16_t>(
-      clamped_env("PARAGRAPH_SERVE_PORT", base.port, 0, 65535));
-  base.workers = static_cast<std::size_t>(clamped_env(
-      "PARAGRAPH_SERVE_WORKERS", static_cast<std::int64_t>(base.workers), 1, 256));
-  base.io_threads = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_IO_THREADS",
-                  static_cast<std::int64_t>(base.io_threads), 0, 64));
-  base.engine_threads = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_THREADS",
-                  static_cast<std::int64_t>(base.engine_threads), 1, 256));
-  base.queue_depth = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_QUEUE",
-                  static_cast<std::int64_t>(base.queue_depth), 1, 1 << 20));
-  base.batch_max = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_BATCH",
-                  static_cast<std::int64_t>(base.batch_max), 1,
-                  static_cast<std::int64_t>(kMaxChunkSize)));
-  base.batch_window_us = static_cast<std::uint32_t>(
-      clamped_env("PARAGRAPH_SERVE_WINDOW_US", base.batch_window_us, 0,
-                  10'000'000));
-  base.conn_inflight_cap = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_CONN_INFLIGHT",
-                  static_cast<std::int64_t>(base.conn_inflight_cap), 1,
-                  1 << 16));
-  base.write_queue_cap = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_WRITEQ_CAP",
-                  static_cast<std::int64_t>(base.write_queue_cap), 4096,
-                  std::int64_t{1} << 30));
-  base.idle_timeout_ms = static_cast<int>(clamped_env(
-      "PARAGRAPH_SERVE_IDLE_TIMEOUT_MS", base.idle_timeout_ms, 0, 3'600'000));
-  base.cache =
-      clamped_env("PARAGRAPH_SERVE_CACHE", base.cache ? 1 : 0, 0, 1) != 0;
-  base.cache_capacity = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_CACHE_CAP",
-                  static_cast<std::int64_t>(base.cache_capacity), 1, 1 << 20));
+  const auto read = [](const char* name, auto fallback, std::int64_t lo,
+                       std::int64_t hi) {
+    return static_cast<decltype(fallback)>(
+        env_int_in_range(name, static_cast<std::int64_t>(fallback), lo, hi));
+  };
+  base.port = read("PARAGRAPH_SERVE_PORT", base.port, 0, 65535);
+  base.workers = read("PARAGRAPH_SERVE_WORKERS", base.workers, 1, 256);
+  base.io_threads = read("PARAGRAPH_SERVE_IO_THREADS", base.io_threads, 0, 64);
+  base.engine_threads =
+      read("PARAGRAPH_THREADS", base.engine_threads, 1, kMaxThreads);
+  base.queue_depth =
+      read("PARAGRAPH_SERVE_QUEUE", base.queue_depth, 1, 1 << 20);
+  base.batch_max = read("PARAGRAPH_SERVE_BATCH", base.batch_max, 1, kMaxBatch);
+  base.batch_window_us =
+      read("PARAGRAPH_SERVE_WINDOW_US", base.batch_window_us, 0, 10'000'000);
+  base.conn_inflight_cap =
+      read("PARAGRAPH_SERVE_CONN_INFLIGHT", base.conn_inflight_cap, 1, 1 << 16);
+  base.write_queue_cap = read("PARAGRAPH_SERVE_WRITEQ_CAP",
+                              base.write_queue_cap, 4096, 1 << 30);
+  base.idle_timeout_ms = read("PARAGRAPH_SERVE_IDLE_TIMEOUT_MS",
+                              base.idle_timeout_ms, 0, 3'600'000);
+  base.cache = read("PARAGRAPH_SERVE_CACHE", base.cache ? 1 : 0, 0, 1) != 0;
+  base.cache_capacity =
+      read("PARAGRAPH_SERVE_CACHE_CAP", base.cache_capacity, 1, 1 << 20);
   return base;
 }
 

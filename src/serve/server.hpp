@@ -106,8 +106,8 @@ struct ServeConfig {
 /// Env-knob layer (documented in docs/SERVING.md): PARAGRAPH_SERVE_PORT,
 /// _WORKERS, _IO_THREADS, _QUEUE, _BATCH, _WINDOW_US, _IDLE_TIMEOUT_MS,
 /// _CONN_INFLIGHT, _WRITEQ_CAP, _CACHE, _CACHE_CAP override the defaults,
-/// and PARAGRAPH_THREADS sets engine_threads; out-of-range values are
-/// clamped to sane bounds.
+/// and PARAGRAPH_THREADS sets engine_threads; an out-of-range value is
+/// clamped to its bounds and reported on stderr (pg::env_int_in_range).
 ServeConfig serve_config_from_env(ServeConfig base = {});
 
 /// Monotonic counters; safe to read while the server runs.

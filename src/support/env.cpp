@@ -15,13 +15,13 @@ namespace {
 /// (`problem`) and the value `used` instead, printed once per (variable,
 /// value) pair: "paragraph: NAME=VALUE <problem>; using USED".
 void report_fallback(const char* name, const std::string& value,
-                     const char* problem, const std::string& used) {
+                     const std::string& problem, const std::string& used) {
   static std::mutex mutex;
   static std::set<std::pair<std::string, std::string>> reported;
   const std::lock_guard<std::mutex> lock(mutex);
   if (!reported.emplace(name, value).second) return;
   std::fprintf(stderr, "paragraph: %s=%s %s; using %s\n", name, value.c_str(),
-               problem, used.c_str());
+               problem.c_str(), used.c_str());
 }
 
 }  // namespace
@@ -43,31 +43,22 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   return parsed;
 }
 
+std::int64_t env_int_in_range(const char* name, std::int64_t fallback,
+                              std::int64_t lo, std::int64_t hi) {
+  const std::string raw = env_string(name, "");
+  if (raw.empty()) return fallback;
+  const std::int64_t value = env_int(name, fallback);
+  const std::int64_t clamped = std::clamp(value, lo, hi);
+  if (clamped != value)
+    report_fallback(name, raw,
+                    "is out of range [" + std::to_string(lo) + ", " +
+                        std::to_string(hi) + "]",
+                    std::to_string(clamped));
+  return clamped;
+}
+
 std::int64_t env_thread_count() {
-  const std::int64_t threads = env_int("PARAGRAPH_THREADS", 0);
-  return threads > 0 ? threads : 0;
-}
-
-std::optional<std::size_t> env_chunk_override() {
-  const std::int64_t raw = env_int("PARAGRAPH_CHUNK", 0);
-  if (raw <= 0) return std::nullopt;  // unset, invalid, or nonsense
-  return std::min<std::size_t>(static_cast<std::size_t>(raw), kMaxChunkSize);
-}
-
-std::size_t env_chunk_size(std::size_t fallback) {
-  return env_chunk_override().value_or(fallback);
-}
-
-SchedPolicy sched_policy_from_env() {
-  const std::string raw = env_string("PARAGRAPH_SCHED", "cost");
-  if (raw == "fixed") return SchedPolicy::kFixed;
-  if (raw != "cost")
-    report_fallback("PARAGRAPH_SCHED", raw, "is not a known policy", "cost");
-  return SchedPolicy::kCost;
-}
-
-const char* to_string(SchedPolicy policy) {
-  return policy == SchedPolicy::kFixed ? "fixed" : "cost";
+  return env_int_in_range("PARAGRAPH_THREADS", 0, 0, kMaxThreads);
 }
 
 RunScale run_scale_from_env() {

@@ -371,27 +371,20 @@ std::string legacy_v1_corpus() {
 
 /// Both readers over a corpus whose record 0 is corrupt: each must throw a
 /// FormatError naming record 0 and ending in `what` (containing it, when
-/// `exact_end` is false).
+/// `exact_end` is false), and the two texts must be identical.
 void expect_record0_rejected(const std::string& bytes, const std::string& what,
                              const char* label, bool exact_end = true) {
   const auto heap = std::make_unique<unsigned char[]>(bytes.size());
   std::memcpy(heap.get(), bytes.data(), bytes.size());
-  const auto check_text = [&](const FormatError& e, const char* reader) {
-    const std::string text = e.what();
-    EXPECT_EQ(text.rfind("corrupt dataset record 0 ", 0), 0u)
-        << label << " (" << reader << "): " << text;
-    const std::size_t at = text.rfind(what);
-    EXPECT_TRUE(at != std::string::npos &&
-                (!exact_end || at + what.size() == text.size()))
-        << label << " (" << reader << "): " << text << "\nwanted: " << what;
-  };
+  std::string view_text;
+  std::string reader_text;
   try {
     const DatasetView view(heap.get(), bytes.size());
     model::TrainingSample sample;
     view.decode(0, sample);
     ADD_FAILURE() << label << ": DatasetView decoded record 0";
   } catch (const FormatError& e) {
-    check_text(e, "DatasetView");
+    view_text = e.what();
   }
   try {
     std::istringstream is(bytes, std::ios::binary);
@@ -401,12 +394,56 @@ void expect_record0_rejected(const std::string& bytes, const std::string& what,
     (void)reader.next(sample, split);
     ADD_FAILURE() << label << ": DatasetReader decoded record 0";
   } catch (const FormatError& e) {
-    check_text(e, "DatasetReader");
+    reader_text = e.what();
   }
+  EXPECT_EQ(view_text, reader_text) << label;
+  EXPECT_EQ(view_text.rfind("corrupt dataset record 0 ", 0), 0u)
+      << label << ": " << view_text;
+  const std::size_t at = view_text.rfind(what);
+  EXPECT_TRUE(at != std::string::npos &&
+              (!exact_end || at + what.size() == view_text.size()))
+      << label << ": " << view_text << "\nwanted: " << what;
 }
 
 std::string at_offset(std::size_t offset) {
   return " (features section, byte offset " + std::to_string(offset) + ")";
+}
+
+TEST(CorpusFuzz, RecordFrameHeaderErrorsNameTheFrameOffset) {
+  for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
+    const RecordLayout l = record_layout(base_corpus(version), 2);
+    const std::string at = " at byte offset " + std::to_string(l.frame);
+    std::string bytes = l.bytes;
+    bytes[l.frame] = 'X';  // "RECD" -> "XECD"
+    expect_record0_rejected(bytes,
+                            "corrupt dataset record 0 (frame header" + at +
+                                "): bad record marker",
+                            "bad marker");
+  }
+  // A v1 corpus has no index to cross-check the frame against, so both
+  // readers see exactly the same header and body bytes.
+  const RecordLayout l = record_layout(base_corpus(1), 2);
+  const std::string at = " at byte offset " + std::to_string(l.frame);
+  std::uint64_t body = 0;
+  std::memcpy(&body, l.bytes.data() + l.frame + 4, 8);
+  {
+    std::string bytes = l.bytes;
+    const std::uint64_t zero = 0;
+    std::memcpy(bytes.data() + l.frame + 4, &zero, 8);
+    expect_record0_rejected(bytes,
+                            "corrupt dataset record 0 (frame header" + at +
+                                "): implausible record size",
+                            "empty frame");
+  }
+  {
+    std::string bytes = l.bytes;
+    bytes[l.frame + 12] = 7;  // the split tag, first byte of the body
+    expect_record0_rejected(bytes,
+                            "corrupt dataset record 0 (" +
+                                std::to_string(body) + "-byte frame" + at +
+                                "): bad split tag",
+                            "split tag");
+  }
 }
 
 TEST(CorpusFuzz, RecordNodeKindPastTheLastKindIsRejected) {

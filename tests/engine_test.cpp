@@ -8,7 +8,6 @@
 #include <omp.h>
 
 #include <array>
-#include <cstdlib>
 #include <vector>
 
 #include "frontend/parser.hpp"
@@ -18,7 +17,6 @@
 #include "model/graph_batch.hpp"
 #include "model/trainer.hpp"
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace pg::model {
 namespace {
@@ -225,35 +223,6 @@ TEST(Trainer, TrainingIsIndependentOfThreadCount) {
         << "epoch " << e;
   }
   EXPECT_EQ(one.val_predictions_us, three.val_predictions_us);
-}
-
-TEST(InferenceEngine, ChunkSizeEnvOverrideClampsAndNeverChangesValues) {
-  ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 5});
-  auto [graphs, aux] = make_batch(9);
-
-  ::unsetenv("PARAGRAPH_CHUNK");
-  InferenceEngine default_engine(m);
-  EXPECT_EQ(default_engine.fuse_chunk(), 64u);
-  std::vector<double> expected(graphs.size());
-  default_engine.predict_batch(graphs, aux, expected);
-
-  // An absurd override clamps to the documented bound instead of blowing up
-  // the per-thread arenas; a tiny one degrades to per-graph chunks. Either
-  // way predictions stay bitwise-identical — chunking never affects values.
-  ::setenv("PARAGRAPH_CHUNK", "999999999", 1);
-  InferenceEngine clamped(m);
-  EXPECT_EQ(clamped.fuse_chunk(), pg::kMaxChunkSize);
-  std::vector<double> out(graphs.size());
-  clamped.predict_batch(graphs, aux, out);
-  EXPECT_EQ(out, expected);
-
-  ::setenv("PARAGRAPH_CHUNK", "1", 1);
-  InferenceEngine tiny(m);
-  EXPECT_EQ(tiny.fuse_chunk(), 1u);
-  tiny.predict_batch(graphs, aux, out);
-  EXPECT_EQ(out, expected);
-
-  ::unsetenv("PARAGRAPH_CHUNK");
 }
 
 TEST(InferenceEngine, PredictSamplesUsMatchesPredictAll) {

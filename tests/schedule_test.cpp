@@ -1,16 +1,15 @@
 // Tests for the cost-model chunk scheduler (model/schedule.hpp) and the
 // engine's parallel schedule built on it: deterministic partition
-// boundaries and their prefix-sum invariants, degenerate inputs, the
-// PARAGRAPH_CHUNK / PARAGRAPH_SCHED env split, scheduler stats, and — the
-// load-bearing property — bitwise parity of engine predictions across
-// 1 vs N threads and across chunk policies under uniform / zipf /
-// one-giant batch mixes.
+// boundaries and their prefix-sum invariants, degenerate inputs, scheduler
+// stats, and — the load-bearing property — bitwise parity of engine
+// predictions across 1 vs N threads under uniform / zipf / one-giant batch
+// mixes, and against predict_one for a batch cut at the graphs-per-chunk
+// cap.
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
 #include <array>
-#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -19,7 +18,6 @@
 #include "model/paragraph_model.hpp"
 #include "model/schedule.hpp"
 #include "nn/relational_graph.hpp"
-#include "support/env.hpp"
 
 namespace pg::model {
 namespace {
@@ -119,36 +117,6 @@ TEST(Schedule, ImbalanceIsOneForPerfectCutsAndAboveOneForSkew) {
   EXPECT_DOUBLE_EQ(plan_imbalance({}, partition({}, 10, 64)), 1.0);
 }
 
-// ------------------------------------------------------------ env knobs ---
-
-TEST(Schedule, EnvChunkOverrideParsesOncePerEngine) {
-  ::unsetenv("PARAGRAPH_CHUNK");
-  EXPECT_FALSE(env_chunk_override().has_value());
-  ::setenv("PARAGRAPH_CHUNK", "17", 1);
-  EXPECT_EQ(env_chunk_override().value(), 17u);
-  ::setenv("PARAGRAPH_CHUNK", "0", 1);
-  EXPECT_FALSE(env_chunk_override().has_value());
-  ::setenv("PARAGRAPH_CHUNK", "-3", 1);
-  EXPECT_FALSE(env_chunk_override().has_value());
-  ::setenv("PARAGRAPH_CHUNK", "junk", 1);
-  EXPECT_FALSE(env_chunk_override().has_value());
-  ::setenv("PARAGRAPH_CHUNK", "999999999999", 1);
-  EXPECT_EQ(env_chunk_override().value(), kMaxChunkSize);
-  ::unsetenv("PARAGRAPH_CHUNK");
-}
-
-TEST(Schedule, SchedPolicyFromEnv) {
-  ::unsetenv("PARAGRAPH_SCHED");
-  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kCost);
-  ::setenv("PARAGRAPH_SCHED", "fixed", 1);
-  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kFixed);
-  ::setenv("PARAGRAPH_SCHED", "cost", 1);
-  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kCost);
-  ::setenv("PARAGRAPH_SCHED", "nonsense", 1);
-  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kCost);
-  ::unsetenv("PARAGRAPH_SCHED");
-}
-
 // --------------------------------------------------- engine integration ---
 
 /// Deterministic splitmix64 for synthetic graphs.
@@ -225,66 +193,47 @@ std::vector<MixFixture> all_mixes() {
 
 class EngineParity : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ::unsetenv("PARAGRAPH_CHUNK");
-    ::unsetenv("PARAGRAPH_SCHED");
-    saved_threads_ = omp_get_max_threads();
-  }
-  void TearDown() override {
-    ::unsetenv("PARAGRAPH_CHUNK");
-    ::unsetenv("PARAGRAPH_SCHED");
-    omp_set_num_threads(saved_threads_);
-  }
+  void SetUp() override { saved_threads_ = omp_get_max_threads(); }
+  void TearDown() override { omp_set_num_threads(saved_threads_); }
   int saved_threads_ = 1;
 };
 
-TEST_F(EngineParity, BitwiseAcrossThreadCountsAndPoliciesForAllMixes) {
+TEST_F(EngineParity, BitwiseAcrossThreadCountsForAllMixes) {
   ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 21});
   for (const MixFixture& mix : all_mixes()) {
-    // Reference: 1 thread, cost policy.
+    // Reference: 1 thread.
     omp_set_num_threads(1);
     std::vector<double> reference(mix.graphs.size());
     {
       InferenceEngine engine(m);
       engine.predict_batch(mix.graphs, mix.aux, reference);
     }
-    for (const char* policy : {"cost", "fixed"}) {
-      ::setenv("PARAGRAPH_SCHED", policy, 1);
-      for (int threads : {1, 2, 3}) {
-        omp_set_num_threads(threads);
-        InferenceEngine engine(m);
-        std::vector<double> out(mix.graphs.size());
-        engine.predict_batch(mix.graphs, mix.aux, out);
-        EXPECT_EQ(out, reference)
-            << "policy=" << policy << " threads=" << threads;
-      }
+    for (int threads : {1, 2, 3}) {
+      omp_set_num_threads(threads);
+      InferenceEngine engine(m);
+      std::vector<double> out(mix.graphs.size());
+      engine.predict_batch(mix.graphs, mix.aux, out);
+      EXPECT_EQ(out, reference) << "threads=" << threads;
     }
-    ::unsetenv("PARAGRAPH_SCHED");
   }
 }
 
-TEST_F(EngineParity, ChunkOverrideForcesFixedPolicyAndPinnedWidth) {
-  ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 4});
-  {
-    InferenceEngine engine(m);
-    EXPECT_EQ(engine.chunk_policy(), SchedPolicy::kCost);
-    EXPECT_EQ(engine.fuse_chunk(), 64u);
-  }
-  ::setenv("PARAGRAPH_SCHED", "fixed", 1);
-  {
-    InferenceEngine engine(m);
-    EXPECT_EQ(engine.chunk_policy(), SchedPolicy::kFixed);
-  }
-  ::unsetenv("PARAGRAPH_SCHED");
-  ::setenv("PARAGRAPH_CHUNK", "5", 1);
-  {
-    // An explicit width override implies the fixed policy even when
-    // PARAGRAPH_SCHED asks for cost scheduling.
-    ::setenv("PARAGRAPH_SCHED", "cost", 1);
-    InferenceEngine engine(m);
-    EXPECT_EQ(engine.chunk_policy(), SchedPolicy::kFixed);
-    EXPECT_EQ(engine.fuse_chunk(), 5u);
-  }
+TEST_F(EngineParity, BatchCutAtTheGraphCapMatchesPredictOneBitwise) {
+  // 300 one- and two-node graphs (cost 17-22 each) on one thread: the cost
+  // target (total / 4 = ~1460) would fit ~75 graphs per chunk, so the
+  // 64-graph cap closes every chunk — 64, 64, 64, 64, 44.
+  omp_set_num_threads(1);
+  ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 17});
+  std::vector<std::size_t> sizes;
+  for (std::size_t i = 0; i < 300; ++i) sizes.push_back(1 + i % 2);
+  const MixFixture mix = make_mix(sizes);
+
+  InferenceEngine engine(m);
+  std::vector<double> batched(mix.graphs.size());
+  engine.predict_batch(mix.graphs, mix.aux, batched);
+  EXPECT_EQ(engine.schedule_stats().chunks, 5u);
+  for (std::size_t i = 0; i < mix.graphs.size(); ++i)
+    EXPECT_EQ(batched[i], engine.predict_one(mix.graphs[i], mix.aux[i])) << i;
 }
 
 TEST_F(EngineParity, ScheduleStatsCountBatchesChunksAndRows) {

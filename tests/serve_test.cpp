@@ -620,6 +620,7 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
     ~Restore() {
       unsetenv("PARAGRAPH_SERVE_WORKERS");
       unsetenv("PARAGRAPH_SERVE_IO_THREADS");
+      unsetenv("PARAGRAPH_THREADS");
       unsetenv("PARAGRAPH_SERVE_QUEUE");
       unsetenv("PARAGRAPH_SERVE_WINDOW_US");
       unsetenv("PARAGRAPH_SERVE_CONN_INFLIGHT");
@@ -630,21 +631,46 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
   } restore;
   setenv("PARAGRAPH_SERVE_WORKERS", "3", 1);
   setenv("PARAGRAPH_SERVE_IO_THREADS", "2", 1);
+  setenv("PARAGRAPH_THREADS", "-3", 1);  // floor is 1 -> clamped
   setenv("PARAGRAPH_SERVE_QUEUE", "0", 1);  // below the floor of 1 -> clamped
   setenv("PARAGRAPH_SERVE_WINDOW_US", "500", 1);
   setenv("PARAGRAPH_SERVE_CONN_INFLIGHT", "0", 1);  // floor is 1 -> clamped
   setenv("PARAGRAPH_SERVE_WRITEQ_CAP", "1", 1);  // floor is 4096 -> clamped
   setenv("PARAGRAPH_SERVE_CACHE", "1", 1);
   setenv("PARAGRAPH_SERVE_CACHE_CAP", "64", 1);
-  const serve::ServeConfig config = serve::serve_config_from_env();
+  ::testing::internal::CaptureStderr();
+  serve::ServeConfig config = serve::serve_config_from_env();
+  // Each clamp says so once on stderr, in read order.
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: PARAGRAPH_THREADS=-3 is out of range [1, 256]; "
+            "using 1\n"
+            "paragraph: PARAGRAPH_SERVE_QUEUE=0 is out of range [1, 1048576]; "
+            "using 1\n"
+            "paragraph: PARAGRAPH_SERVE_CONN_INFLIGHT=0 is out of range "
+            "[1, 65536]; using 1\n"
+            "paragraph: PARAGRAPH_SERVE_WRITEQ_CAP=1 is out of range "
+            "[4096, 1073741824]; using 4096\n");
   EXPECT_EQ(config.workers, 3u);
   EXPECT_EQ(config.io_threads, 2u);
+  EXPECT_EQ(config.engine_threads, 1u);
   EXPECT_EQ(config.queue_depth, 1u);
   EXPECT_EQ(config.batch_window_us, 500u);
   EXPECT_EQ(config.conn_inflight_cap, 1u);
   EXPECT_EQ(config.write_queue_cap, 4096u);
   EXPECT_TRUE(config.cache);
   EXPECT_EQ(config.cache_capacity, 64u);
+
+  setenv("PARAGRAPH_SERVE_WORKERS", "0", 1);
+  setenv("PARAGRAPH_SERVE_IO_THREADS", "999", 1);
+  ::testing::internal::CaptureStderr();
+  config = serve::serve_config_from_env();
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: PARAGRAPH_SERVE_WORKERS=0 is out of range [1, 256]; "
+            "using 1\n"
+            "paragraph: PARAGRAPH_SERVE_IO_THREADS=999 is out of range "
+            "[0, 64]; using 64\n");
+  EXPECT_EQ(config.workers, 1u);
+  EXPECT_EQ(config.io_threads, 64u);
 }
 
 // --- reply cache ----------------------------------------------------------

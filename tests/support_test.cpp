@@ -297,43 +297,8 @@ TEST(Env, ScaleNames) {
   EXPECT_STREQ(to_string(RunScale::kFull), "full");
 }
 
-TEST(Env, ChunkSizeValidatesAndClamps) {
-  ::unsetenv("PARAGRAPH_CHUNK");
-  EXPECT_EQ(env_chunk_size(64), 64u);  // unset -> fallback
-  ::setenv("PARAGRAPH_CHUNK", "17", 1);
-  EXPECT_EQ(env_chunk_size(64), 17u);
-  ::setenv("PARAGRAPH_CHUNK", "0", 1);
-  EXPECT_EQ(env_chunk_size(64), 64u);  // invalid -> fallback
-  ::setenv("PARAGRAPH_CHUNK", "-5", 1);
-  EXPECT_EQ(env_chunk_size(64), 64u);
-  ::setenv("PARAGRAPH_CHUNK", "notanumber", 1);
-  EXPECT_EQ(env_chunk_size(64), 64u);
-  ::setenv("PARAGRAPH_CHUNK", "999999999999", 1);  // absurd -> clamped
-  EXPECT_EQ(env_chunk_size(64), kMaxChunkSize);
-  ::unsetenv("PARAGRAPH_CHUNK");
-}
-
 // A value that is not understood still falls back as before, and says so
 // once on stderr: the variable, the value and the value used.
-
-TEST(EnvWarning, UnknownSchedPolicyIsReported) {
-  ::setenv("PARAGRAPH_SCHED", "cots", 1);
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kCost);
-  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
-            "paragraph: PARAGRAPH_SCHED=cots is not a known policy; using "
-            "cost\n");
-  // Once per value: a second read is silent, and known values never warn.
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kCost);
-  ::setenv("PARAGRAPH_SCHED", "fixed", 1);
-  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kFixed);
-  ::setenv("PARAGRAPH_SCHED", "cost", 1);
-  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kCost);
-  ::unsetenv("PARAGRAPH_SCHED");
-  EXPECT_EQ(sched_policy_from_env(), SchedPolicy::kCost);
-  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-}
 
 TEST(EnvWarning, UnknownRunScaleIsReported) {
   ::setenv("PARAGRAPH_SCALE", "smok", 1);
@@ -363,15 +328,47 @@ TEST(EnvWarning, JunkIntegerIsReported) {
   EXPECT_EQ(env_int("PG_TEST_INT_WARN", 7), 7);
   EXPECT_EQ(::testing::internal::GetCapturedStderr(),
             "paragraph: PG_TEST_INT_WARN=12  is not an integer; using 7\n");
-  // Integers, even out-of-range ones the caller then rejects, are silent.
+  // In-range integers are silent.
   ::testing::internal::CaptureStderr();
-  ::setenv("PARAGRAPH_THREADS", "-3", 1);
-  EXPECT_EQ(env_thread_count(), 0);
   ::setenv("PARAGRAPH_THREADS", "4", 1);
   EXPECT_EQ(env_thread_count(), 4);
+  ::setenv("PARAGRAPH_THREADS", "0", 1);
+  EXPECT_EQ(env_thread_count(), 0);
   EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
   ::unsetenv("PARAGRAPH_THREADS");
   ::unsetenv("PG_TEST_INT_WARN");
+}
+
+TEST(EnvWarning, OutOfRangeIntegerIsClampedAndReported) {
+  ::setenv("PARAGRAPH_THREADS", "-3", 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(env_thread_count(), 0);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: PARAGRAPH_THREADS=-3 is out of range [0, 256]; "
+            "using 0\n");
+  ::setenv("PARAGRAPH_THREADS", "100000", 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(env_thread_count(), kMaxThreads);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: PARAGRAPH_THREADS=100000 is out of range [0, 256]; "
+            "using 256\n");
+  ::setenv("PG_TEST_RANGE", "99", 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(env_int_in_range("PG_TEST_RANGE", 5, 1, 10), 10);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: PG_TEST_RANGE=99 is out of range [1, 10]; using 10\n");
+  // Once per value; in-range, unset and bound values are silent, and an
+  // unset variable returns the fallback untouched.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(env_int_in_range("PG_TEST_RANGE", 5, 1, 10), 10);
+  ::setenv("PG_TEST_RANGE", "1", 1);
+  EXPECT_EQ(env_int_in_range("PG_TEST_RANGE", 5, 1, 10), 1);
+  ::setenv("PG_TEST_RANGE", "10", 1);
+  EXPECT_EQ(env_int_in_range("PG_TEST_RANGE", 5, 1, 10), 10);
+  ::unsetenv("PG_TEST_RANGE");
+  EXPECT_EQ(env_int_in_range("PG_TEST_RANGE", 5, 1, 10), 5);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  ::unsetenv("PARAGRAPH_THREADS");
 }
 
 }  // namespace
