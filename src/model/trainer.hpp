@@ -1,8 +1,8 @@
 // Mini-batch trainer: Adam + MSE over fused GraphBatch chunks. Each batch
-// is split into a fixed number of contiguous chunks (independent of the
-// OpenMP thread count); every chunk runs one fused block-diagonal
-// forward/backward into its own gradient buffer, and the buffers are
-// reduced in chunk order. Training is therefore bitwise-reproducible across
+// is split into contiguous cost-balanced chunks (model/schedule.hpp; a pure
+// function of the batch, never of the OpenMP thread count); every chunk runs
+// one fused block-diagonal forward/backward into its own gradient buffer,
+// and the buffers are reduced in chunk order. Training is therefore bitwise-reproducible across
 // machines and thread counts.
 #pragma once
 

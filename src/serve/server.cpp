@@ -12,6 +12,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "io/pgraph_io.hpp"
@@ -20,8 +23,8 @@
 namespace pg::serve {
 namespace {
 
-// Upper bound on PARAGRAPH_SERVE_BATCH: one fused batch of this many graphs
-// is already far past the fusion sweet spot.
+// Upper bound on the batching window's graph count: one fused batch of this
+// many graphs is already far past the fusion sweet spot.
 constexpr std::int64_t kMaxBatch = 4096;
 
 // Epoll tags: connections are tagged with their own fd (always a small
@@ -38,33 +41,81 @@ constexpr int kMaxFlushIov = 64;
 // the reactor would hot-spin on accept4 until an fd freed up.
 constexpr auto kAcceptCooldown = std::chrono::milliseconds(10);
 
+/// A ServeKnob row over the integer field `Field`.
+template <auto Field>
+constexpr ServeKnob knob(const char* env, const char* flag, const char* arg,
+                         std::int64_t lo, std::int64_t hi, const char* help) {
+  using T = std::remove_reference_t<decltype(ServeConfig{}.*Field)>;
+  return {env, flag, arg, lo, hi, help,
+          [](const ServeConfig& c) { return std::int64_t(c.*Field); },
+          [](ServeConfig& c, std::int64_t v) { c.*Field = T(v); }, nullptr};
+}
+
+// Rows are read in this order, so their stderr reports come out in it too.
+constexpr ServeKnob kKnobs[] = {
+    {nullptr, "--checkpoint", "<file>", 0, 0, "trained model checkpoint "
+     "(required)", nullptr, nullptr, &ServeConfig::checkpoint},
+    {nullptr, "--port-file", "<file>", 0, 0, "write the bound port as one "
+     "line", nullptr, nullptr, &ServeConfig::port_file},
+    {nullptr, "--simd", "LEVEL", 0, 0, "kernel dispatch: scalar|sse2|avx2 "
+     "(PARAGRAPH_SIMD)", nullptr, nullptr, &ServeConfig::simd},
+    knob<&ServeConfig::hidden_dim>(nullptr, "--hidden", "N", 1, 4096,
+        "model hidden dim; must match the checkpoint"),
+    knob<&ServeConfig::port>("PARAGRAPH_SERVE_PORT", "--port", "P", 0, 65535,
+        "listen port on 127.0.0.1; 0 = ephemeral"),
+    knob<&ServeConfig::workers>("PARAGRAPH_SERVE_WORKERS", "--workers", "N",
+        1, 256, "InferenceEngine shards"),
+    knob<&ServeConfig::io_threads>("PARAGRAPH_SERVE_IO_THREADS",
+        "--io-threads", "N", 0, 64, "epoll reactor threads; 0 = min(4, cores)"),
+    knob<&ServeConfig::engine_threads>("PARAGRAPH_THREADS", "--threads", "N",
+        1, kMaxThreads, "OpenMP threads per worker's engine shard"),
+    knob<&ServeConfig::queue_depth>("PARAGRAPH_SERVE_QUEUE", "--queue-depth",
+        "N", 1, 1 << 20, "admission queue bound"),
+    knob<&ServeConfig::batch_max>("PARAGRAPH_SERVE_BATCH", "--batch-max", "N",
+        1, kMaxBatch, "batching window flushes at N graphs..."),
+    knob<&ServeConfig::batch_window_us>("PARAGRAPH_SERVE_WINDOW_US",
+        "--window-us", "T", 0, 10'000'000, "...or after T microseconds"),
+    knob<&ServeConfig::conn_inflight_cap>("PARAGRAPH_SERVE_CONN_INFLIGHT",
+        nullptr, nullptr, 1, 1 << 16,
+        "unanswered requests per connection before its reads pause"),
+    knob<&ServeConfig::write_queue_cap>("PARAGRAPH_SERVE_WRITEQ_CAP", nullptr,
+        nullptr, 4096, 1 << 30,
+        "queued reply bytes per connection before its reads pause"),
+    knob<&ServeConfig::idle_timeout_ms>("PARAGRAPH_SERVE_IDLE_TIMEOUT_MS",
+        "--idle-timeout-ms", "T", 0, 3'600'000,
+        "close connections idle for T ms; 0 = never"),
+    knob<&ServeConfig::cache>("PARAGRAPH_SERVE_CACHE", "--cache", nullptr, 0,
+        1, "reply cache for byte-identical requests"),
+    knob<&ServeConfig::cache_capacity>("PARAGRAPH_SERVE_CACHE_CAP",
+        "--cache-cap", "N", 1, 1 << 20, "cache entries before LRU eviction"),
+    knob<&ServeConfig::duration_s>(nullptr, "--duration-s", "S", 0,
+        31'536'000, "exit after S seconds; 0 = at a signal"),
+};
+
 }  // namespace
 
-ServeConfig serve_config_from_env(ServeConfig base) {
-  const auto read = [](const char* name, auto fallback, std::int64_t lo,
-                       std::int64_t hi) {
-    return static_cast<decltype(fallback)>(
-        env_int_in_range(name, static_cast<std::int64_t>(fallback), lo, hi));
-  };
-  base.port = read("PARAGRAPH_SERVE_PORT", base.port, 0, 65535);
-  base.workers = read("PARAGRAPH_SERVE_WORKERS", base.workers, 1, 256);
-  base.io_threads = read("PARAGRAPH_SERVE_IO_THREADS", base.io_threads, 0, 64);
-  base.engine_threads =
-      read("PARAGRAPH_THREADS", base.engine_threads, 1, kMaxThreads);
-  base.queue_depth =
-      read("PARAGRAPH_SERVE_QUEUE", base.queue_depth, 1, 1 << 20);
-  base.batch_max = read("PARAGRAPH_SERVE_BATCH", base.batch_max, 1, kMaxBatch);
-  base.batch_window_us =
-      read("PARAGRAPH_SERVE_WINDOW_US", base.batch_window_us, 0, 10'000'000);
-  base.conn_inflight_cap =
-      read("PARAGRAPH_SERVE_CONN_INFLIGHT", base.conn_inflight_cap, 1, 1 << 16);
-  base.write_queue_cap = read("PARAGRAPH_SERVE_WRITEQ_CAP",
-                              base.write_queue_cap, 4096, 1 << 30);
-  base.idle_timeout_ms = read("PARAGRAPH_SERVE_IDLE_TIMEOUT_MS",
-                              base.idle_timeout_ms, 0, 3'600'000);
-  base.cache = read("PARAGRAPH_SERVE_CACHE", base.cache ? 1 : 0, 0, 1) != 0;
-  base.cache_capacity =
-      read("PARAGRAPH_SERVE_CACHE_CAP", base.cache_capacity, 1, 1 << 20);
+std::span<const ServeKnob> serve_knobs() { return kKnobs; }
+
+ServeConfig read_serve_config(std::span<char* const> args, ServeConfig base) {
+  for (const ServeKnob& k : kKnobs)
+    if (k.env != nullptr)
+      k.set(base, env_int_in_range(k.env, k.get(base), k.lo, k.hi));
+  for (std::size_t a = 0; a < args.size(); ++a) {
+    const std::string_view arg = args[a];
+    const ServeKnob* k = std::ranges::find_if(kKnobs, [&](const ServeKnob& row) {
+      return row.flag != nullptr && arg == row.flag;
+    });
+    if (k == std::end(kKnobs))
+      throw std::invalid_argument("unknown option '" + std::string(arg) + "'");
+    if (k->arg != nullptr && ++a == args.size())
+      throw std::invalid_argument("option " + std::string(arg) +
+                                  " needs a value");
+    if (k->text != nullptr)
+      base.*k->text = args[a];
+    else
+      k->set(base, int_in_range(k->flag, k->arg != nullptr ? args[a] : "1",
+                                k->get(base), k->lo, k->hi));
+  }
   return base;
 }
 

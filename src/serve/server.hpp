@@ -67,6 +67,8 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -88,7 +90,7 @@ struct ServeConfig {
   std::size_t queue_depth = 256;  // admission-queue bound (backpressure)
   std::size_t batch_max = 16;     // flush the batching window at N graphs...
   std::uint32_t batch_window_us = 200;  // ...or T microseconds, whichever first
-  std::size_t workers = 1;        // InferenceEngine shards
+  std::size_t workers = 2;        // InferenceEngine shards
   std::size_t engine_threads = 1;  // OpenMP threads per shard (per worker)
   std::size_t io_threads = 0;     // reactor threads; 0 = min(4, cores)
   // Per-connection read-gating caps (level-triggered backpressure): stop
@@ -101,14 +103,39 @@ struct ServeConfig {
   // Off by default; either way replies stay bitwise-identical to predict_one.
   bool cache = false;
   std::size_t cache_capacity = 1024;
+  // The paragraph-serve daemon's own settings; the Server ignores them.
+  std::string checkpoint;
+  std::string port_file;
+  std::string simd;
+  std::size_t hidden_dim = model::ModelConfig{}.hidden_dim;
+  std::int64_t duration_s = 0;  // 0 = run until a signal
 };
 
-/// Env-knob layer (documented in docs/SERVING.md): PARAGRAPH_SERVE_PORT,
-/// _WORKERS, _IO_THREADS, _QUEUE, _BATCH, _WINDOW_US, _IDLE_TIMEOUT_MS,
-/// _CONN_INFLIGHT, _WRITEQ_CAP, _CACHE, _CACHE_CAP override the defaults,
-/// and PARAGRAPH_THREADS sets engine_threads; an out-of-range value is
-/// clamped to its bounds and reported on stderr (pg::env_int_in_range).
-ServeConfig serve_config_from_env(ServeConfig base = {});
+/// One daemon setting: its environment variable and/or paragraph-serve flag
+/// and the ServeConfig field it sets, through pg::int_in_range in [lo, hi]
+/// (get/set) or verbatim (`text`).
+struct ServeKnob {
+  const char* env;   // nullptr: flag only
+  const char* flag;  // nullptr: environment only
+  const char* arg;   // the flag's value in usage text; nullptr: bare flag = 1
+  std::int64_t lo, hi;
+  const char* help;
+  std::int64_t (*get)(const ServeConfig&);
+  void (*set)(ServeConfig&, std::int64_t);
+  std::string ServeConfig::*text;
+};
+
+/// Every daemon setting; paragraph-serve's usage text is printed from it.
+std::span<const ServeKnob> serve_knobs();
+
+/// Reads every row of serve_knobs(): a flag in `args` beats its variable,
+/// which beats `base`. Throws std::invalid_argument on an option that is
+/// not in the table or a flag without its value.
+ServeConfig read_serve_config(std::span<char* const> args,
+                              ServeConfig base = {});
+
+/// read_serve_config with no flags: the environment over the defaults.
+inline ServeConfig serve_config_from_env() { return read_serve_config({}); }
 
 /// Monotonic counters; safe to read while the server runs.
 struct ServerStats {

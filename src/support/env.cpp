@@ -2,6 +2,7 @@
 #include "support/env.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -31,25 +32,17 @@ std::string env_string(const char* name, const std::string& fallback) {
   return (value == nullptr || *value == '\0') ? fallback : std::string(value);
 }
 
-std::int64_t env_int(const char* name, std::int64_t fallback) {
-  const std::string raw = env_string(name, "");
-  if (raw.empty()) return fallback;
+std::int64_t int_in_range(const char* name, const std::string& raw,
+                          std::int64_t fallback, std::int64_t lo,
+                          std::int64_t hi) {
   char* end = nullptr;
   const long long parsed = std::strtoll(raw.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  if (raw.empty() || *end != '\0') {
     report_fallback(name, raw, "is not an integer", std::to_string(fallback));
     return fallback;
   }
-  return parsed;
-}
-
-std::int64_t env_int_in_range(const char* name, std::int64_t fallback,
-                              std::int64_t lo, std::int64_t hi) {
-  const std::string raw = env_string(name, "");
-  if (raw.empty()) return fallback;
-  const std::int64_t value = env_int(name, fallback);
-  const std::int64_t clamped = std::clamp(value, lo, hi);
-  if (clamped != value)
+  const std::int64_t clamped = std::clamp<std::int64_t>(parsed, lo, hi);
+  if (clamped != parsed)
     report_fallback(name, raw,
                     "is out of range [" + std::to_string(lo) + ", " +
                         std::to_string(hi) + "]",
@@ -57,8 +50,23 @@ std::int64_t env_int_in_range(const char* name, std::int64_t fallback,
   return clamped;
 }
 
-std::int64_t env_thread_count() {
-  return env_int_in_range("PARAGRAPH_THREADS", 0, 0, kMaxThreads);
+std::int64_t env_int_in_range(const char* name, std::int64_t fallback,
+                              std::int64_t lo, std::int64_t hi) {
+  const std::string raw = env_string(name, "");
+  return raw.empty() ? fallback : int_in_range(name, raw, fallback, lo, hi);
+}
+
+std::int64_t env_int(const char* name, std::int64_t fallback) {
+  return env_int_in_range(name, fallback, INT64_MIN, INT64_MAX);
+}
+
+std::int64_t env_thread_count(const char* threads_flag) {
+  const std::int64_t flag =
+      threads_flag == nullptr
+          ? 0
+          : int_in_range("--threads", threads_flag, 0, 0, kMaxThreads);
+  return flag > 0 ? flag
+                  : env_int_in_range("PARAGRAPH_THREADS", 0, 0, kMaxThreads);
 }
 
 RunScale run_scale_from_env() {

@@ -1,4 +1,4 @@
-// Environment-variable knobs shared by benches and examples.
+// Knobs from the environment (and integer command-line flags).
 #pragma once
 
 #include <cstddef>
@@ -10,27 +10,32 @@ namespace pg {
 /// Reads an environment variable, returning `fallback` when unset/empty.
 std::string env_string(const char* name, const std::string& fallback);
 
-/// Reads an integer environment variable (fallback on unset or parse error).
-/// A value that does not parse prints one stderr line per process, as every
-/// knob below does for a value it does not understand:
-/// "paragraph: NAME=VALUE is not an integer; using FALLBACK".
-std::int64_t env_int(const char* name, std::int64_t fallback);
+/// The strict parse and clamp behind every integer knob: `raw` is the text
+/// given under `name`, an environment variable or a command-line flag. Text
+/// that is not an integer returns `fallback` and one outside [lo, hi] is
+/// clamped; either prints one stderr line per (name, value) pair:
+/// "paragraph: NAME=VALUE is not an integer; using FALLBACK" or
+/// "paragraph: NAME=VALUE is out of range [LO, HI]; using CLAMPED".
+std::int64_t int_in_range(const char* name, const std::string& raw,
+                          std::int64_t fallback, std::int64_t lo,
+                          std::int64_t hi);
 
-/// Reads an integer knob that must lie in [lo, hi]: env_int, then a set
-/// value outside the range is clamped into it and reported once on stderr:
-/// "paragraph: NAME=VALUE is out of range [LO, HI]; using CLAMPED". An
-/// unset variable returns `fallback` as is.
+/// int_in_range over an environment variable; unset or empty returns
+/// `fallback` as is.
 std::int64_t env_int_in_range(const char* name, std::int64_t fallback,
                               std::int64_t lo, std::int64_t hi);
+
+/// env_int_in_range without bounds: only a non-integer is reported.
+std::int64_t env_int(const char* name, std::int64_t fallback);
 
 /// Most OpenMP threads a PARAGRAPH_THREADS value may ask for.
 inline constexpr std::int64_t kMaxThreads = 256;
 
-/// Worker-thread override: `PARAGRAPH_THREADS` in [0, kMaxThreads], 0 when
-/// unset or invalid — 0 means "keep the OpenMP default". Consumers (the
-/// CLI's predict/corpus subcommands) pass a positive value to
-/// omp_set_num_threads before building engines or datasets.
-std::int64_t env_thread_count();
+/// Worker-thread override in [0, kMaxThreads]: a positive `--threads` value
+/// beats `PARAGRAPH_THREADS`, both read by int_in_range; 0 means "keep the
+/// OpenMP default". Consumers (the CLI's predict/corpus subcommands) pass a
+/// positive result to omp_set_num_threads before building engines.
+std::int64_t env_thread_count(const char* threads_flag = nullptr);
 
 /// Dataset scale selector: `PARAGRAPH_SCALE` = "smoke" | "default" | "full".
 /// Controls how many sweep points the dataset generator emits; see

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -671,6 +672,77 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
             "[0, 64]; using 64\n");
   EXPECT_EQ(config.workers, 1u);
   EXPECT_EQ(config.io_threads, 64u);
+}
+
+// Flags and variables go through one reader: for every integer row that
+// takes a value (all but the bare --cache), a value below lo, above hi,
+// junk and an in-range value land in the field alike and print the same
+// stderr line, apart from the name. lo - 2 and hi + 2 keep clear of the
+// values KnobsAreReadAndClamped reported already (each (name, value) pair
+// is reported once per process).
+TEST(ServeConfigEnv, FlagAndVariableReadAlike) {
+  const serve::ServeConfig defaults;
+  for (const serve::ServeKnob& k : serve::serve_knobs()) {
+    if (k.get == nullptr || (k.flag != nullptr && k.arg == nullptr)) continue;
+    const std::string lo = std::to_string(k.lo);
+    const std::string hi = std::to_string(k.hi);
+    const std::string range = " is out of range [" + lo + ", " + hi + "]; ";
+    const std::string fallback = std::to_string(k.get(defaults));
+    const std::string mid = std::to_string(k.lo + (k.hi - k.lo) / 2);
+    const struct {
+      std::string value, problem, used;
+    } cases[] = {{std::to_string(k.lo - 2), range, lo},
+                 {std::to_string(k.hi + 2), range, hi},
+                 {"8x", " is not an integer; ", fallback},
+                 {"abc", " is not an integer; ", fallback},
+                 {mid, "", mid}};
+    for (const auto& c : cases) {
+      for (const char* name : {k.flag, k.env}) {
+        if (name == nullptr) continue;
+        SCOPED_TRACE(std::string(name) + "=" + c.value);
+        std::string text = name;
+        std::string value = c.value;
+        std::vector<char*> args;
+        if (name == k.flag) args = {text.data(), value.data()};
+        else setenv(name, value.c_str(), 1);
+        ::testing::internal::CaptureStderr();
+        const serve::ServeConfig config = serve::read_serve_config(args);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        if (k.env != nullptr) unsetenv(k.env);
+        EXPECT_EQ(std::to_string(k.get(config)), c.used);
+        EXPECT_EQ(err, c.problem.empty() ? ""
+                                         : "paragraph: " + text + "=" + value +
+                                               c.problem + "using " + c.used +
+                                               "\n");
+      }
+    }
+  }
+}
+
+TEST(ServeConfigEnv, FlagBeatsVariableAndUnknownOptionsThrow) {
+  setenv("PARAGRAPH_SERVE_QUEUE", "7", 1);
+  std::string args[] = {"--queue-depth", "9", "--cache", "--batch-max", "x"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  ::testing::internal::CaptureStderr();
+  serve::ServeConfig config = serve::read_serve_config(argv);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: --batch-max=x is not an integer; using 16\n");
+  EXPECT_EQ(config.queue_depth, 9u);
+  EXPECT_TRUE(config.cache);
+  // A rejected flag keeps the variable's value.
+  argv = {args[0].data(), args[4].data()};
+  ::testing::internal::CaptureStderr();
+  config = serve::read_serve_config(argv);
+  (void)::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(config.queue_depth, 7u);
+  unsetenv("PARAGRAPH_SERVE_QUEUE");
+
+  std::string unknown = "--cache-eps";
+  argv = {unknown.data(), args[1].data()};
+  EXPECT_THROW((void)serve::read_serve_config(argv), std::invalid_argument);
+  argv = {args[0].data()};  // a flag without its value
+  EXPECT_THROW((void)serve::read_serve_config(argv), std::invalid_argument);
 }
 
 // --- reply cache ----------------------------------------------------------

@@ -371,5 +371,29 @@ TEST(EnvWarning, OutOfRangeIntegerIsClampedAndReported) {
   ::unsetenv("PARAGRAPH_THREADS");
 }
 
+// paragraph-cli's --threads goes through the reader and range of
+// PARAGRAPH_THREADS, naming the flag in its report.
+TEST(EnvWarning, ThreadsFlagIsCheckedLikeTheVariable) {
+  ::unsetenv("PARAGRAPH_THREADS");
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(env_thread_count("999"), kMaxThreads);
+  EXPECT_EQ(env_thread_count("-1"), 0);
+  EXPECT_EQ(env_thread_count("3x"), 0);
+  EXPECT_EQ(env_thread_count(""), 0);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: --threads=999 is out of range [0, 256]; using 256\n"
+            "paragraph: --threads=-1 is out of range [0, 256]; using 0\n"
+            "paragraph: --threads=3x is not an integer; using 0\n"
+            "paragraph: --threads= is not an integer; using 0\n");
+  // A positive flag beats the variable; 0 or no flag falls through to it.
+  ::setenv("PARAGRAPH_THREADS", "5", 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(env_thread_count("3"), 3);
+  EXPECT_EQ(env_thread_count("0"), 5);
+  EXPECT_EQ(env_thread_count(), 5);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  ::unsetenv("PARAGRAPH_THREADS");
+}
+
 }  // namespace
 }  // namespace pg

@@ -181,15 +181,16 @@ std::pair<double, double> bounds_from(const std::string& text) {
   return {std::stod(text.substr(0, comma)), std::stod(text.substr(comma + 1))};
 }
 
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+/// The file named by --out, else stdout.
+std::FILE* open_out(const Args& args) {
+  const auto path = args.option("--out");
+  if (!path) return stdout;
+  std::FILE* out = std::fopen(path->c_str(), "w");
+  if (out == nullptr) throw std::runtime_error("cannot open " + *path);
+  return out;
 }
 
-std::string read_text_file_binary(const std::string& path) {
+std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
   std::ostringstream buffer;
@@ -201,7 +202,7 @@ std::string read_text_file_binary(const std::string& path) {
 
 int cmd_compile(const Args& args) {
   if (args.positional.size() != 1) return usage();
-  const std::string source = read_text_file(args.positional[0]);
+  const std::string source = read_file(args.positional[0]);
 
   const frontend::ParseResult parsed = frontend::parse_source(source);
   if (!parsed.ok()) {
@@ -293,8 +294,8 @@ int cmd_encode(const Args& args) {
 /// PARAGRAPH_THREADS beats the OpenMP default. Must run before any engine
 /// or generator is built (their per-thread pools size off the OpenMP max).
 void apply_thread_override(const Args& args) {
-  std::int64_t threads = args.int_option("--threads", 0);
-  if (threads <= 0) threads = env_thread_count();
+  const auto flag = args.option("--threads");
+  const std::int64_t threads = env_thread_count(flag ? flag->c_str() : nullptr);
   if (threads > 0) omp_set_num_threads(static_cast<int>(threads));
 }
 
@@ -351,12 +352,7 @@ int cmd_predict(const Args& args) {
   model::InferenceEngine engine(model);
   engine.predict_batch(graphs, aux, scaled);
 
-  std::FILE* out = stdout;
-  if (const auto out_path = args.option("--out")) {
-    out = std::fopen(out_path->c_str(), "w");
-    if (out == nullptr)
-      throw std::runtime_error("cannot open " + *out_path);
-  }
+  std::FILE* out = open_out(args);
   for (std::size_t i = 0; i < samples.size(); ++i)
     std::fprintf(out, "%s\t%.17g\t%.17g\n", args.positional[i].c_str(),
                  scaled[i], set.from_target(scaled[i]));
@@ -387,14 +383,10 @@ int cmd_client(const Args& args) {
   }
   if (args.positional.empty()) return usage();
 
-  std::FILE* out = stdout;
-  if (const auto out_path = args.option("--out")) {
-    out = std::fopen(out_path->c_str(), "w");
-    if (out == nullptr) throw std::runtime_error("cannot open " + *out_path);
-  }
+  std::FILE* out = open_out(args);
   int failures = 0;
   for (const std::string& path : args.positional) {
-    const std::string bytes = read_text_file_binary(path);
+    const std::string bytes = read_file(path);
     const auto response = client.predict_until_served(bytes);
     if (!response)
       throw std::runtime_error("server closed the connection");
@@ -841,9 +833,6 @@ int main(int argc, char** argv) {
     if (subcommand == "ann") return cmd_ann(args);
     std::fprintf(stderr, "unknown subcommand '%s'\n", subcommand.c_str());
     return usage();
-  } catch (const io::FormatError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -6,14 +6,13 @@
 // Shutdown: SIGINT/SIGTERM (or --duration-s for scripted soak runs) drains
 // the queue gracefully and prints the final service counters. Exit codes:
 // 0 clean shutdown, 1 startup/runtime failure, 2 usage error.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 
 #include "model/checkpoint.hpp"
@@ -30,138 +29,49 @@ std::atomic<bool> g_stop{false};
 void handle_signal(int) { g_stop.store(true); }
 
 int usage() {
-  std::fprintf(stderr, R"(usage: paragraph-serve --checkpoint <ckpt> [options]
-
-  --checkpoint <file>   trained model checkpoint (required)
-  --hidden N            model hidden dim (default 24; must match the ckpt)
-  --port P              listen port on 127.0.0.1 (default 0 = ephemeral)
-  --port-file <file>    write the bound port as one line (for scripts)
-  --workers N           InferenceEngine shards (default 2)
-  --io-threads N        epoll reactor threads (default 0 = min(4, cores))
-  --queue-depth N       admission queue bound (default 256)
-  --batch-max N         batching window flushes at N graphs (default 16)
-  --window-us T         ...or after T microseconds (default 200)
-  --idle-timeout-ms T   reactor idle-connection timeout (default 0 = none)
-  --duration-s S        exit after S seconds (default 0 = run until signal)
-  --threads N           OpenMP threads per worker's engine shard (default 1,
-                        or PARAGRAPH_THREADS); the daemon runs io threads +
-                        workers x N threads
-  --simd LEVEL          kernel dispatch: scalar|sse2|avx2 (PARAGRAPH_SIMD)
-  --cache               enable the reply cache: byte-identical repeat
-                        requests answer from memory (default off)
-  --cache-cap N         cache capacity before LRU eviction (default 1024)
-
-  Environment defaults (overridden by the flags above): PARAGRAPH_SERVE_PORT,
-  PARAGRAPH_SERVE_WORKERS, PARAGRAPH_SERVE_IO_THREADS, PARAGRAPH_SERVE_QUEUE,
-  PARAGRAPH_SERVE_BATCH, PARAGRAPH_SERVE_WINDOW_US,
-  PARAGRAPH_SERVE_IDLE_TIMEOUT_MS, PARAGRAPH_SERVE_CONN_INFLIGHT,
-  PARAGRAPH_SERVE_WRITEQ_CAP, PARAGRAPH_SERVE_CACHE,
-  PARAGRAPH_SERVE_CACHE_CAP.
-)");
-  return 2;
-}
-
-/// The value-taking options of usage(); `--cache` is the only bare flag.
-constexpr std::string_view kValueOptions[] = {
-    "--checkpoint", "--hidden",          "--port",       "--port-file",
-    "--workers",    "--io-threads",      "--queue-depth", "--batch-max",
-    "--window-us",  "--idle-timeout-ms", "--duration-s", "--threads",
-    "--simd",       "--cache-cap"};
-
-/// True when every argument is an option from usage() and each
-/// value-taking one has a value after it, so a stale or misspelt option
-/// fails loudly instead of being ignored.
-bool options_valid(int argc, char** argv) {
-  for (int a = 1; a < argc; ++a) {
-    const std::string_view arg = argv[a];
-    if (arg == "--cache") continue;
-    if (std::find(std::begin(kValueOptions), std::end(kValueOptions), arg) ==
-        std::end(kValueOptions)) {
-      std::fprintf(stderr, "error: unknown option '%s'\n", argv[a]);
-      return false;
+  std::fprintf(stderr, "usage: paragraph-serve --checkpoint <file> [options]"
+               "\n\nA flag beats its variable, which beats the default; "
+               "docs/SERVING.md has more.\n\n");
+  const serve::ServeConfig defaults;
+  for (const serve::ServeKnob& k : serve::serve_knobs()) {
+    std::string head = "  ";
+    if (k.flag != nullptr) {
+      head += k.flag;
+      if (k.arg != nullptr) head = head + " " + k.arg;
+      if (k.env != nullptr) head += ", ";
     }
-    if (++a == argc) {
-      std::fprintf(stderr, "error: option %s needs a value\n", argv[a - 1]);
-      return false;
-    }
+    if (k.env != nullptr) head += k.env;
+    if (k.get != nullptr)
+      head += ": default " + std::to_string(k.get(defaults)) + ", range [" +
+              std::to_string(k.lo) + ", " + std::to_string(k.hi) + "]";
+    std::fprintf(stderr, "%s\n      %s\n", head.c_str(), k.help);
   }
-  return true;
-}
-
-/// "--flag value" scanner (the CLI's Args helper is private to it; the
-/// daemon's surface is small enough for a direct loop).
-const char* option_value(int argc, char** argv, const char* name) {
-  for (int a = 1; a + 1 < argc; ++a)
-    if (std::string(argv[a]) == name) return argv[a + 1];
-  return nullptr;
-}
-
-std::int64_t int_option(int argc, char** argv, const char* name,
-                        std::int64_t fallback) {
-  const char* value = option_value(argc, argv, name);
-  return value != nullptr ? std::stoll(value) : fallback;
-}
-
-bool flag_option(int argc, char** argv, const char* name) {
-  for (int a = 1; a < argc; ++a)
-    if (std::string(argv[a]) == name) return true;
-  return false;
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    if (!options_valid(argc, argv)) return usage();
-    const char* ckpt_path = option_value(argc, argv, "--checkpoint");
-    if (ckpt_path == nullptr) return usage();
+    const serve::ServeConfig serve_config =
+        serve::read_serve_config({argv + 1, argv + argc});
+    if (serve_config.checkpoint.empty()) return usage();
 
-    if (const char* level = option_value(argc, argv, "--simd")) {
-      const auto parsed = tensor::simd::level_from_name(level);
+    if (!serve_config.simd.empty()) {
+      const auto parsed = tensor::simd::level_from_name(serve_config.simd);
       if (!parsed) {
         std::fprintf(stderr, "unknown SIMD level '%s' (scalar|sse2|avx2)\n",
-                     level);
+                     serve_config.simd.c_str());
         return 2;
       }
       tensor::simd::set_active_level(*parsed);
     }
 
     model::ModelConfig config;
-    config.hidden_dim =
-        static_cast<std::size_t>(int_option(argc, argv, "--hidden", 24));
+    config.hidden_dim = serve_config.hidden_dim;
     model::ParaGraphModel model(config);
     const model::CheckpointScalers scalers =
-        model::load_checkpoint_file(ckpt_path, model);
-
-    serve::ServeConfig serve_config = serve::serve_config_from_env();
-    serve_config.port = static_cast<std::uint16_t>(
-        int_option(argc, argv, "--port", serve_config.port));
-    serve_config.workers = static_cast<std::size_t>(int_option(
-        argc, argv, "--workers",
-        static_cast<std::int64_t>(std::max<std::size_t>(serve_config.workers, 2))));
-    serve_config.io_threads = static_cast<std::size_t>(
-        int_option(argc, argv, "--io-threads",
-                   static_cast<std::int64_t>(serve_config.io_threads)));
-    serve_config.engine_threads =
-        static_cast<std::size_t>(std::max<std::int64_t>(
-            1, int_option(argc, argv, "--threads",
-                          static_cast<std::int64_t>(
-                              serve_config.engine_threads))));
-    serve_config.queue_depth = static_cast<std::size_t>(
-        int_option(argc, argv, "--queue-depth",
-                   static_cast<std::int64_t>(serve_config.queue_depth)));
-    serve_config.batch_max = static_cast<std::size_t>(
-        int_option(argc, argv, "--batch-max",
-                   static_cast<std::int64_t>(serve_config.batch_max)));
-    serve_config.batch_window_us = static_cast<std::uint32_t>(
-        int_option(argc, argv, "--window-us", serve_config.batch_window_us));
-    serve_config.idle_timeout_ms = static_cast<int>(int_option(
-        argc, argv, "--idle-timeout-ms", serve_config.idle_timeout_ms));
-    if (flag_option(argc, argv, "--cache")) serve_config.cache = true;
-    serve_config.cache_capacity = static_cast<std::size_t>(
-        int_option(argc, argv, "--cache-cap",
-                   static_cast<std::int64_t>(serve_config.cache_capacity)));
-    const std::int64_t duration_s = int_option(argc, argv, "--duration-s", 0);
+        model::load_checkpoint_file(serve_config.checkpoint, model);
 
     serve::Server server(model, scalers, serve_config);
     server.start();
@@ -179,11 +89,12 @@ int main(int argc, char** argv) {
                 serve_config.batch_window_us,
                 serve_config.cache ? "on" : "off");
     std::fflush(stdout);
-    if (const char* port_file = option_value(argc, argv, "--port-file")) {
-      std::ofstream os(port_file);
+    if (!serve_config.port_file.empty()) {
+      std::ofstream os(serve_config.port_file);
       os << server.port() << "\n";
       if (!os) {
-        std::fprintf(stderr, "error: cannot write %s\n", port_file);
+        std::fprintf(stderr, "error: cannot write %s\n",
+                     serve_config.port_file.c_str());
         return 1;
       }
     }
@@ -191,52 +102,45 @@ int main(int argc, char** argv) {
     const auto started = std::chrono::steady_clock::now();
     while (!g_stop.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      if (duration_s > 0 && std::chrono::steady_clock::now() - started >=
-                                std::chrono::seconds(duration_s))
+      if (serve_config.duration_s > 0 &&
+          std::chrono::steady_clock::now() - started >=
+              std::chrono::seconds(serve_config.duration_s))
         break;
     }
 
     server.stop();
     const serve::ServerStats stats = server.stats();
+    const auto n = [](std::uint64_t v) { return (unsigned long long)v; };
+    const auto ratio = [](std::uint64_t a, std::uint64_t b) {
+      return b > 0 ? static_cast<double>(a) / static_cast<double>(b) : 0.0;
+    };
     std::printf("paragraph-serve: drained and stopped — %llu connections, "
                 "%llu predictions in %llu batches, %llu errors, %llu busy, "
                 "%llu pings\n",
-                static_cast<unsigned long long>(stats.connections),
-                static_cast<unsigned long long>(stats.requests_ok),
-                static_cast<unsigned long long>(stats.batches),
-                static_cast<unsigned long long>(stats.requests_error),
-                static_cast<unsigned long long>(stats.busy_rejected),
-                static_cast<unsigned long long>(stats.pings));
-    const double coalesce = stats.writev_calls > 0
-                                ? static_cast<double>(stats.reply_frames) /
-                                      static_cast<double>(stats.writev_calls)
-                                : 0.0;
+                n(stats.connections), n(stats.requests_ok), n(stats.batches),
+                n(stats.requests_error), n(stats.busy_rejected),
+                n(stats.pings));
     std::printf("paragraph-serve: reactor — %llu reply frames in %llu "
                 "gathered writes (%.2f frames/write), %llu reads gated, "
                 "%llu idle closes, %llu accepts dropped\n",
-                static_cast<unsigned long long>(stats.reply_frames),
-                static_cast<unsigned long long>(stats.writev_calls), coalesce,
-                static_cast<unsigned long long>(stats.read_gated),
-                static_cast<unsigned long long>(stats.idle_closed),
-                static_cast<unsigned long long>(stats.accepts_dropped));
-    const double rows_per_chunk =
-        stats.sched_chunks > 0 ? static_cast<double>(stats.sched_rows) /
-                                     static_cast<double>(stats.sched_chunks)
-                               : 0.0;
+                n(stats.reply_frames), n(stats.writev_calls),
+                ratio(stats.reply_frames, stats.writev_calls),
+                n(stats.read_gated), n(stats.idle_closed),
+                n(stats.accepts_dropped));
     std::printf("paragraph-serve: scheduler — %llu fused chunks, %llu node "
                 "rows (%.1f rows/chunk), %llu intra-parallel chunks\n",
-                static_cast<unsigned long long>(stats.sched_chunks),
-                static_cast<unsigned long long>(stats.sched_rows),
-                rows_per_chunk,
-                static_cast<unsigned long long>(stats.sched_intra_chunks));
+                n(stats.sched_chunks), n(stats.sched_rows),
+                ratio(stats.sched_rows, stats.sched_chunks),
+                n(stats.sched_intra_chunks));
     if (serve_config.cache)
       std::printf("paragraph-serve: cache — %llu hits, %llu misses, "
                   "%llu evictions (cap %zu)\n",
-                  static_cast<unsigned long long>(stats.cache_hits),
-                  static_cast<unsigned long long>(stats.cache_misses),
-                  static_cast<unsigned long long>(stats.cache_evictions),
-                  serve_config.cache_capacity);
+                  n(stats.cache_hits), n(stats.cache_misses),
+                  n(stats.cache_evictions), serve_config.cache_capacity);
     return 0;
+  } catch (const std::invalid_argument& e) {  // an option not in the table
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
