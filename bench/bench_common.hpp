@@ -9,10 +9,14 @@
 //     alongside, and writes a CSV next to the binary,
 //   * optionally emits a machine-readable summary via `--json <path>`
 //     (JsonReport + json_path_from_args below).
+//
+// The argv helpers (option_value, has_flag, int_option) are the one copy
+// every bench's flag parsing goes through.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -52,11 +56,34 @@ inline void print_header(const std::string& title, const BenchConfig& config) {
               static_cast<unsigned long long>(config.seed));
 }
 
+/// The argument following `name` in argv, or nullptr when absent.
+inline const char* option_value(int argc, char** argv, const char* name) {
+  for (int a = 1; a + 1 < argc; ++a)
+    if (std::strcmp(argv[a], name) == 0) return argv[a + 1];
+  return nullptr;
+}
+
+/// Whether `name` appears anywhere in argv.
+inline bool has_flag(int argc, char** argv, const char* name) {
+  for (int a = 1; a < argc; ++a)
+    if (std::strcmp(argv[a], name) == 0) return true;
+  return false;
+}
+
+/// `name`'s value through pg::int_in_range: `fallback` when absent or not
+/// an integer, clamped to [lo, hi] otherwise (either with a stderr line).
+inline std::int64_t int_option(int argc, char** argv, const char* name,
+                               std::int64_t fallback, std::int64_t lo,
+                               std::int64_t hi) {
+  const char* value = option_value(argc, argv, name);
+  return value != nullptr ? int_in_range(name, value, fallback, lo, hi)
+                          : fallback;
+}
+
 /// Returns the path following a `--json` flag in argv, or "" when absent.
 inline std::string json_path_from_args(int argc, char** argv) {
-  for (int a = 1; a + 1 < argc; ++a)
-    if (std::strcmp(argv[a], "--json") == 0) return argv[a + 1];
-  return {};
+  const char* path = option_value(argc, argv, "--json");
+  return path != nullptr ? path : "";
 }
 
 /// Flat machine-readable bench summary: string and numeric key/value pairs

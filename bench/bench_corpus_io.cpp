@@ -18,7 +18,6 @@
 // --json PATH (default BENCH_corpus_io.json next to the binary).
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -40,18 +39,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-const char* option_value(int argc, char** argv, const char* name) {
-  for (int a = 1; a + 1 < argc; ++a)
-    if (std::strcmp(argv[a], name) == 0) return argv[a + 1];
-  return nullptr;
-}
-
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int a = 1; a < argc; ++a)
-    if (std::strcmp(argv[a], name) == 0) return true;
-  return false;
 }
 
 double median3(double a, double b, double c) {
@@ -137,11 +124,11 @@ FixtureTimings emit_fixture(const std::filesystem::path& dir,
 
 int main(int argc, char** argv) {
   const bench::BenchConfig config;
-  std::size_t samples = config.scale == RunScale::kSmoke ? 20'000 : 1'000'000;
-  if (const char* v = option_value(argc, argv, "--samples"))
-    samples = static_cast<std::size_t>(std::stoull(v));
+  const std::size_t samples = static_cast<std::size_t>(bench::int_option(
+      argc, argv, "--samples",
+      config.scale == RunScale::kSmoke ? 20'000 : 1'000'000, 1, 100'000'000));
 
-  if (const char* dir = option_value(argc, argv, "--emit-fixture")) {
+  if (const char* dir = bench::option_value(argc, argv, "--emit-fixture")) {
     const FixtureTimings t = emit_fixture(dir, samples);
     std::printf("fixture: %zu samples -> %s (write %.2fs, reindex %.2fs)\n",
                 samples, dir, t.write_s, t.reindex_s);
@@ -151,12 +138,12 @@ int main(int argc, char** argv) {
   std::filesystem::path dir;
   bool owned = false;
   FixtureTimings timings;
-  if (const char* fixture = option_value(argc, argv, "--fixture")) {
+  if (const char* fixture = bench::option_value(argc, argv, "--fixture")) {
     dir = fixture;
   } else {
     dir = std::filesystem::temp_directory_path() / "pg_bench_corpus_io";
     std::filesystem::remove_all(dir);
-    owned = !has_flag(argc, argv, "--keep");
+    owned = !bench::has_flag(argc, argv, "--keep");
     std::printf("generating %zu-sample corpus under %s ...\n", samples,
                 dir.string().c_str());
     timings = emit_fixture(dir, samples);

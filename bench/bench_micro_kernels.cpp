@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -101,9 +100,8 @@ const model::EncodedGraph& mm_encoded() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_kernels.json";
-  for (int a = 1; a + 1 < argc; ++a)
-    if (std::strcmp(argv[a], "--json") == 0) json_path = argv[a + 1];
+  std::string json_path = bench::json_path_from_args(argc, argv);
+  if (json_path.empty()) json_path = "BENCH_kernels.json";
 
   pg::Rng rng(42);
   bench::JsonReport report("micro_kernels");
@@ -331,8 +329,8 @@ int main(int argc, char** argv) {
                   });
   }
 
-  // Substrate numbers under both levels: warm single-graph predict and the
-  // 256-graph engine batch (the BENCH_substrate.json methodology).
+  // Substrate numbers under both levels: warm single-graph predict (the
+  // matmul kernel graph, hidden 24) and the 256-graph engine batch.
   {
     const auto& enc = mm_encoded();
     model::ModelConfig config;

@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -54,18 +53,6 @@
 namespace {
 
 using namespace pg;
-
-const char* option_value(int argc, char** argv, const char* name) {
-  for (int a = 1; a + 1 < argc; ++a)
-    if (std::strcmp(argv[a], name) == 0) return argv[a + 1];
-  return nullptr;
-}
-
-std::int64_t int_option(int argc, char** argv, const char* name,
-                        std::int64_t fallback) {
-  const char* value = option_value(argc, argv, name);
-  return value != nullptr ? std::stoll(value) : fallback;
-}
 
 /// The deterministic serve corpus: simulated suite samples (first platform,
 /// bench scale/seed) plus a fresh fixed-init model — the same recipe the
@@ -316,17 +303,20 @@ void raise_fd_limit(rlim_t want) {
 int main(int argc, char** argv) {
   bench::BenchConfig config;
 
+  using bench::int_option;
+  using bench::option_value;
   if (const char* dir = option_value(argc, argv, "--emit-fixture"))
     return emit_fixture(dir, config);
 
-  const std::int64_t clients = int_option(argc, argv, "--clients", 4);
-  const std::int64_t seconds = int_option(argc, argv, "--seconds", 5);
+  const std::int64_t clients = int_option(argc, argv, "--clients", 4, 1, 4096);
+  const std::int64_t seconds = int_option(argc, argv, "--seconds", 5, 1, 86'400);
   const char* fixture_dir = option_value(argc, argv, "--fixture");
-  const std::int64_t external_port = int_option(argc, argv, "--port", 0);
+  const std::int64_t external_port =
+      int_option(argc, argv, "--port", 0, 0, 65535);
   const std::int64_t idle_connections =
-      int_option(argc, argv, "--idle-connections", 0);
+      int_option(argc, argv, "--idle-connections", 0, 0, 100'000);
   const std::int64_t sweep_seconds =
-      int_option(argc, argv, "--sweep-seconds", 3);
+      int_option(argc, argv, "--sweep-seconds", 3, 1, 3600);
   std::vector<long long> sweep_counts;
   std::string sweep_descriptor;
   if (const char* list = option_value(argc, argv, "--connections")) {
@@ -345,8 +335,7 @@ int main(int argc, char** argv) {
   // --uniform is Zipf with s = 0 — both flags feed the same seeded picker.
   double zipf_s = 0.0;
   if (const char* s = option_value(argc, argv, "--zipf")) zipf_s = std::stod(s);
-  for (int a = 1; a < argc; ++a)
-    if (std::strcmp(argv[a], "--uniform") == 0) zipf_s = 0.0;
+  if (bench::has_flag(argc, argv, "--uniform")) zipf_s = 0.0;
 
   bench::print_header("paragraph-serve load", config);
 

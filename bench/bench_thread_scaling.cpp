@@ -21,8 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -121,28 +119,15 @@ double now_s() {
       .count();
 }
 
-const char* option_value(int argc, char** argv, const char* flag) {
-  for (int a = 1; a + 1 < argc; ++a)
-    if (std::strcmp(argv[a], flag) == 0) return argv[a + 1];
-  return nullptr;
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int a = 1; a < argc; ++a)
-    if (std::strcmp(argv[a], flag) == 0) return true;
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool smoke = pg::run_scale_from_env() == pg::RunScale::kSmoke ||
-                     has_flag(argc, argv, "--emit-fixture");
+                     pg::bench::has_flag(argc, argv, "--emit-fixture");
   const std::string json_path = pg::bench::json_path_from_args(argc, argv);
 
-  int max_threads = omp_get_max_threads();
-  if (const char* cap = option_value(argc, argv, "--threads"))
-    max_threads = std::max(1, std::min(max_threads, std::atoi(cap)));
+  const int max_threads = static_cast<int>(pg::bench::int_option(
+      argc, argv, "--threads", omp_get_max_threads(), 1, omp_get_max_threads()));
 
   // Batch shapes. The three mixes stress different scheduler behaviours:
   // uniform (chunk fan-out), zipf (cost balancing under skew), one_giant

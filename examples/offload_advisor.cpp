@@ -11,15 +11,15 @@
 //
 // Usage: ./offload_advisor [kernel-name] [--similar K] (default: matmul)
 //
-// --similar K additionally embeds every candidate with the device model and
-// reports the K candidates nearest the recommendation in embedding space
-// (ann::AnnIndex over the pooled embeddings) — "what else does the model
+// --similar K additionally embeds the winner device's candidates with its
+// model and reports the K nearest the recommendation in embedding space
+// (an exact scan over the pooled embeddings) — "what else does the model
 // consider structurally close to the winner".
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <utility>
 
-#include "ann/ann_index.hpp"
 #include "dataset/corpus_cache.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/sample_builder.hpp"
@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   std::size_t similar_k = 0;
   for (int a = 1; a < argc; ++a) {
     if (std::string(argv[a]) == "--similar" && a + 1 < argc)
-      similar_k = static_cast<std::size_t>(std::atoll(argv[++a]));
+      similar_k =
+          static_cast<std::size_t>(int_in_range("--similar", argv[++a], 0, 0, 1000));
     else
       kernel_name = argv[a];
   }
@@ -182,24 +183,30 @@ int main(int argc, char** argv) {
 
     tensor::Matrix embeddings;
     engine.embed_batch(graphs, embeddings);
-    ann::AnnConfig ann_config;
-    ann_config.k = std::min(similar_k, embeddings.rows() - 1);
-    const ann::AnnIndex index =
-        ann::AnnIndex::build(embeddings, ann_config, /*fingerprint=*/0);
-    const auto hits = index.brute_force(embeddings.row_span(batch_index[best_i]),
-                                        similar_k + 1);
+    // Squared L2 to the winner, accumulated in double in index order and
+    // narrowed to float; ranked by (distance, row).
+    const auto winner = embeddings.row_span(batch_index[best_i]);
+    std::vector<std::pair<float, std::size_t>> ranked;
+    for (std::size_t r = 0; r < embeddings.rows(); ++r) {
+      if (r == batch_index[best_i]) continue;
+      const auto row = embeddings.row_span(r);
+      double acc = 0.0;
+      for (std::size_t j = 0; j < row.size(); ++j) {
+        const double d = static_cast<double>(winner[j]) - row[j];
+        acc += d * d;
+      }
+      ranked.emplace_back(static_cast<float>(acc), r);
+    }
+    std::sort(ranked.begin(), ranked.end());
+    ranked.resize(std::min(ranked.size(), similar_k));
 
     std::printf("\n%zu most similar candidates (embedding space, %s):\n",
                 similar_k, candidates[best_i].platform.name.c_str());
-    std::size_t shown = 0;
-    for (const ann::Neighbor& n : hits) {
-      if (n.index == batch_index[best_i]) continue;  // the winner itself
-      const Candidate& c = candidates[owner[n.index]];
+    for (const auto& [distance, r] : ranked)
       std::printf("  %-24s L2^2 = %.6g\n",
-                  std::string(dataset::variant_name(c.variant)).c_str(),
-                  static_cast<double>(n.distance));
-      if (++shown == similar_k) break;
-    }
+                  std::string(dataset::variant_name(candidates[owner[r]].variant))
+                      .c_str(),
+                  static_cast<double>(distance));
   }
   return 0;
 }

@@ -23,9 +23,6 @@ inline constexpr std::uint32_t kSecSampleMeta = 0x0201;
 inline constexpr std::uint32_t kSecSampleFeatures = 0x0202;
 inline constexpr std::uint32_t kSecSampleRelations = 0x0203;
 inline constexpr std::uint32_t kSecDatasetMeta = 0x0301;
-inline constexpr std::uint32_t kSecAnnMeta = 0x0401;
-inline constexpr std::uint32_t kSecAnnEmbeddings = 0x0402;
-inline constexpr std::uint32_t kSecAnnNeighbors = 0x0403;
 
 // Record-stream framing; the values spell "RECD" / "DEND" on disk.
 inline constexpr std::uint32_t kRecordMarker = 0x44434552;

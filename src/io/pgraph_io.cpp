@@ -537,7 +537,6 @@ std::string_view payload_kind_name(PayloadKind kind) {
     case PayloadKind::kGraph: return "graph";
     case PayloadKind::kSample: return "sample";
     case PayloadKind::kDataset: return "dataset";
-    case PayloadKind::kAnnIndex: return "ann-index";
   }
   return "unknown";
 }

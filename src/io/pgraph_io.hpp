@@ -49,7 +49,7 @@ enum class PayloadKind : std::uint16_t {
   kGraph = 1,
   kSample = 2,
   kDataset = 3,
-  kAnnIndex = 4,  // .pgann — embedding-space k-NN index (src/ann)
+  // 4 was `pgann` (the ANN index), removed; never reuse.
 };
 
 std::string_view payload_kind_name(PayloadKind kind);

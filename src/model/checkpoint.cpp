@@ -117,28 +117,6 @@ CheckpointScalers load_checkpoint(std::istream& is, ParaGraphModel& model) {
   return scalers;
 }
 
-std::uint64_t checkpoint_fingerprint(const ParaGraphModel& model) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix_u64 = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint8_t>(v >> (8 * i));
-      h *= 0x100000001b3ull;
-    }
-  };
-  for (const tensor::Matrix* p : model.parameters()) {
-    mix_u64(p->rows());
-    mix_u64(p->cols());
-    for (const float v : p->data()) {
-      const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
-      for (int i = 0; i < 4; ++i) {
-        h ^= static_cast<std::uint8_t>(bits >> (8 * i));
-        h *= 0x100000001b3ull;
-      }
-    }
-  }
-  return h;
-}
-
 void save_checkpoint_file(const std::string& path, const ParaGraphModel& model,
                           const CheckpointScalers& scalers) {
   std::ofstream os(path, std::ios::binary);

@@ -53,12 +53,4 @@ CheckpointScalers load_checkpoint(std::istream& is, ParaGraphModel& model);
 CheckpointScalers load_checkpoint_file(const std::string& path,
                                        ParaGraphModel& model);
 
-/// FNV-1a over the model's parameter shapes and weight bits (the same
-/// explicit little-endian bytes the checkpoint stores). Two models produce
-/// the same fingerprint iff their weights are bitwise-identical, so a
-/// `.pgann` index stamped with this value at build time can reject itself
-/// when loaded against a different/retrained checkpoint — stale embeddings
-/// would silently return wrong neighbors otherwise.
-std::uint64_t checkpoint_fingerprint(const ParaGraphModel& model);
-
 }  // namespace pg::model

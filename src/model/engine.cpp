@@ -231,22 +231,6 @@ void InferenceEngine::embed_batch(std::span<const EncodedGraph> graphs,
   run_chunked(caller.ptrs, {}, {}, &out);
 }
 
-void InferenceEngine::predict_head(const tensor::Matrix& pooled,
-                                   std::span<const std::array<float, 2>> aux,
-                                   std::span<double> out) {
-  check(pooled.rows() == aux.size() && pooled.rows() == out.size(),
-        "InferenceEngine::predict_head: span length mismatch");
-  if (out.empty()) return;
-  ThreadState& ts = state_for_current_thread();
-  ts.aux.reshape(aux.size(), 2);
-  for (std::size_t i = 0; i < aux.size(); ++i) {
-    auto row = ts.aux.row_span(i);
-    row[0] = aux[i][0];
-    row[1] = aux[i][1];
-  }
-  model_->predict_head(pooled, ts.aux, out, ts.ws);
-}
-
 std::vector<double> InferenceEngine::predict_samples_us(
     std::span<const TrainingSample> samples, const SampleSet& set) {
   std::vector<double> predictions(samples.size());

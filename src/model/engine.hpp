@@ -77,16 +77,8 @@ class InferenceEngine {
   /// embedding of the corresponding graph. Runs the same cost-model chunk
   /// fan-out as predict_batch; rows are bitwise-identical to the pooled
   /// rows the predict path computes internally, for any chunking or thread
-  /// count (ann_test pins this).
+  /// count (engine_test pins this).
   void embed_batch(std::span<const EncodedGraph> graphs, tensor::Matrix& out);
-
-  /// FC head over embeddings previously produced by embed_batch: one fused
-  /// head pass on the calling thread (the head is a few small matmuls —
-  /// chunking it would cost more than it saves). Bitwise-identical to the
-  /// head portion of predict_batch for any row subset (ann_test pins this).
-  void predict_head(const tensor::Matrix& pooled,
-                    std::span<const std::array<float, 2>> aux,
-                    std::span<double> out);
 
   /// Runs this batch's predict_batch chunk plan in full on every pool
   /// thread (results discarded), so each thread's workspace already holds

@@ -145,22 +145,6 @@ void ParaGraphModel::embed_batch(const GraphBatch& batch, tensor::Matrix& out,
   }
 }
 
-void ParaGraphModel::predict_head(const tensor::Matrix& pooled,
-                                  const tensor::Matrix& aux,
-                                  std::span<double> out,
-                                  tensor::Workspace& ws) const {
-  check(pooled.cols() == config_.hidden_dim,
-        "predict_head: pooled width mismatch");
-  check(out.size() == pooled.rows(), "predict_head: output span mismatch");
-  if (out.empty()) return;
-  ws.reset();
-  ForwardState s;
-  s.pooled = &pooled;
-  run_head(aux, s, ws);
-  for (std::size_t b = 0; b < out.size(); ++b)
-    out[b] = static_cast<double>((*s.out)(b, 0));
-}
-
 double ParaGraphModel::predict(const EncodedGraph& graph,
                                std::span<const float> aux,
                                tensor::Workspace& ws) const {

@@ -65,19 +65,10 @@ class ParaGraphModel {
   /// [batch.size() x hidden_dim] and fills it with the pooled per-graph
   /// embedding rows. These are the exact rows the predict path pools
   /// internally — predict_batch runs this same embed core before the FC
-  /// head — so they are bitwise-identical to it (pinned by ann_test).
+  /// head — so they are bitwise-identical to it (pinned by engine_test).
   /// `out` must not be borrowed from `ws` (this call resets `ws`).
   void embed_batch(const GraphBatch& batch, tensor::Matrix& out,
                    tensor::Workspace& ws) const;
-
-  /// FC head over externally held pooled embeddings (as produced by
-  /// embed_batch): fc1/fc2 + aux embedding + concat + out_fc. Every head op
-  /// is row-independent, so running any subset of rows through this is
-  /// bitwise-identical to the tail of a full predict_batch.
-  /// `pooled` [B x hidden] and `aux` [B x aux_dim] must not be borrowed
-  /// from `ws` (this call resets `ws`).
-  void predict_head(const tensor::Matrix& pooled, const tensor::Matrix& aux,
-                    std::span<double> out, tensor::Workspace& ws) const;
 
   /// Forward + backward for one sample under MSE against `target` (scaled).
   /// Accumulates `grad_scale * dL/dtheta` into `grads` (one Matrix per
@@ -121,8 +112,8 @@ class ParaGraphModel {
   /// block-diagonal batch; `offsets` (size B+1) marks per-graph node blocks
   /// and `aux_in` is [B x aux_dim]. Fills state; predictions are
   /// state.out(b, 0). Composed of run_embed (conv stack + pool) followed by
-  /// run_head (FC head), so the public embed/head entry points share its
-  /// exact FP operations by construction.
+  /// run_head (FC head), so the public embed entry point shares its exact
+  /// FP operations by construction.
   void run_forward(const nn::OneHotRows& features,
                    const nn::RelationalGraph& relations,
                    std::span<const std::uint32_t> offsets,

@@ -2,12 +2,15 @@
 // exact (bitwise) agreement between the fused block-diagonal forward,
 // predict_one, and the model's own predict; span validation; warm-pool
 // steady state; the microsecond-domain sample path against predict_all;
-// and thread-count-independent training.
+// embed_batch rows against single-graph embeds at every SIMD level; and
+// thread-count-independent training.
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
 #include <array>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "frontend/parser.hpp"
@@ -17,6 +20,7 @@
 #include "model/graph_batch.hpp"
 #include "model/trainer.hpp"
 #include "support/check.hpp"
+#include "tensor/simd.hpp"
 
 namespace pg::model {
 namespace {
@@ -181,6 +185,44 @@ TEST(InferenceEngine, MultiChunkBatchMatchesPredictOneBitwise) {
   InferenceEngine sequential(m);
   for (std::size_t i = 0; i < graphs.size(); ++i)
     EXPECT_EQ(batched[i], sequential.predict_one(graphs[i], aux[i])) << i;
+}
+
+TEST(EmbedBatch, RowsMatchSingleGraphEmbedAtAnyBatchSizeAndLevel) {
+  // Each pooled row is a function of its own graph only, whatever the batch
+  // size, chunk plan or kernel level: row i of a batch embed is bitwise the
+  // embed of graph i alone, and both levels write the same bytes.
+  namespace simd = tensor::simd;
+  const simd::SimdLevel saved = simd::active_level();
+  std::vector<std::string> per_level;
+  for (const simd::SimdLevel level :
+       {simd::SimdLevel::kScalar, simd::max_supported_level()}) {
+    simd::set_active_level(level);
+    ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 3});
+    InferenceEngine engine(m);
+    std::string bytes;
+    for (const std::size_t n : {1u, 3u, 16u, 33u}) {
+      auto [graphs, aux] = make_batch(n);
+      tensor::Matrix pooled;
+      engine.embed_batch(graphs, pooled);
+      ASSERT_EQ(pooled.rows(), n);
+      ASSERT_EQ(pooled.cols(), m.config().hidden_dim);
+      const std::size_t row_bytes = pooled.cols() * sizeof(float);
+      for (std::size_t i = 0; i < n; ++i) {
+        tensor::Matrix single;
+        engine.embed_batch(std::span<const EncodedGraph>(&graphs[i], 1),
+                           single);
+        EXPECT_EQ(std::memcmp(pooled.row_span(i).data(),
+                              single.row_span(0).data(), row_bytes),
+                  0)
+            << simd::level_name(level) << " batch " << n << " row " << i;
+      }
+      bytes.append(reinterpret_cast<const char*>(pooled.data().data()),
+                   n * row_bytes);
+    }
+    per_level.push_back(std::move(bytes));
+  }
+  simd::set_active_level(saved);
+  EXPECT_EQ(per_level[0], per_level[1]);
 }
 
 TEST(Trainer, TrainingIsIndependentOfThreadCount) {

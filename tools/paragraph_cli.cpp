@@ -15,18 +15,20 @@
 //   client   .psample* -> predictions served by a running paragraph-serve
 //            daemon (the serve protocol's reference client; retries on
 //            backpressure)
-//   ann      embedding-space k-NN index: `ann build` embeds .psample files
-//            through the engine and nn-descends a .pgann index; `ann query`
-//            embeds queries and walks the graph (--exact for the brute-force
-//            reference); `ann dump` prints the stored meta
 //
-// Exit codes: 0 success, 1 runtime/input failure (bad file, parse error),
-// 2 usage error. All binary-format failures surface as io::FormatError with
-// a one-line message — never a crash.
+// Exit codes: 0 success, 1 runtime/input failure (bad file, parse error,
+// a float option that is not a finite number), 2 usage error. An integer
+// option goes through pg::int_in_range: a non-integer value falls back to
+// the default and an out-of-range one is clamped, each with one stderr
+// line. All binary-format failures surface as io::FormatError with a
+// one-line message — never a crash.
 #include <omp.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -36,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "ann/ann_index.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/kernel_spec.hpp"
 #include "dataset/sample_builder.hpp"
@@ -82,13 +83,6 @@ int usage() {
           [--scale smoke|default|full] [--seed N]
           [--representation raw|augmented|paragraph] [--log-target])
   reindex <in.pgds> <out.pgds>
-  ann     build --checkpoint <ckpt> -o <out.pgann> [--hidden N] [--k K]
-                [--iterations I] [--seed S] [--threads N]
-                [--simd scalar|sse2|avx2] <sample.psample>...
-          query --index <file.pgann> --checkpoint <ckpt> [--hidden N]
-                [--k K] [--ef E] [--exact] [--threads N]
-                [--simd scalar|sse2|avx2] <query.psample>...
-          dump  <file.pgann>
 
   predict/corpus worker threads: --threads N, else the PARAGRAPH_THREADS
   environment variable, else the OpenMP default. (encode's --threads is the
@@ -101,6 +95,19 @@ int usage() {
 }
 
 // --- tiny argv helpers ----------------------------------------------------
+
+/// Largest worker or launch-configuration count (--workers, --teams,
+/// --threads of encode) an integer option accepts.
+constexpr std::int64_t kMaxLaunch = std::int64_t{1} << 20;
+
+/// The whole of `text` as a finite double, else nullopt.
+std::optional<double> parse_finite(const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(value))
+    return std::nullopt;
+  return value;
+}
 
 struct Args {
   std::vector<std::string> positional;
@@ -120,15 +127,22 @@ struct Args {
     if (!v) throw std::runtime_error("missing required option " + name);
     return *v;
   }
+  /// `name`'s value through pg::int_in_range: `fallback` when absent or
+  /// not an integer, clamped to [lo, hi] otherwise.
   [[nodiscard]] std::int64_t int_option(const std::string& name,
-                                        std::int64_t fallback) const {
+                                        std::int64_t fallback, std::int64_t lo,
+                                        std::int64_t hi) const {
     const auto v = option(name);
-    return v ? std::stoll(*v) : fallback;
+    return v ? int_in_range(name.c_str(), *v, fallback, lo, hi) : fallback;
   }
   [[nodiscard]] double double_option(const std::string& name,
                                      double fallback) const {
     const auto v = option(name);
-    return v ? std::stod(*v) : fallback;
+    if (!v) return fallback;
+    const auto parsed = parse_finite(*v);
+    if (!parsed)
+      throw std::runtime_error(name + "=" + *v + " is not a finite number");
+    return *parsed;
   }
 };
 
@@ -141,8 +155,7 @@ Args parse_args(int argc, char** argv, int first) {
       "--checkpoint", "--hidden",        "--out",          "--platform",
       "--scale",     "--seed",           "--simd",         "--child-weight-scale",
       "--target-bounds", "--teams-bounds", "--threads-bounds",
-      "--port",      "--timeout-ms",     "--format",       "--k",
-      "--ef",        "--iterations",     "--index"};
+      "--port",      "--timeout-ms",     "--format"};
   Args args;
   for (int a = first; a < argc; ++a) {
     const std::string arg = argv[a];
@@ -173,12 +186,20 @@ graph::Representation representation_from(const std::string& name) {
                            "' (raw|augmented|paragraph)");
 }
 
-/// "LO,HI" -> pair of doubles.
-std::pair<double, double> bounds_from(const std::string& text) {
+/// `name`'s "LO,HI" value (default "0,1") -> pair of finite doubles.
+std::pair<double, double> bounds_from(const Args& args,
+                                      const std::string& name) {
+  const std::string text = args.option(name).value_or("0,1");
   const auto comma = text.find(',');
-  if (comma == std::string::npos)
-    throw std::runtime_error("bad bounds '" + text + "' (expected LO,HI)");
-  return {std::stod(text.substr(0, comma)), std::stod(text.substr(comma + 1))};
+  std::optional<double> lo, hi;
+  if (comma != std::string::npos) {
+    lo = parse_finite(text.substr(0, comma));
+    hi = parse_finite(text.substr(comma + 1));
+  }
+  if (!lo || !hi)
+    throw std::runtime_error(name + "=" + text +
+                             " is not LO,HI (two finite numbers)");
+  return {*lo, *hi};
 }
 
 /// The file named by --out, else stdout.
@@ -214,8 +235,9 @@ int cmd_compile(const Args& args) {
   graph::BuildOptions options;
   options.representation =
       representation_from(args.option("--representation").value_or("paragraph"));
-  options.parallel_workers = args.int_option("--workers", 1);
-  options.unknown_trip_fallback = args.int_option("--fallback", 100);
+  options.parallel_workers = args.int_option("--workers", 1, 1, kMaxLaunch);
+  options.unknown_trip_fallback =
+      args.int_option("--fallback", 100, 0, 1'000'000'000);
   const graph::ProgramGraph graph = graph::build_graph(parsed.root(), options);
 
   io::write_graph_file(args.required("-o"), graph);
@@ -242,10 +264,9 @@ io::DatasetMeta meta_from_args(const Args& args) {
   io::DatasetMeta meta;
   meta.child_weight_scale = args.double_option("--child-weight-scale", 1.0);
   meta.log_target = args.has_flag("--log-target");
-  const auto target = bounds_from(args.option("--target-bounds").value_or("0,1"));
-  const auto teams = bounds_from(args.option("--teams-bounds").value_or("0,1"));
-  const auto threads =
-      bounds_from(args.option("--threads-bounds").value_or("0,1"));
+  const auto target = bounds_from(args, "--target-bounds");
+  const auto teams = bounds_from(args, "--teams-bounds");
+  const auto threads = bounds_from(args, "--threads-bounds");
   meta.target_min = target.first;
   meta.target_max = target.second;
   meta.teams_min = teams.first;
@@ -276,9 +297,11 @@ int cmd_encode(const Args& args) {
   const io::DatasetMeta meta = meta_from_args(args);
 
   const model::TrainingSample sample = encode_sample(
-      graph, meta, args.int_option("--teams", 1), args.int_option("--threads", 1),
+      graph, meta, args.int_option("--teams", 1, 1, kMaxLaunch),
+      args.int_option("--threads", 1, 1, kMaxLaunch),
       args.double_option("--runtime-us", 0.0),
-      static_cast<std::int32_t>(args.int_option("--app-id", -1)),
+      static_cast<std::int32_t>(
+          args.int_option("--app-id", -1, -1, INT32_MAX)),
       args.option("--app").value_or(""), args.option("--variant").value_or(""));
 
   io::write_sample_file(args.required("-o"), sample);
@@ -325,7 +348,8 @@ int cmd_predict(const Args& args) {
                tensor::simd::level_name(tensor::simd::active_level()));
 
   model::ModelConfig config;
-  config.hidden_dim = static_cast<std::size_t>(args.int_option("--hidden", 24));
+  config.hidden_dim =
+      static_cast<std::size_t>(args.int_option("--hidden", 24, 1, 4096));
   model::ParaGraphModel model(config);
   const model::CheckpointScalers scalers =
       model::load_checkpoint_file(args.required("--checkpoint"), model);
@@ -368,10 +392,10 @@ int cmd_predict(const Args& args) {
 /// bytes on disk, and the daemon's fused-batch replies are bitwise-equal to
 /// the local predict path (tests/serve_test.cpp pins this).
 int cmd_client(const Args& args) {
-  const std::int64_t port = args.int_option("--port", 0);
-  if (port <= 0 || port > 65535) return usage();
+  const std::int64_t port = args.int_option("--port", 0, 1, 65535);
+  if (port == 0) return usage();
   const auto timeout_ms =
-      static_cast<int>(args.int_option("--timeout-ms", 30'000));
+      static_cast<int>(args.int_option("--timeout-ms", 30'000, 0, 86'400'000));
 
   serve::Client client(static_cast<std::uint16_t>(port), timeout_ms);
   if (args.has_flag("--ping")) {
@@ -495,14 +519,6 @@ int cmd_dump(const Args& args) {
         std::printf("records: %zu train + %zu validation\n", train,
                     validation);
       }
-      break;
-    }
-    case io::PayloadKind::kAnnIndex: {
-      const ann::AnnIndex index = ann::AnnIndex::load_file(path);
-      std::printf("embeddings: %zu x %zu\nneighbors per node: %zu\n",
-                  index.size(), index.dim(), index.k());
-      std::printf("checkpoint fingerprint: %016llx\n",
-                  static_cast<unsigned long long>(index.fingerprint()));
       break;
     }
     default:
@@ -692,7 +708,8 @@ int cmd_corpus(const Args& args) {
   gen.scale = scale == "full"      ? RunScale::kFull
               : scale == "default" ? RunScale::kDefault
                                    : RunScale::kSmoke;
-  gen.seed = static_cast<std::uint64_t>(args.int_option("--seed", 2024));
+  gen.seed =
+      static_cast<std::uint64_t>(args.int_option("--seed", 2024, 0, INT64_MAX));
 
   const std::string repr_name =
       args.option("--representation").value_or("paragraph");
@@ -718,104 +735,6 @@ int cmd_corpus(const Args& args) {
   return 0;
 }
 
-// --- ann ------------------------------------------------------------------
-
-/// Loads the checkpointed model named by --checkpoint/--hidden and embeds
-/// every .psample in `paths` into one [N x hidden] matrix through the
-/// engine's fused embed path (bitwise what the predict path pools).
-tensor::Matrix embed_sample_files(const Args& args,
-                                  const std::vector<std::string>& paths,
-                                  model::ParaGraphModel& model) {
-  const model::CheckpointScalers scalers =
-      model::load_checkpoint_file(args.required("--checkpoint"), model);
-  (void)scalers;  // embeddings live before the output scaler
-
-  std::vector<model::TrainingSample> samples;
-  samples.reserve(paths.size());
-  for (const std::string& path : paths)
-    samples.push_back(io::read_sample_file(path));
-  std::vector<model::EncodedGraph> graphs;
-  graphs.reserve(samples.size());
-  for (model::TrainingSample& s : samples) graphs.push_back(std::move(s.graph));
-
-  tensor::Matrix embeddings;
-  model::InferenceEngine engine(model);
-  engine.embed_batch(graphs, embeddings);
-  return embeddings;
-}
-
-void print_ann_summary(const ann::AnnIndex& index) {
-  std::printf("embeddings: %zu x %zu\nneighbors per node: %zu\n",
-              index.size(), index.dim(), index.k());
-  std::printf("build: k=%zu iterations=%zu seed=%llu\n", index.config().k,
-              index.config().iterations,
-              static_cast<unsigned long long>(index.config().seed));
-  std::printf("checkpoint fingerprint: %016llx\n",
-              static_cast<unsigned long long>(index.fingerprint()));
-}
-
-int cmd_ann(const Args& args) {
-  if (args.positional.empty()) return usage();
-  const std::string& verb = args.positional[0];
-  const std::vector<std::string> paths(args.positional.begin() + 1,
-                                       args.positional.end());
-
-  if (verb == "dump") {
-    if (paths.size() != 1) return usage();
-    const ann::AnnIndex index = ann::AnnIndex::load_file(paths[0]);
-    std::printf("file: %s\nkind: ann-index (format v%u)\n", paths[0].c_str(),
-                ann::kAnnFormatVersion);
-    print_ann_summary(index);
-    return 0;
-  }
-
-  apply_thread_override(args);
-  apply_simd_override(args);
-  model::ModelConfig config;
-  config.hidden_dim = static_cast<std::size_t>(args.int_option("--hidden", 24));
-  model::ParaGraphModel model(config);
-
-  if (verb == "build") {
-    if (paths.empty()) return usage();
-    const tensor::Matrix embeddings = embed_sample_files(args, paths, model);
-    ann::AnnConfig ann_config;
-    ann_config.k = static_cast<std::size_t>(args.int_option("--k", 10));
-    ann_config.iterations =
-        static_cast<std::size_t>(args.int_option("--iterations", 12));
-    ann_config.seed = static_cast<std::uint64_t>(args.int_option("--seed", 42));
-    const ann::AnnIndex index = ann::AnnIndex::build(
-        embeddings, ann_config, model::checkpoint_fingerprint(model));
-    index.save_file(args.required("-o"));
-    std::printf("ann index: %zu embeddings (dim %zu, k %zu) -> %s\n",
-                index.size(), index.dim(), index.k(),
-                args.required("-o").c_str());
-    return 0;
-  }
-
-  if (verb == "query") {
-    if (paths.empty()) return usage();
-    const tensor::Matrix queries = embed_sample_files(args, paths, model);
-    // The model is checkpointed now, so reject an index built by another.
-    const ann::AnnIndex index = ann::AnnIndex::load_file(
-        args.required("--index"), model::checkpoint_fingerprint(model));
-    const auto k = static_cast<std::size_t>(args.int_option("--k", 10));
-    const auto ef = static_cast<std::size_t>(args.int_option("--ef", 0));
-    const bool exact = args.has_flag("--exact");
-    for (std::size_t q = 0; q < queries.rows(); ++q) {
-      const auto hits = exact ? index.brute_force(queries.row_span(q), k)
-                              : index.search(queries.row_span(q), k, ef);
-      for (std::size_t r = 0; r < hits.size(); ++r)
-        std::printf("%s\t%zu\t%u\t%.9g\n", paths[q].c_str(), r, hits[r].index,
-                    static_cast<double>(hits[r].distance));
-    }
-    return 0;
-  }
-
-  std::fprintf(stderr, "unknown ann verb '%s' (build|query|dump)\n",
-               verb.c_str());
-  return usage();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -830,7 +749,6 @@ int main(int argc, char** argv) {
     if (subcommand == "client") return cmd_client(args);
     if (subcommand == "corpus") return cmd_corpus(args);
     if (subcommand == "reindex") return cmd_reindex(args);
-    if (subcommand == "ann") return cmd_ann(args);
     std::fprintf(stderr, "unknown subcommand '%s'\n", subcommand.c_str());
     return usage();
   } catch (const std::exception& e) {
