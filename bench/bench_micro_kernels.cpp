@@ -327,6 +327,34 @@ int main(int argc, char** argv) {
                     // does not depend on their values.
                     k.rgat_attention_backward(args);
                   });
+
+    // A single-edge relation of the same size for the gated kernels (every
+    // relation but Ref on the corpus): 192 distinct destinations, sources
+    // spread over the rows.
+    constexpr std::size_t kSingleEdges = 192;
+    std::vector<std::uint32_t> single_dst(kSingleEdges), single_src(kSingleEdges);
+    for (std::size_t e = 0; e < kSingleEdges; ++e) {
+      single_dst[e] = static_cast<std::uint32_t>(e);
+      single_src[e] = static_cast<std::uint32_t>((e * 37 + 5) % kActive);
+    }
+    const Matrix single_gates = random_matrix(1, kSingleEdges, rng);
+    Matrix pre(kActive, kHidden);
+    report_kernel(report, "rgat_gated_scatter_192e_200x24", 50000,
+                  2.0 * kSingleEdges * kHidden, [&](const KernelTable& k) {
+                    k.rgat_gated_scatter(single_dst.data(), all.data(),
+                                         single_src.data(),
+                                         single_gates.data().data(),
+                                         kSingleEdges, gv.data().data(),
+                                         pre.data().data(), kHidden);
+                  });
+    report_kernel(report, "rgat_gated_gather_192e_200x24", 50000,
+                  2.0 * kSingleEdges * kHidden, [&](const KernelTable& k) {
+                    k.rgat_gated_gather(single_dst.data(), all.data(),
+                                        single_src.data(),
+                                        single_gates.data().data(),
+                                        kSingleEdges, dpre.data().data(),
+                                        dg.data().data(), kHidden);
+                  });
   }
 
   // Substrate numbers under both levels: warm single-graph predict (the

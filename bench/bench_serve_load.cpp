@@ -24,13 +24,15 @@
 // connection counts: each count C gets min(C,8) driver threads round-robining
 // one request per held connection for --sweep-seconds, recording per-count
 // p50/p99/graphs_per_s and — in-process only — the reactor's write-coalescing
-// ratio as flat cN_* JSON keys).
+// ratio as flat cN_* JSON keys; each count an integer in [1, 100000]).
 //
 // Request mix: --uniform (the default) and --zipf <s> share one seeded
 // picker (bench::RequestPicker; Zipf with s = 0 IS uniform), so the two
 // modes differ only in skew. --zipf concentrates traffic on a few hot
-// requests — the shape the serve-time reply cache is built for. The
-// emitted JSON records the mix descriptor alongside the numbers.
+// requests — the shape the serve-time reply cache is built for; s must be
+// a finite number >= 0. The emitted JSON records the mix descriptor
+// alongside the numbers. A bad --connections count or --zipf value exits 1
+// naming the option, before any connection or server starts.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -317,14 +319,22 @@ int main(int argc, char** argv) {
       int_option(argc, argv, "--idle-connections", 0, 0, 100'000);
   const std::int64_t sweep_seconds =
       int_option(argc, argv, "--sweep-seconds", 3, 1, 3600);
+  // The sweep's counts and the request mix define what the run measures,
+  // so a bad value is an error (exit 1, before any connection), never
+  // replaced by a default.
   std::vector<long long> sweep_counts;
   std::string sweep_descriptor;
   if (const char* list = option_value(argc, argv, "--connections")) {
     sweep_descriptor = list;
     std::stringstream ss(list);
     std::string item;
-    while (std::getline(ss, item, ','))
-      if (!item.empty()) sweep_counts.push_back(std::stoll(item));
+    while (std::getline(ss, item, ',')) {
+      if (item.empty()) continue;
+      const auto count =
+          exact_int_in_range("--connections", item, 1, 100'000);
+      if (!count) return 1;
+      sweep_counts.push_back(*count);
+    }
   }
   {
     long long max_conns = idle_connections + clients;
@@ -334,7 +344,15 @@ int main(int argc, char** argv) {
   }
   // --uniform is Zipf with s = 0 — both flags feed the same seeded picker.
   double zipf_s = 0.0;
-  if (const char* s = option_value(argc, argv, "--zipf")) zipf_s = std::stod(s);
+  if (const char* s = option_value(argc, argv, "--zipf")) {
+    const std::optional<double> parsed = parse_finite(s);
+    if (!parsed || *parsed < 0.0) {
+      std::fprintf(stderr, "paragraph: --zipf=%s is not a finite number >= 0\n",
+                   s);
+      return 1;
+    }
+    zipf_s = *parsed;
+  }
   if (bench::has_flag(argc, argv, "--uniform")) zipf_s = 0.0;
 
   bench::print_header("paragraph-serve load", config);

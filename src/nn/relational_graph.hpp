@@ -48,6 +48,13 @@ struct RelationEdges {
   [[nodiscard]] std::size_t num_groups() const { return group_dst.size(); }
   [[nodiscard]] std::size_t num_active_nodes() const { return nodes.size(); }
   [[nodiscard]] bool empty() const { return src_local.empty(); }
+  /// True when every destination group holds exactly one edge. Exact in
+  /// O(1) because no group is empty (from_edges and the io readers never
+  /// make one); a GraphBatch concatenation of such relations is one too.
+  /// The RGAT layer skips attention here: a one-edge softmax weighs 1.
+  [[nodiscard]] bool all_single_edge() const {
+    return num_groups() == num_edges();
+  }
 
   /// Builds the grouped/localised CSR form from (src, dst, gate) triples.
   /// Parallel (duplicate) edges and self-loops are kept as distinct slots.

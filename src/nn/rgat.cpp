@@ -13,7 +13,13 @@
 // projection and dW row scatter (a kind byte and a literal per node), the
 // attention dots, the grouped softmax + gated scatter walking the CSR
 // group_offsets[] / group_dst[] arrays, the attention backward, and the
-// backward's gathered dW_r and scattered dx products. Lanes run across
+// backward's gathered dW_r and scattered dx products. A relation whose
+// every destination has one in-edge (RelationEdges::all_single_edge) skips
+// attention altogether: its one-edge softmax weighs the edge 1.0f, so the
+// dots, the softmax and the attention backward reach no output, and a
+// plain gated scatter (forward) and gather (backward) do the same adds
+// bit for bit. Scratch for logits and scores covers only the attention
+// relations. Lanes run across
 // independent output columns or across independent rows (the dots: each
 // lane one row's double sum in j order), reduction order pinned to the
 // scalar reference, so every dispatch level is bitwise-identical. This file
@@ -40,16 +46,25 @@ constexpr std::size_t kGatherRowGrain = 64;   // rows of fused gather+project
 constexpr std::size_t kBiasRowGrain = 2048;   // rows of the bias add
 constexpr std::size_t kScatterGroupGrain = 128;  // destination groups
 
-/// Totals over all relations: edges and locally-active nodes. These define
-/// the concatenated-block layout shared by forward and backward.
-void relation_totals(const RelationalGraph& graph, std::size_t* total_edges,
-                     std::size_t* total_active) {
-  *total_edges = 0;
-  *total_active = 0;
+/// Sizes of the concatenated per-relation blocks shared by forward and
+/// backward: g/dg rows cover every relation's active nodes; the attention
+/// scratch (raw/alpha/lrg/dscore edges, s_*/ds_* rows) only the relations
+/// with a multi-edge destination group.
+struct RelationTotals {
+  std::size_t active = 0;
+  std::size_t attention_edges = 0;
+  std::size_t attention_active = 0;
+};
+
+RelationTotals relation_totals(const RelationalGraph& graph) {
+  RelationTotals t;
   for (const RelationEdges& rel : graph.relations) {
-    *total_edges += rel.num_edges();
-    *total_active += rel.num_active_nodes();
+    t.active += rel.num_active_nodes();
+    if (rel.all_single_edge()) continue;
+    t.attention_edges += rel.num_edges();
+    t.attention_active += rel.num_active_nodes();
   }
+  return t;
 }
 
 }  // namespace
@@ -113,9 +128,7 @@ const tensor::Matrix& RgatConv::forward_rows(std::size_t n,
   check(graph.relations.size() == num_relations_,
         "RgatConv::forward: relation count mismatch");
 
-  std::size_t total_edges = 0;
-  std::size_t total_active = 0;
-  relation_totals(graph, &total_edges, &total_active);
+  const RelationTotals totals = relation_totals(graph);
 
   // g accumulates (+=) and must start zeroed, as must pre for the one-hot
   // self projection; raw/alpha/s_src/s_dst and the dense matmul's pre are
@@ -123,9 +136,9 @@ const tensor::Matrix& RgatConv::forward_rows(std::size_t n,
   const tensor::Matrix* x = cache.x;
   const OneHotRows& one_hot = cache.one_hot;
   const std::size_t lit_row = in_ - 1;  // the one-hot input's literal row
-  cache.g = &ws.acquire(total_active, out_);
-  cache.raw = &ws.acquire_uninit(1, total_edges);
-  cache.alpha = &ws.acquire_uninit(1, total_edges);
+  cache.g = &ws.acquire(totals.active, out_);
+  cache.raw = &ws.acquire_uninit(1, totals.attention_edges);
+  cache.alpha = &ws.acquire_uninit(1, totals.attention_edges);
   cache.pre = x != nullptr ? &ws.acquire_uninit(n, out_) : &ws.acquire(n, out_);
 
   const tensor::simd::KernelTable& kernels = tensor::simd::kernels();
@@ -148,8 +161,8 @@ const tensor::Matrix& RgatConv::forward_rows(std::size_t n,
                                           b_.data().data(), hi - lo, out_);
   });
 
-  tensor::Matrix& s_src = ws.acquire_uninit(1, total_active);
-  tensor::Matrix& s_dst = ws.acquire_uninit(1, total_active);
+  tensor::Matrix& s_src = ws.acquire_uninit(1, totals.attention_active);
+  tensor::Matrix& s_dst = ws.acquire_uninit(1, totals.attention_active);
 
   float* gp = cache.g->data().data();
   float* ss = s_src.data().data();
@@ -157,20 +170,24 @@ const tensor::Matrix& RgatConv::forward_rows(std::size_t n,
   float* rawp = cache.raw->data().data();
   float* alphap = cache.alpha->data().data();
 
-  std::size_t edge_off = 0;
-  std::size_t row_off = 0;
+  std::size_t row_off = 0;       // into g
+  std::size_t att_edge_off = 0;  // into raw/alpha
+  std::size_t att_row_off = 0;   // into s_src/s_dst
   for (std::size_t r = 0; r < num_relations_; ++r) {
     const RelationEdges& rel = graph.relations[r];
     if (rel.empty()) continue;
     const std::size_t na = rel.num_active_nodes();
+    const bool attend = !rel.all_single_edge();
+    float* g_block = gp + row_off * out_;
 
     // Project only the rows this relation touches, straight into the
     // relation's block of the concatenated cache (fused gather + matmul;
     // the g block starts zero-filled, the kernel accumulates into it), then
-    // both attention dots over the rows just projected, while they are
-    // still in L1 (lanes across rows, each row's double sum in j order, so
-    // every dispatch level agrees). Row-range split: each block owns a
-    // disjoint slice of g/ss/sd rows, so the cut never changes any value.
+    // for an attention relation both attention dots over the rows just
+    // projected, while they are still in L1 (lanes across rows, each row's
+    // double sum in j order, so every dispatch level agrees). Row-range
+    // split: each block owns a disjoint slice of g/ss/sd rows, so the cut
+    // never changes any value.
     const float* asrc = a_src_[r].data().data();
     const float* adst = a_dst_[r].data().data();
     const float* w = w_rel_[r].data().data();
@@ -183,31 +200,44 @@ const tensor::Matrix& RgatConv::forward_rows(std::size_t n,
       else
         kernels.onehot_project(one_hot.kinds.data(), one_hot.literals.data(),
                                rel.nodes.data() + lo, hi - lo, w, lit_row,
-                               gp + (row_off + lo) * out_, out_);
-      kernels.rgat_attention_dots(gp + (row_off + lo) * out_, hi - lo, out_,
-                                  asrc, adst, ss + row_off + lo,
-                                  sd + row_off + lo);
+                               g_block + lo * out_, out_);
+      if (attend)
+        kernels.rgat_attention_dots(g_block + lo * out_, hi - lo, out_, asrc,
+                                    adst, ss + att_row_off + lo,
+                                    sd + att_row_off + lo);
     });
 
-    // Grouped softmax + gated scatter over the relation's CSR arrays.
-    // Group-range split: group_offsets holds absolute within-relation edge
-    // indices and group_dst is unique per relation, so a sub-range call
-    // touches disjoint raw/alpha slots and disjoint pre rows. The relation
-    // loop itself stays serial — different relations accumulate into the
-    // same destination rows, and that sum's order is part of the bitwise
+    // Grouped softmax + gated scatter over the relation's CSR arrays, or
+    // the gated scatter alone when every group is one edge (edge g is then
+    // group g, so a group range is the same edge range). Group-range
+    // split: group_offsets holds absolute within-relation edge indices and
+    // group_dst is unique per relation, so a sub-range call touches
+    // disjoint raw/alpha slots and disjoint pre rows. The relation loop
+    // itself stays serial — different relations accumulate into the same
+    // destination rows, and that sum's order is part of the bitwise
     // contract.
     parallel_for_blocks(
         rel.num_groups(), kScatterGroupGrain,
         [&](std::size_t g_lo, std::size_t g_hi) {
-          kernels.rgat_attention_scatter(
-              rel.group_offsets.data() + g_lo, rel.group_dst.data() + g_lo,
-              g_hi - g_lo, rel.nodes.data(), rel.src_local.data(),
-              rel.gate.data(), ss, sd, leaky_slope_, rawp + edge_off,
-              alphap + edge_off, gp, prep, out_, row_off);
+          if (attend)
+            kernels.rgat_attention_scatter(
+                rel.group_offsets.data() + g_lo, rel.group_dst.data() + g_lo,
+                g_hi - g_lo, rel.nodes.data(), rel.src_local.data(),
+                rel.gate.data(), ss + att_row_off, sd + att_row_off,
+                leaky_slope_, rawp + att_edge_off, alphap + att_edge_off,
+                g_block, prep, out_);
+          else
+            kernels.rgat_gated_scatter(
+                rel.group_dst.data() + g_lo, rel.nodes.data(),
+                rel.src_local.data() + g_lo, rel.gate.data() + g_lo,
+                g_hi - g_lo, g_block, prep, out_);
         });
 
-    edge_off += rel.num_edges();
     row_off += na;
+    if (attend) {
+      att_edge_off += rel.num_edges();
+      att_row_off += na;
+    }
   }
 
   if (!apply_relu_) return pre;
@@ -272,59 +302,69 @@ void RgatConv::backward_into(const tensor::Matrix& dy,
                                lit_row, out_);
   tensor::column_sums_acc(grads[3 * num_relations_ + 1], *dpre);
 
-  std::size_t total_edges = 0;
-  std::size_t total_active = 0;
-  relation_totals(graph, &total_edges, &total_active);
+  const RelationTotals totals = relation_totals(graph);
 
   // dg/ds_* accumulate (+=) and need the zero fill; dscore is assigned per
   // edge before its group reads it back.
-  tensor::Matrix& dg = ws.acquire(total_active, out_);
-  tensor::Matrix& ds_src_m = ws.acquire(1, total_active);
-  tensor::Matrix& ds_dst_m = ws.acquire(1, total_active);
-  tensor::Matrix& dscore_m = ws.acquire_uninit(1, total_edges);
-  // LeakyReLU gradients for all edges in one dispatched elementwise pass —
-  // the same values the group loop used to compute one edge at a time.
-  tensor::Matrix& lrg_m = ws.acquire_uninit(1, total_edges);
+  tensor::Matrix& dg = ws.acquire(totals.active, out_);
+  tensor::Matrix& ds_src_m = ws.acquire(1, totals.attention_active);
+  tensor::Matrix& ds_dst_m = ws.acquire(1, totals.attention_active);
+  tensor::Matrix& dscore_m = ws.acquire_uninit(1, totals.attention_edges);
+  // LeakyReLU gradients for all attention edges in one dispatched
+  // elementwise pass — the same values the group loop used to compute one
+  // edge at a time.
+  tensor::Matrix& lrg_m = ws.acquire_uninit(1, totals.attention_edges);
   kernels.leaky_relu_grad(lrg_m.data().data(), cache.raw->data().data(),
-                          leaky_slope_, total_edges);
+                          leaky_slope_, totals.attention_edges);
 
-  std::size_t edge_off = 0;
   std::size_t row_off = 0;
+  std::size_t att_edge_off = 0;
+  std::size_t att_row_off = 0;
   for (std::size_t r = 0; r < num_relations_; ++r) {
     const RelationEdges& rel = graph.relations[r];
     if (rel.empty()) continue;
     const std::size_t na = rel.num_active_nodes();
-    // The attention backward: dscore per edge, the softmax backward into
-    // ds_src/ds_dst, the alpha*gate dg scatter, then dg += ds (x) a and
-    // da += ds * g (tensor/simd.hpp, AttentionGrad).
-    tensor::simd::AttentionGrad args;
-    args.group_offsets = rel.group_offsets.data();
-    args.group_dst = rel.group_dst.data();
-    args.num_groups = rel.num_groups();
-    args.nodes = rel.nodes.data();
-    args.src_local = rel.src_local.data();
-    args.num_active = na;
-    args.out = out_;
-    args.gates = rel.gate.data();
-    args.alpha = cache.alpha->data().data() + edge_off;
-    args.lrg = lrg_m.data().data() + edge_off;
-    args.dpre = dpre->data().data();
-    args.g = cache.g->data().data() + row_off * out_;
-    args.a_src = a_src_[r].data().data();
-    args.a_dst = a_dst_[r].data().data();
-    args.dscore = dscore_m.data().data() + edge_off;
-    args.dg = dg.data().data() + row_off * out_;
-    args.ds_src = ds_src_m.data().data() + row_off;
-    args.ds_dst = ds_dst_m.data().data() + row_off;
-    args.da_src = grads[3 * r + 1].data().data();
-    args.da_dst = grads[3 * r + 2].data().data();
-    kernels.rgat_attention_backward(args);
+    float* dg_block = dg.data().data() + row_off * out_;
+    if (rel.all_single_edge()) {
+      // alpha = 1: dg[src] += gate * dpre[v]; a and da receive nothing.
+      kernels.rgat_gated_gather(rel.group_dst.data(), rel.nodes.data(),
+                                rel.src_local.data(), rel.gate.data(),
+                                rel.num_edges(), dpre->data().data(),
+                                dg_block, out_);
+    } else {
+      // The attention backward: dscore per edge, the softmax backward into
+      // ds_src/ds_dst, the alpha*gate dg scatter, then dg += ds (x) a and
+      // da += ds * g (tensor/simd.hpp, AttentionGrad).
+      tensor::simd::AttentionGrad args;
+      args.group_offsets = rel.group_offsets.data();
+      args.group_dst = rel.group_dst.data();
+      args.num_groups = rel.num_groups();
+      args.nodes = rel.nodes.data();
+      args.src_local = rel.src_local.data();
+      args.num_active = na;
+      args.out = out_;
+      args.gates = rel.gate.data();
+      args.alpha = cache.alpha->data().data() + att_edge_off;
+      args.lrg = lrg_m.data().data() + att_edge_off;
+      args.dpre = dpre->data().data();
+      args.g = cache.g->data().data() + row_off * out_;
+      args.a_src = a_src_[r].data().data();
+      args.a_dst = a_dst_[r].data().data();
+      args.dscore = dscore_m.data().data() + att_edge_off;
+      args.dg = dg_block;
+      args.ds_src = ds_src_m.data().data() + att_row_off;
+      args.ds_dst = ds_dst_m.data().data() + att_row_off;
+      args.da_src = grads[3 * r + 1].data().data();
+      args.da_dst = grads[3 * r + 2].data().data();
+      kernels.rgat_attention_backward(args);
+      att_edge_off += rel.num_edges();
+      att_row_off += na;
+    }
 
     // g = gather(x) W_r  =>  dW_r += gather(x)^T dg (row gather, no
     // x_local; for one-hot rows a scatter of dg rows onto kind rows);
     // dx[global] += (dg W_r^T)[local] (row scatter, no dx_local; a
     // relation's active nodes are distinct).
-    const float* dg_block = args.dg;
     if (x != nullptr)
       kernels.matmul_t_a_acc(x->data().data(), rel.nodes.data(), dg_block,
                              grads[3 * r].data().data(), in_, na, out_);
@@ -340,7 +380,6 @@ void RgatConv::backward_into(const tensor::Matrix& dy,
                          /*accumulate=*/true);
     }
 
-    edge_off += rel.num_edges();
     row_off += na;
   }
 }

@@ -10,6 +10,11 @@
 //   m_v  += sum_u alpha_uv * gate_uv * g_u
 // Output: ReLU(sum_r m_v + W_self h_v + b).
 //
+// Where every destination of a relation has one in-edge (in the ParaGraph
+// corpus every relation but Ref), the softmax over one element is 1, so
+// m_v = gate_uv * g_u: such a relation runs a plain gated scatter, computes
+// no logits, and its a_src/a_dst get no gradient.
+//
 // `gate` carries the ParaGraph edge weight (MinMax-scaled) for Child edges
 // and is 1 elsewhere — the graph-side realisation of W in Eq. (2).
 //
@@ -53,13 +58,15 @@ class RgatConv {
   /// point into the Workspace the forward was given (plus the borrowed
   /// input), so a Cache is valid until that workspace's next reset().
   /// Per-relation data is concatenated: relation r's block starts at the
-  /// running sum of earlier relations' edge / active-node counts.
+  /// running sum of earlier relations' active-node counts (g), or of
+  /// earlier attention relations' edge counts (raw, alpha) — those with a
+  /// multi-edge destination group; the single-edge ones have no logits.
   struct Cache {
     const tensor::Matrix* x = nullptr;  // borrowed dense input [N x in]
     OneHotRows one_hot;                 // borrowed one-hot input (x null)
     tensor::Matrix* g = nullptr;        // [sum_r |nodes_r| x out] projections
-    tensor::Matrix* raw = nullptr;      // [1 x total_edges] pre-LeakyReLU logits
-    tensor::Matrix* alpha = nullptr;    // [1 x total_edges] attention weights
+    tensor::Matrix* raw = nullptr;    // [1 x attention edges] pre-LeakyReLU logits
+    tensor::Matrix* alpha = nullptr;  // [1 x attention edges] attention weights
     tensor::Matrix* pre = nullptr;      // pre-activation output [N x out]
   };
 

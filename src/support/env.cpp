@@ -2,6 +2,7 @@
 #include "support/env.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +26,20 @@ void report_fallback(const char* name, const std::string& value,
                problem.c_str(), used.c_str());
 }
 
+/// The whole of `raw` as a base-10 integer (strtoll, so out-of-range text
+/// saturates); nullopt when empty or followed by anything else.
+std::optional<long long> parse_integer(const std::string& raw) {
+  char* end = nullptr;
+  const long long parsed = std::strtoll(raw.c_str(), &end, 10);
+  if (raw.empty() || *end != '\0') return std::nullopt;
+  return parsed;
+}
+
+std::string range_problem(std::int64_t lo, std::int64_t hi) {
+  return "is out of range [" + std::to_string(lo) + ", " + std::to_string(hi) +
+         "]";
+}
+
 }  // namespace
 
 std::string env_string(const char* name, const std::string& fallback) {
@@ -35,19 +50,34 @@ std::string env_string(const char* name, const std::string& fallback) {
 std::int64_t int_in_range(const char* name, const std::string& raw,
                           std::int64_t fallback, std::int64_t lo,
                           std::int64_t hi) {
-  char* end = nullptr;
-  const long long parsed = std::strtoll(raw.c_str(), &end, 10);
-  if (raw.empty() || *end != '\0') {
+  const std::optional<long long> parsed = parse_integer(raw);
+  if (!parsed) {
     report_fallback(name, raw, "is not an integer", std::to_string(fallback));
     return fallback;
   }
-  const std::int64_t clamped = std::clamp<std::int64_t>(parsed, lo, hi);
-  if (clamped != parsed)
-    report_fallback(name, raw,
-                    "is out of range [" + std::to_string(lo) + ", " +
-                        std::to_string(hi) + "]",
-                    std::to_string(clamped));
+  const std::int64_t clamped = std::clamp<std::int64_t>(*parsed, lo, hi);
+  if (clamped != *parsed)
+    report_fallback(name, raw, range_problem(lo, hi), std::to_string(clamped));
   return clamped;
+}
+
+std::optional<std::int64_t> exact_int_in_range(const char* name,
+                                               const std::string& raw,
+                                               std::int64_t lo,
+                                               std::int64_t hi) {
+  const std::optional<long long> parsed = parse_integer(raw);
+  if (parsed && *parsed >= lo && *parsed <= hi) return *parsed;
+  std::fprintf(stderr, "paragraph: %s=%s %s\n", name, raw.c_str(),
+               parsed ? range_problem(lo, hi).c_str() : "is not an integer");
+  return std::nullopt;
+}
+
+std::optional<double> parse_finite(const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(value))
+    return std::nullopt;
+  return value;
 }
 
 std::int64_t env_int_in_range(const char* name, std::int64_t fallback,

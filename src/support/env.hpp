@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace pg {
@@ -19,6 +20,20 @@ std::string env_string(const char* name, const std::string& fallback);
 std::int64_t int_in_range(const char* name, const std::string& raw,
                           std::int64_t fallback, std::int64_t lo,
                           std::int64_t hi);
+
+/// The same parse for a value that must not be replaced: an identifier
+/// such as a port, or a count that defines what a run measures. Text that
+/// is not an integer, or one outside [lo, hi], returns nullopt after one
+/// stderr line, "paragraph: NAME=VALUE is not an integer" or "paragraph:
+/// NAME=VALUE is out of range [LO, HI]"; the caller exits non-zero.
+std::optional<std::int64_t> exact_int_in_range(const char* name,
+                                               const std::string& raw,
+                                               std::int64_t lo,
+                                               std::int64_t hi);
+
+/// The whole of `text` as a finite double, else nullopt (the float
+/// options' parse; their callers name the option in the error).
+std::optional<double> parse_finite(const std::string& text);
 
 /// int_in_range over an environment variable; unset or empty returns
 /// `fallback` as is.

@@ -177,7 +177,8 @@ struct KernelTable {
   /// per destination group, raw logits (score gather), LeakyReLU, max-shifted
   /// exp/softmax (scalar, order-pinned) and the alpha*gate-weighted scatter
   /// of source projections into pre[group_dst_global]. raw/alpha are the
-  /// relation's edge blocks (already offset by the caller).
+  /// relation's edge blocks and ss/sd/gbuf its row blocks (all offset by
+  /// the caller, indexed by local node).
   void (*rgat_attention_scatter)(const std::uint32_t* group_offsets,
                                  const std::uint32_t* group_dst,
                                  std::size_t num_groups,
@@ -186,7 +187,28 @@ struct KernelTable {
                                  const float* gates, const float* ss,
                                  const float* sd, float slope, float* raw,
                                  float* alpha, const float* gbuf, float* pre,
-                                 std::size_t out, std::size_t row_off);
+                                 std::size_t out);
+  /// RGAT gated scatter over a relation whose every destination group holds
+  /// one edge (edge e is group e): for e in [0, num_edges) in order,
+  ///   pre[nodes[group_dst[e]],:] += gates[e] * g[src_local[e],:]
+  /// with g the relation's row block. A one-edge softmax gives alpha = 1.0f
+  /// and 1.0f * gate is gate, so on such a relation with finite logits these
+  /// are rgat_attention_scatter's multiplies and adds, bit for bit.
+  void (*rgat_gated_scatter)(const std::uint32_t* group_dst,
+                             const std::uint32_t* nodes,
+                             const std::uint32_t* src_local,
+                             const float* gates, std::size_t num_edges,
+                             const float* g, float* pre, std::size_t out);
+  /// The backward of rgat_gated_scatter onto the projections: for e in
+  /// order, dg[src_local[e],:] += gates[e] * dpre[nodes[group_dst[e]],:] —
+  /// rgat_attention_backward's alpha*gate dg scatter with alpha = 1. There
+  /// its softmax backward leaves ds_src/ds_dst at +0 on such a relation
+  /// (finite dscore), so the score-vector terms add nothing.
+  void (*rgat_gated_gather)(const std::uint32_t* group_dst,
+                            const std::uint32_t* nodes,
+                            const std::uint32_t* src_local, const float* gates,
+                            std::size_t num_edges, const float* dpre,
+                            float* dg, std::size_t out);
   /// RGAT attention backward over one relation (AttentionGrad): the
   /// per-edge dscore dots (lanes across edges), the per-group softmax
   /// backward into ds_src/ds_dst, the alpha*gate-weighted dg scatter, then

@@ -139,6 +139,9 @@ TEST(GradCheck, MlpThroughReluLayers) {
 
 nn::RelationalGraph gradcheck_graph() {
   // 6 nodes, 3 relations: a weighted chain, a fan-in, and a sparse edge.
+  // The first two have a multi-edge destination (attention runs), the
+  // last only one-edge groups (the gated scatter runs), so the finite
+  // differences cover both RgatConv paths.
   nn::RelationalGraph g;
   g.num_nodes = 6;
   g.relations.push_back(nn::RelationEdges::from_edges({
@@ -161,6 +164,9 @@ TEST(GradCheck, RgatConvAllParameters) {
   // No ReLU: keeps the loss smooth so central differences are reliable.
   nn::RgatConv conv(4, 3, 3, rng, /*apply_relu=*/false);
   const nn::RelationalGraph g = gradcheck_graph();
+  ASSERT_FALSE(g.relations[0].all_single_edge());
+  ASSERT_FALSE(g.relations[1].all_single_edge());
+  ASSERT_TRUE(g.relations[2].all_single_edge());
   Matrix x(6, 4);
   pg::Rng xr(6);
   tensor::uniform_init(x, xr, -1.0f, 1.0f);

@@ -648,7 +648,7 @@ TEST(KernelParity, RgatAttentionScatterAllLevels) {
           src_local.data(), gates.data().data(), ss.data().data(),
           sd.data().data(), 0.2f, got_raw.data().data(),
           got_alpha.data().data(), g.data().data(), got_pre.data().data(),
-          out, 0);
+          out);
       expect_bytes_equal(raw, got_raw, level_name(level));
       expect_bytes_equal(alpha, got_alpha, level_name(level));
       expect_bytes_equal(pre, got_pre, level_name(level));
@@ -798,6 +798,72 @@ TEST(KernelParity, RgatAttentionBackwardAllLevels) {
         expect_bytes_equal(expected.ds_dst, got.ds_dst, level_name(level));
         expect_bytes_equal(expected.da_src, got.da_src, level_name(level));
         expect_bytes_equal(expected.da_dst, got.da_dst, level_name(level));
+      }
+    }
+  }
+}
+
+TEST(KernelParity, RgatGatedKernelsMatchSoftmaxPathOnSingleEdgeGroups) {
+  // A relation whose every group holds one edge, run through the softmax
+  // kernels and through the gated ones at every level. With finite logits
+  // the softmax weighs each edge 1.0f, so the gated scatter must write the
+  // softmax scatter's pre bytes, the gated gather the attention backward's
+  // dg bytes, and the attention backward must leave da_src/da_dst as they
+  // were. Gates include 0 and negatives; local row 0 sources every third
+  // edge, so its dg row sums many terms in edge order.
+  pg::Rng rng(79);
+  for (const std::size_t out : {8u, 10u, 16u, 24u, 32u, 5u}) {
+    for (const std::size_t edges : {1u, 3u, 8u, 13u, 37u}) {
+      const std::size_t na = edges + 4;
+      AttentionCase c =
+          attention_case(std::vector<std::size_t>(edges, 1), na, out, rng);
+      for (std::size_t e = 0; e < edges; ++e) {
+        if (e % 3 == 0) c.src_local[e] = 0;
+        if (e % 5 == 1) c.gates(0, e) = 0.0f;
+      }
+      const Matrix ss = random_matrix(1, na, rng);
+      const Matrix sd = random_matrix(1, na, rng);
+      const Matrix base = random_matrix(2 * na, out, rng);
+
+      Matrix scalar_pre, scalar_dg;
+      for (const SimdLevel level : supported_levels()) {
+        const KernelTable& k = kernels_for(level);
+        Matrix raw(1, edges), alpha(1, edges);
+        Matrix soft_pre = base;
+        k.rgat_attention_scatter(
+            c.group_offsets.data(), c.group_dst.data(), edges, c.nodes.data(),
+            c.src_local.data(), c.gates.data().data(), ss.data().data(),
+            sd.data().data(), 0.2f, raw.data().data(), alpha.data().data(),
+            c.g.data().data(), soft_pre.data().data(), out);
+        Matrix gated_pre = base;
+        k.rgat_gated_scatter(c.group_dst.data(), c.nodes.data(),
+                             c.src_local.data(), c.gates.data().data(), edges,
+                             c.g.data().data(), gated_pre.data().data(), out);
+        expect_bytes_equal(soft_pre, gated_pre, level_name(level));
+        for (const float a : alpha.data()) ASSERT_EQ(a, 1.0f);
+
+        // The backward reads the forward's alpha and LeakyReLU gradient.
+        AttentionCase soft = c;
+        soft.alpha = alpha;
+        k.leaky_relu_grad(soft.lrg.data().data(), raw.data().data(), 0.2f,
+                          edges);
+        k.rgat_attention_backward(soft.args());
+        AttentionCase gated = c;
+        k.rgat_gated_gather(gated.group_dst.data(), gated.nodes.data(),
+                            gated.src_local.data(), gated.gates.data().data(),
+                            edges, gated.dpre.data().data(),
+                            gated.dg.data().data(), out);
+        expect_bytes_equal(soft.dg, gated.dg, level_name(level));
+        expect_bytes_equal(c.da_src, soft.da_src, level_name(level));
+        expect_bytes_equal(c.da_dst, soft.da_dst, level_name(level));
+
+        if (level == SimdLevel::kScalar) {
+          scalar_pre = gated_pre;
+          scalar_dg = gated.dg;
+        } else {
+          expect_bytes_equal(scalar_pre, gated_pre, level_name(level));
+          expect_bytes_equal(scalar_dg, gated.dg, level_name(level));
+        }
       }
     }
   }

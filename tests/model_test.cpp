@@ -2,6 +2,11 @@
 // the trainer, and evaluation metrics.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
+#include "dataset/generator.hpp"
+#include "dataset/sample_builder.hpp"
 #include "frontend/parser.hpp"
 #include "graph/builder.hpp"
 #include "io/pgraph_io.hpp"
@@ -10,6 +15,7 @@
 #include "model/metrics.hpp"
 #include "model/paragraph_model.hpp"
 #include "model/trainer.hpp"
+#include "sim/platform.hpp"
 #include "support/check.hpp"
 
 namespace pg::model {
@@ -300,6 +306,61 @@ TEST(Trainer, TrainedParametersMatchRecordedHash) {
     EXPECT_EQ(parameter_hash(m), pin.hash)
         << "hidden " << pin.hidden << ": 0x" << std::hex << parameter_hash(m);
   }
+}
+
+TEST(Trainer, SingleEdgeRelationsKeepTheirAttentionVectors) {
+  // Where every destination of a relation has one in-edge, its softmax is
+  // 1 and no gradient reaches its a_src/a_dst. After training on the smoke
+  // V100 corpus, every relation that is single-edge in every training
+  // graph keeps the vectors of a fresh same-seed model bit for bit, while
+  // Ref's (the relation with fan-in) move in the second and third layers.
+  // The first layer's Ref sources are all DeclRefExpr rows with the same
+  // one-hot features, so their logits tie within a group and its Ref
+  // vectors may get no gradient either.
+  dataset::GenerationConfig generation;
+  generation.scale = RunScale::kSmoke;
+  const SampleSet set = dataset::build_sample_set(
+      dataset::generate_dataset(sim::summit_v100(), generation), {});
+  std::vector<bool> single_edge(graph::kNumEdgeTypes, true);
+  for (const TrainingSample& s : set.train)
+    for (std::size_t r = 0; r < graph::kNumEdgeTypes; ++r)
+      if (!s.graph.relations.relations[r].all_single_edge())
+        single_edge[r] = false;
+  const auto ref = static_cast<std::size_t>(graph::EdgeType::kRef);
+  ASSERT_FALSE(single_edge[ref]);
+
+  const ModelConfig model_config{.hidden_dim = 8, .seed = 5};
+  ParaGraphModel trained(model_config);
+  const ParaGraphModel fresh(model_config);
+  TrainConfig config;
+  config.epochs = 2;
+  (void)train_model(trained, set, config);
+
+  const auto before = fresh.parameters();
+  const auto after = std::as_const(trained).parameters();
+  const std::size_t conv_params = 3 * graph::kNumEdgeTypes + 2;
+  const auto same_bytes = [](const tensor::Matrix* a,
+                             const tensor::Matrix* b) {
+    return std::memcmp(a->data().data(), b->data().data(),
+                       a->size() * sizeof(float)) == 0;
+  };
+  std::size_t frozen = 0;
+  for (std::size_t layer = 0; layer < 3; ++layer) {
+    for (std::size_t r = 0; r < graph::kNumEdgeTypes; ++r) {
+      for (const std::size_t a : {3 * r + 1, 3 * r + 2}) {
+        const std::size_t p = layer * conv_params + a;
+        if (single_edge[r]) {
+          EXPECT_TRUE(same_bytes(before[p], after[p]))
+              << "layer " << layer << " relation " << r;
+          ++frozen;
+        } else if (r == ref && layer > 0) {
+          EXPECT_FALSE(same_bytes(before[p], after[p]))
+              << "layer " << layer << " Ref";
+        }
+      }
+    }
+  }
+  EXPECT_GT(frozen, 0u);
 }
 
 TEST(Model, PredictionsMatchRecordedHash) {

@@ -371,6 +371,28 @@ TEST(EnvWarning, OutOfRangeIntegerIsClampedAndReported) {
   ::unsetenv("PARAGRAPH_THREADS");
 }
 
+// The exact reader (a port, a sweep count): the same parse, but a bad
+// value is reported without a replacement and returns nothing, every time.
+TEST(EnvWarning, ExactReaderRejectsWithoutReplacing) {
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(exact_int_in_range("--port", "8080", 1, 65535), 8080);
+  EXPECT_EQ(exact_int_in_range("--port", "1", 1, 65535), 1);
+  EXPECT_EQ(exact_int_in_range("--port", "65535", 1, 65535), 65535);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(exact_int_in_range("--port", "99999", 1, 65535), std::nullopt);
+  EXPECT_EQ(exact_int_in_range("--port", "0", 1, 65535), std::nullopt);
+  EXPECT_EQ(exact_int_in_range("--port", "80x", 1, 65535), std::nullopt);
+  EXPECT_EQ(exact_int_in_range("--port", "", 1, 65535), std::nullopt);
+  EXPECT_EQ(exact_int_in_range("--port", "99999", 1, 65535), std::nullopt);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "paragraph: --port=99999 is out of range [1, 65535]\n"
+            "paragraph: --port=0 is out of range [1, 65535]\n"
+            "paragraph: --port=80x is not an integer\n"
+            "paragraph: --port= is not an integer\n"
+            "paragraph: --port=99999 is out of range [1, 65535]\n");
+}
+
 // paragraph-cli's --threads goes through the reader and range of
 // PARAGRAPH_THREADS, naming the flag in its report.
 TEST(EnvWarning, ThreadsFlagIsCheckedLikeTheVariable) {

@@ -17,15 +17,16 @@
 //            backpressure)
 //
 // Exit codes: 0 success, 1 runtime/input failure (bad file, parse error,
-// a float option that is not a finite number), 2 usage error. An integer
-// option goes through pg::int_in_range: a non-integer value falls back to
-// the default and an out-of-range one is clamped, each with one stderr
-// line. All binary-format failures surface as io::FormatError with a
-// one-line message — never a crash.
+// a float option that is not a finite number, a `client --port` that is
+// not an integer in [1, 65535]), 2 usage error. Any other integer option
+// goes through pg::int_in_range: a non-integer value falls back to the
+// default and an out-of-range one is clamped, each with one stderr line.
+// A port names a daemon, so it is checked exactly, never replaced. All
+// binary-format failures surface as io::FormatError with a one-line
+// message — never a crash.
 #include <omp.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -99,15 +100,6 @@ int usage() {
 /// Largest worker or launch-configuration count (--workers, --teams,
 /// --threads of encode) an integer option accepts.
 constexpr std::int64_t kMaxLaunch = std::int64_t{1} << 20;
-
-/// The whole of `text` as a finite double, else nullopt.
-std::optional<double> parse_finite(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || *end != '\0' || !std::isfinite(value))
-    return std::nullopt;
-  return value;
-}
 
 struct Args {
   std::vector<std::string> positional;
@@ -392,12 +384,14 @@ int cmd_predict(const Args& args) {
 /// bytes on disk, and the daemon's fused-batch replies are bitwise-equal to
 /// the local predict path (tests/serve_test.cpp pins this).
 int cmd_client(const Args& args) {
-  const std::int64_t port = args.int_option("--port", 0, 1, 65535);
-  if (port == 0) return usage();
+  const auto port_text = args.option("--port");
+  if (!port_text) return usage();
+  const auto port = exact_int_in_range("--port", *port_text, 1, 65535);
+  if (!port) return 1;
   const auto timeout_ms =
       static_cast<int>(args.int_option("--timeout-ms", 30'000, 0, 86'400'000));
 
-  serve::Client client(static_cast<std::uint16_t>(port), timeout_ms);
+  serve::Client client(static_cast<std::uint16_t>(*port), timeout_ms);
   if (args.has_flag("--ping")) {
     const auto pong = client.ping();
     if (!pong || pong->kind != serve::FrameKind::kPongReply)
