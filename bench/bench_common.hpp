@@ -11,7 +11,8 @@
 //     (JsonReport + json_path_from_args below).
 //
 // The argv helpers (option_value, has_flag, int_option) are the one copy
-// every bench's flag parsing goes through.
+// every bench's flag parsing goes through, and median_of the one copy of
+// median-of-N timing.
 #pragma once
 
 #include <algorithm>
@@ -84,6 +85,17 @@ inline std::int64_t int_option(int argc, char** argv, const char* name,
 inline std::string json_path_from_args(int argc, char** argv) {
   const char* path = option_value(argc, argv, "--json");
   return path != nullptr ? path : "";
+}
+
+/// Median of `reps` calls of `fn`, each returning one timing (the upper of
+/// the two middle values when `reps` is even).
+template <typename Fn>
+double median_of(int reps, Fn&& fn) {
+  std::vector<double> runs;
+  runs.reserve(static_cast<std::size_t>(reps));
+  for (int r = 0; r < reps; ++r) runs.push_back(fn());
+  std::sort(runs.begin(), runs.end());
+  return runs[runs.size() / 2];
 }
 
 /// Flat machine-readable bench summary: string and numeric key/value pairs

@@ -1,22 +1,25 @@
 // Corpus I/O bench (docs/FORMAT.md): generates a synthetic million-sample
-// .pgds corpus and measures the format-v2 index against the sequential v1
-// path — cold-open time (v2 footer+index walk vs v1 full offset scan),
-// random-access decode latency, reindex throughput, and epoch throughput
-// (a full shuffled decode pass through the mmap-backed DatasetView, the
-// out-of-core trainer's access pattern) versus the in-RAM loader's
-// sequential streaming baseline. Every timed number is the median of 3
-// runs; the summary lands in BENCH_corpus_io.json.
+// .pgds corpus and measures DatasetView, the one .pgds reader — cold-open
+// time (v2 footer+index walk vs the v1 full offset scan over an
+// index-stripped copy), random-access decode latency, reindex throughput
+// (v1 copy back to v2), and epoch throughput (a full shuffled decode pass
+// through the mmap-backed view, the out-of-core trainer's access pattern)
+// versus the in-RAM loader's single-threaded baseline,
+// load_sample_set(view, 1), which holds the whole corpus in memory (peak
+// RSS about 1.1 GB at --samples 200000, so several GB at the default
+// million). Every timed number is the median of 3 runs; the summary lands
+// in BENCH_corpus_io.json.
 //
 // Modes:
-//   --emit-fixture DIR   write the synthetic corpus pair (corpus_v1.pgds +
-//                        corpus_v2.pgds, the v2 produced by reindexing the
-//                        v1 bytes) into DIR and exit.
+//   --emit-fixture DIR   write the synthetic corpus pair (corpus.pgds as
+//                        DatasetWriter writes it, and corpus_v1.pgds, the
+//                        same bytes with the index stripped: format v1)
+//                        into DIR and exit.
 //   --fixture DIR        measure a previously emitted fixture.
 //   default              emit into a temp dir, measure, delete.
 //
 // Knobs: --samples N (default 10^6; smoke scale drops to 20000),
 // --json PATH (default BENCH_corpus_io.json next to the binary).
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +30,7 @@
 #include "bench_common.hpp"
 #include "frontend/parser.hpp"
 #include "graph/builder.hpp"
+#include "io/binary.hpp"
 #include "io/dataset_view.hpp"
 #include "io/pgraph_io.hpp"
 #include "model/encoding.hpp"
@@ -41,22 +45,11 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-double median3(double a, double b, double c) {
-  double v[3] = {a, b, c};
-  std::sort(v, v + 3);
-  return v[1];
-}
-
-/// Runs `fn` three times and returns the median of its timings (seconds).
-template <typename Fn>
-double median3_of(Fn&& fn) {
-  return median3(fn(), fn(), fn());
-}
-
 /// Writes the synthetic corpus: `samples` records cycling through four tiny
 /// kernel graphs, runtimes varied per record so the payload is not
-/// literally constant. v1 is written directly; v2 is produced by
-/// reindexing the v1 bytes (also timing the upgrade path).
+/// literally constant. The v1 copy is the written file cut after its end
+/// marker with the header version patched to 1 (the record stream is the
+/// same under both versions); reindexing it back times the upgrade path.
 struct FixtureTimings {
   double write_s = 0.0;
   double reindex_s = 0.0;
@@ -97,11 +90,12 @@ FixtureTimings emit_fixture(const std::filesystem::path& dir,
   meta.threads_max = 1024.0;
 
   FixtureTimings t;
+  const auto v2_path = dir / "corpus.pgds";
   const auto v1_path = dir / "corpus_v1.pgds";
   {
     const auto start = Clock::now();
-    std::ofstream os(v1_path, std::ios::binary);
-    io::DatasetWriter writer(os, meta, 1);
+    std::ofstream os(v2_path, std::ios::binary);
+    io::DatasetWriter writer(os, meta);
     pg::Rng rng(11);
     for (std::size_t i = 0; i < samples; ++i) {
       model::TrainingSample& s = pool[i % pool.size()];
@@ -113,9 +107,26 @@ FixtureTimings emit_fixture(const std::filesystem::path& dir,
     t.write_s = seconds_since(start);
   }
   {
+    // The 20-byte footer starts with the offset of the index section,
+    // which begins right after the end marker.
+    std::ifstream is(v2_path, std::ios::binary);
+    is.seekg(-20, std::ios::end);
+    unsigned char footer[8] = {};
+    is.read(reinterpret_cast<char*>(footer), sizeof footer);
+    std::filesystem::copy_file(
+        v2_path, v1_path, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(v1_path, io::load_le64(footer));
+    std::fstream v1(v1_path, std::ios::in | std::ios::out | std::ios::binary);
+    v1.seekp(8);
+    v1.put(1);  // u16 version, little-endian
+    v1.put(0);
+  }
+  {
+    const auto reindexed = dir / "corpus_reindexed.pgds";
     const auto start = Clock::now();
-    io::reindex_dataset(v1_path.string(), (dir / "corpus_v2.pgds").string());
+    io::reindex_dataset(v1_path.string(), reindexed.string());
     t.reindex_s = seconds_since(start);
+    std::filesystem::remove(reindexed);
   }
   return t;
 }
@@ -149,18 +160,18 @@ int main(int argc, char** argv) {
     timings = emit_fixture(dir, samples);
   }
   const std::string v1_path = (dir / "corpus_v1.pgds").string();
-  const std::string v2_path = (dir / "corpus_v2.pgds").string();
+  const std::string v2_path = (dir / "corpus.pgds").string();
   const auto v1_bytes = std::filesystem::file_size(v1_path);
   const auto v2_bytes = std::filesystem::file_size(v2_path);
 
   // --- cold open: v2 footer+index walk vs the v1 full offset scan.
-  const double open_v2_us = median3_of([&] {
+  const double open_v2_us = bench::median_of(3, [&] {
     const auto start = Clock::now();
     io::DatasetView view(v2_path);
     (void)view.size();
     return seconds_since(start) * 1e6;
   });
-  const double open_v1_scan_us = median3_of([&] {
+  const double open_v1_scan_us = bench::median_of(3, [&] {
     const auto start = Clock::now();
     io::DatasetView view(v1_path);
     (void)view.size();
@@ -173,7 +184,7 @@ int main(int argc, char** argv) {
 
   // --- random-access decode latency over 10k seeded indices.
   constexpr std::size_t kProbes = 10'000;
-  const double random_decode_us = median3_of([&] {
+  const double random_decode_us = bench::median_of(3, [&] {
     std::mt19937_64 rng(5);
     const auto start = Clock::now();
     for (std::size_t k = 0; k < kProbes; ++k)
@@ -185,7 +196,7 @@ int main(int argc, char** argv) {
   // (what the out-of-core trainer's window fills do)...
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  const double epoch_s = median3_of([&] {
+  const double epoch_s = bench::median_of(3, [&] {
     pg::Rng rng(17);
     rng.shuffle(order);
     const auto start = Clock::now();
@@ -193,15 +204,12 @@ int main(int argc, char** argv) {
     return seconds_since(start);
   });
 
-  // ... versus the in-RAM loader's sequential streaming baseline (the v1
-  // DatasetReader pass read_sample_set does before training can start).
-  const double sequential_s = median3_of([&] {
-    std::ifstream is(v1_path, std::ios::binary);
+  // ... versus the in-RAM loader's single-threaded baseline: open, check
+  // and decode every record into one SampleSet before training can start.
+  const double sequential_s = bench::median_of(3, [&] {
     const auto start = Clock::now();
-    io::DatasetReader reader(is);
-    io::Split split = io::Split::kTrain;
-    while (reader.next(sample, split)) {
-    }
+    const io::StoredSampleSet stored =
+        io::load_sample_set(io::DatasetView(v2_path), 1);
     return seconds_since(start);
   });
 

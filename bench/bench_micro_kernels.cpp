@@ -8,7 +8,6 @@
 // rows. Emits BENCH_kernels.json (`--json <path>` overrides) with a machine
 // header, so the per-kernel scalar-vs-SIMD ratios are recorded across
 // changes, not asserted. Plain main(): no google-benchmark dependency.
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <string>
@@ -49,10 +48,7 @@ double mean_ns(std::size_t iters, Fn&& fn) {
 /// Median of 3 repetitions of mean_ns.
 template <typename Fn>
 double median_ns(std::size_t iters, Fn&& fn) {
-  std::array<double, 3> runs = {mean_ns(iters, fn), mean_ns(iters, fn),
-                                mean_ns(iters, fn)};
-  std::sort(runs.begin(), runs.end());
-  return runs[1];
+  return bench::median_of(3, [&] { return mean_ns(iters, fn); });
 }
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, pg::Rng& rng) {

@@ -181,16 +181,13 @@ int main(int argc, char** argv) {
     for (int t = 1; t <= max_threads; ++t) {
       omp_set_num_threads(t);
       InferenceEngine engine(model);
-      std::vector<double> times;
       engine.predict_batch(mix.graphs, mix.aux, out);  // warm the arenas
-      for (int r = 0; r < reps; ++r) {
+      const double median = pg::bench::median_of(reps, [&] {
         const double t0 = now_s();
         for (int it = 0; it < iters; ++it)
           engine.predict_batch(mix.graphs, mix.aux, out);
-        times.push_back((now_s() - t0) / iters);
-      }
-      std::sort(times.begin(), times.end());
-      const double median = times[times.size() / 2];
+        return (now_s() - t0) / iters;
+      });
       double& graphs_per_s = tput[m][static_cast<std::size_t>(t)];
       graphs_per_s = static_cast<double>(mix.graphs.size()) / median;
 

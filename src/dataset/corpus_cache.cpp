@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "graph/builder.hpp"
+#include "io/dataset_view.hpp"
 #include "io/pgraph_io.hpp"
 
 namespace pg::dataset {
@@ -95,7 +96,9 @@ model::SampleSet load_or_build_sample_set(const std::string& dir,
   const std::string path = corpus_cache_path(dir, key, points_fingerprint(points));
   if (std::filesystem::exists(path)) {
     try {
-      io::StoredSampleSet stored = io::read_sample_set_file(path);
+      // Through the checksummed view: a flipped body bit is a FormatError
+      // (rebuilt below), never a sample that reaches training.
+      io::StoredSampleSet stored = io::load_sample_set(io::DatasetView(path));
       // Filename collisions aside, trust but verify the stored provenance.
       if (stored.meta.platform == key.platform_name &&
           stored.meta.seed == key.seed &&

@@ -1,8 +1,9 @@
 // Load-from-corpus path for examples/benches: sample sets are cached as
 // pg::io .pgds files keyed by (platform, scale, representation, seed,
 // log-target). The first run pays for parse+graph+encode over the whole
-// sweep and writes the corpus; every later run streams the finished tensors
-// off disk instead of regenerating them. Because the .pgds round trip is
+// sweep and writes the corpus; every later run loads the finished tensors
+// off disk through the checksummed io::DatasetView instead of regenerating
+// them. Because the .pgds round trip is
 // byte-exact down to feature bits, a cached run trains/predicts bitwise
 // identically to a regenerated one.
 #pragma once
@@ -40,7 +41,9 @@ std::string corpus_cache_path(const std::string& dir, const CorpusKey& key,
 /// When `dir` is non-empty and the cache file exists with matching
 /// provenance, loads the sample set from it; otherwise builds the set from
 /// `points` via build_sample_set and (when `dir` is non-empty) writes the
-/// cache for next time. `config.representation`/`log_target` must agree with
+/// cache for next time. A cache file that fails to load — a record whose
+/// body no longer matches its index checksum included — is rebuilt the
+/// same way. `config.representation`/`log_target` must agree with
 /// the key — the key (plus the points fingerprint) is what names the file.
 model::SampleSet load_or_build_sample_set(const std::string& dir,
                                           const CorpusKey& key,

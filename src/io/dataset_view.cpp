@@ -1,6 +1,6 @@
 // DatasetView implementation: cold open validates the v2 index (or scans v1
-// frames) without decoding a record; decode(i) decodes exactly one record
-// out of the mapping. See dataset_view.hpp for the contract.
+// frames) without decoding a record; decode(i) checks and decodes exactly
+// one record out of the mapping. See dataset_view.hpp for the contract.
 #include "io/dataset_view.hpp"
 
 #include <fcntl.h>
@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <string_view>
 #include <utility>
@@ -18,6 +19,25 @@
 #include "support/check.hpp"
 
 namespace pg::io {
+namespace {
+
+/// The one corrupt-record report: the record ordinal, the file offset of
+/// its frame and, once the frame header has been read, the body size —
+/// "which sample of the million, and where in the file" is the whole of a
+/// corruption report: "corrupt dataset record N (B-byte frame at byte
+/// offset O): WHAT", or "(frame header at byte offset O)" while `body` is 0
+/// (no valid frame has an empty body).
+[[noreturn]] void throw_record_error(std::uint64_t ordinal,
+                                     std::uint64_t offset, std::uint64_t body,
+                                     const char* what) {
+  throw FormatError(
+      "corrupt dataset record " + std::to_string(ordinal) + " (" +
+      (body == 0 ? std::string("frame header")
+                 : std::to_string(body) + "-byte frame") +
+      " at byte offset " + std::to_string(offset) + "): " + what);
+}
+
+}  // namespace
 
 DatasetView::DatasetView(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -228,7 +248,7 @@ void DatasetView::open_bytes() {
       if (std::string_view(e.what()).find("trailing bytes") !=
           std::string_view::npos)
         throw;
-      d::throw_record_error(ordinal, frame_at, body, e.what());
+      throw_record_error(ordinal, frame_at, body, e.what());
     }
   }
 }
@@ -275,7 +295,7 @@ void DatasetView::decode(std::size_t i, model::TrainingSample& sample) const {
     sample = d::get_sample_body(src);
     src.pop_budget();
   } catch (const FormatError& err) {
-    d::throw_record_error(i, e.offset, checked, err.what());
+    throw_record_error(i, e.offset, checked, err.what());
   }
 }
 
@@ -323,37 +343,53 @@ StoredSampleSet load_sample_set(const DatasetView& view, int threads) {
 void reindex_dataset(const std::string& in_path, const std::string& out_path) {
   namespace d = detail;
   const DatasetView view(in_path);
-  std::ofstream os(out_path, std::ios::binary);
-  if (!os) throw FormatError("cannot open for writing: " + out_path);
-  StreamSink sink{os};
+  // Written beside the output and renamed over it (as the corpus cache
+  // does): opening out_path itself would truncate the file the view maps
+  // when the two paths name the same file.
+  const std::string tmp = out_path + ".tmp." + std::to_string(::getpid());
+  try {
+    std::ofstream os(tmp, std::ios::binary);
+    if (!os) throw FormatError("cannot open for writing: " + tmp);
+    StreamSink sink{os};
 
-  // Header + section table + meta copied verbatim, only the u16 version
-  // field (offset 8) patched to v2 — the prologue length is unchanged, so
-  // every record keeps its original offset.
-  sink.bytes(view.data_, 8);
-  put_u16(sink, kDatasetFormatVersion);
-  sink.bytes(view.data_ + 10, static_cast<std::size_t>(view.records_start_) - 10);
+    // Header + section table + meta copied verbatim, only the u16 version
+    // field (offset 8) patched to v2 — the prologue length is unchanged, so
+    // every record keeps its original offset.
+    sink.bytes(view.data_, 8);
+    put_u16(sink, kDatasetFormatVersion);
+    sink.bytes(view.data_ + 10,
+               static_cast<std::size_t>(view.records_start_) - 10);
 
-  std::vector<d::IndexEntry> index;
-  index.reserve(view.size());
-  std::uint64_t offset = view.records_start_;
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    const std::uint64_t length = view.record_length(i);
-    const unsigned char* frame = view.data_ + view.record_offset(i);
-    sink.bytes(frame, static_cast<std::size_t>(length));
-    index.push_back(d::IndexEntry{
-        offset, length,
-        d::fnv1a(frame + 12, static_cast<std::size_t>(length - 12)),
-        view.split(i)});
-    offset += length;
+    std::vector<d::IndexEntry> index;
+    index.reserve(view.size());
+    std::uint64_t offset = view.records_start_;
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      const std::uint64_t length = view.record_length(i);
+      const unsigned char* frame = view.data_ + view.record_offset(i);
+      sink.bytes(frame, static_cast<std::size_t>(length));
+      index.push_back(d::IndexEntry{
+          offset, length,
+          d::fnv1a(frame + 12, static_cast<std::size_t>(length - 12)),
+          view.split(i)});
+      offset += length;
+    }
+
+    put_u32(sink, d::kEndMarker);
+    put_u64(sink, index.size());
+    offset += 12;
+    d::put_dataset_index(sink, index);
+    d::put_index_footer(sink, offset, d::index_section_bytes(index.size()));
+    os.close();
+    if (!os) throw FormatError("I/O error while writing: " + out_path);
+    std::error_code ec;
+    std::filesystem::rename(tmp, out_path, ec);
+    if (ec)
+      throw FormatError("cannot replace " + out_path + ": " + ec.message());
+  } catch (...) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    throw;
   }
-
-  put_u32(sink, d::kEndMarker);
-  put_u64(sink, index.size());
-  offset += 12;
-  d::put_dataset_index(sink, index);
-  d::put_index_footer(sink, offset, d::index_section_bytes(index.size()));
-  if (!os) throw FormatError("I/O error while writing: " + out_path);
 }
 
 }  // namespace pg::io

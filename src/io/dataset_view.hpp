@@ -1,19 +1,21 @@
-// DatasetView: mmap-backed zero-copy random access into a .pgds corpus.
+// DatasetView: the one reader of .pgds corpora — mmap-backed (or over
+// borrowed bytes), zero-copy, random access.
 //
 // Opening a view reads *no record bytes*: for a format-v2 file the record
 // index appended by DatasetWriter (offset / length / split / FNV-1a body
 // checksum per record, self-checksummed, located via a fixed footer at EOF)
 // is validated arithmetically — contiguity from the first record, bounds
 // against the mapping, split-tag range, end-marker agreement — without
-// faulting a single record page. decode(i) then decodes exactly one record
-// straight out of the mapping through the same budget-enforcing Source the
-// streaming reader uses, verifying the record's checksum first, so a v2
-// decode is bitwise-equal to what DatasetReader::next would have produced
-// and corrupt index entries can never over-read the mapping.
+// faulting a single record page. decode(i) then verifies record i's
+// checksum and decodes exactly that record straight out of the mapping
+// through the budget-enforcing Source, so a flipped body bit is a
+// FormatError, never a sample, and corrupt index entries can never
+// over-read the mapping.
 //
-// Format-v1 files (no index) fall back to a one-pass offset scan at open:
-// the same frames DatasetReader walks, minus the body decode. Random access
-// and parallel shard loading then work identically, just without checksums.
+// Format-v1 files (no index; no writer emits them any more) fall back to a
+// one-pass offset scan of the record frames at open, minus the body decode.
+// Random access and parallel shard loading then work identically, just
+// without checksums; reindex_dataset upgrades such a file to v2.
 #pragma once
 
 #include <cstddef>
@@ -57,10 +59,8 @@ class DatasetView {
   [[nodiscard]] bool has_checksums() const { return version_ >= 2; }
 
   /// Decodes record `i` into `sample`, replacing its contents. Thread-safe
-  /// (const state + local cursor only) and bitwise-identical to the
-  /// sequential DatasetReader decode of the same record. Throws FormatError
-  /// with the record ordinal on any corruption, including checksum
-  /// mismatches (v2).
+  /// (const state + local cursor only). Throws FormatError with the record
+  /// ordinal on any corruption, including checksum mismatches (v2).
   void decode(std::size_t i, model::TrainingSample& sample) const;
 
   /// File offset of record `i`'s frame ("RECD" marker byte).
@@ -94,8 +94,8 @@ class DatasetView {
 };
 
 /// Decodes every record of `view` into a SampleSet (scalers installed,
-/// train/validation partitioned by split tag in record order — the same
-/// result as read_sample_set over the equivalent stream, bit for bit).
+/// train/validation partitioned by split tag in record order): the way to
+/// load a whole corpus, `io::load_sample_set(io::DatasetView(path))`.
 /// `threads` > 0 pins the worker count; 0 uses the OpenMP default. Workers
 /// decode disjoint index shards; assembly order is fixed, so the result is
 /// thread-count-independent.
@@ -120,9 +120,11 @@ class DatasetSampleStore final : public model::SampleStore {
 
 /// Rewrites the .pgds at `in_path` as format v2 at `out_path`: header and
 /// record frames are copied byte-verbatim (only the version field changes),
-/// and a fresh index is computed from the record bytes. reindex of a file
-/// written by DatasetWriter(v1) is byte-identical to what DatasetWriter(v2)
-/// would have produced from the same samples. v2 inputs are re-indexed.
+/// and a fresh index is computed from the record bytes. reindex of a v1
+/// file is byte-identical to what DatasetWriter produces from the same
+/// samples; v2 inputs are re-indexed. The output is written to a temporary
+/// file next to `out_path` and renamed over it, so `out_path` may name the
+/// input itself and a failed write leaves both files as they were.
 void reindex_dataset(const std::string& in_path, const std::string& out_path);
 
 }  // namespace pg::io

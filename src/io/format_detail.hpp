@@ -75,17 +75,6 @@ DatasetMeta get_dataset_meta(Source& src);
 /// FormatError names the part that failed and the byte offset reached.
 model::TrainingSample get_sample_body(Source& src);
 
-/// The one corrupt-record report both dataset readers throw: the record
-/// ordinal, the file offset of its frame and, once the frame header has
-/// been read, the body size — "which sample of the million, and where in
-/// the file" is the whole of a corruption report:
-/// "corrupt dataset record N (B-byte frame at byte offset O): WHAT", or
-/// "(frame header at byte offset O)" while `body` is 0 (no valid frame has
-/// an empty body).
-[[noreturn]] void throw_record_error(std::uint64_t ordinal,
-                                     std::uint64_t offset, std::uint64_t body,
-                                     const char* what);
-
 // --- FNV-1a (the format's checksum primitive) -----------------------------
 
 inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
@@ -102,7 +91,7 @@ inline std::uint64_t fnv1a(const void* data, std::size_t n,
 }
 
 /// Sink adapter that measures *and* checksums the bytes a codec emits —
-/// the v2 writer's one serialisation pass yields the record's frame size
+/// the writer's one serialisation pass yields the record's frame size
 /// and its index checksum together, so neither can drift from the bytes.
 struct FnvCountingSink {
   std::uint64_t count = 0;

@@ -521,15 +521,6 @@ model::TrainingSample get_sample_body(Source& src) {
   return s;
 }
 
-void throw_record_error(std::uint64_t ordinal, std::uint64_t offset,
-                        std::uint64_t body, const char* what) {
-  throw FormatError(
-      "corrupt dataset record " + std::to_string(ordinal) + " (" +
-      (body == 0 ? std::string("frame header")
-                 : std::to_string(body) + "-byte frame") +
-      " at byte offset " + std::to_string(offset) + "): " + what);
-}
-
 }  // namespace detail
 
 std::string_view payload_kind_name(PayloadKind kind) {
@@ -707,25 +698,20 @@ void DatasetMeta::apply_scalers(model::SampleSet& set) const {
   set.threads_scaler.fit_bounds(threads_min, threads_max);
 }
 
-DatasetWriter::DatasetWriter(std::ostream& os, const DatasetMeta& meta,
-                             std::uint16_t format_version)
-    : os_(os), version_(format_version) {
-  if (version_ == 0 || version_ > kDatasetFormatVersion)
-    throw FormatError("unsupported dataset format version " +
-                      std::to_string(format_version) + " (this build writes " +
-                      "1-" + std::to_string(kDatasetFormatVersion) + ")");
+DatasetWriter::DatasetWriter(std::ostream& os, const DatasetMeta& meta)
+    : os_(os) {
   CountingSink meta_size;
   put_dataset_meta(meta_size, meta);
 
   StreamSink sink{os_};
-  put_header(sink, PayloadKind::kDataset, version_, 1);
+  put_header(sink, PayloadKind::kDataset, kDatasetFormatVersion, 1);
   put_section_table(sink, {{kSecDatasetMeta, meta_size.count}});
   put_dataset_meta(sink, meta);
   throw_on_stream_error(os_);
   // Mirror what was just emitted to know where the first record lands —
-  // the v2 index stores absolute file offsets.
+  // the index stores absolute file offsets.
   CountingSink emitted;
-  put_header(emitted, PayloadKind::kDataset, version_, 1);
+  put_header(emitted, PayloadKind::kDataset, kDatasetFormatVersion, 1);
   put_section_table(emitted, {{kSecDatasetMeta, meta_size.count}});
   offset_ = emitted.count + meta_size.count;
 }
@@ -740,8 +726,8 @@ DatasetWriter::~DatasetWriter() {
 
 void DatasetWriter::append(const model::TrainingSample& sample, Split split) {
   if (finished_) throw FormatError("DatasetWriter: append after finish");
-  // One measuring pass yields both the frame size and (for v2) the index
-  // checksum of the exact body bytes about to be emitted.
+  // One measuring pass yields both the frame size and the index checksum
+  // of the exact body bytes about to be emitted.
   FnvCountingSink body;
   put_u8(body, static_cast<std::uint8_t>(split));
   put_sample_body(body, sample);
@@ -753,8 +739,7 @@ void DatasetWriter::append(const model::TrainingSample& sample, Split split) {
   put_sample_body(sink, sample);
   throw_on_stream_error(os_);
   const std::uint64_t frame = 12 + body.count;  // marker + size field + body
-  if (version_ >= 2)
-    index_.push_back(IndexEntry{offset_, frame, body.hash, split});
+  index_.push_back(IndexEntry{offset_, frame, body.hash, split});
   offset_ += frame;
   ++records_;
 }
@@ -765,124 +750,27 @@ void DatasetWriter::finish() {
   put_u32(sink, kEndMarker);
   put_u64(sink, records_);
   offset_ += 12;
-  if (version_ >= 2) {
-    // The index section starts right after the end marker; the fixed-size
-    // footer at EOF points back at it so a reader can find it by seeking.
-    put_dataset_index(sink, index_);
-    put_index_footer(sink, offset_, index_section_bytes(index_.size()));
-  }
+  // The index section starts right after the end marker; the fixed-size
+  // footer at EOF points back at it so a reader can find it by seeking.
+  put_dataset_index(sink, index_);
+  put_index_footer(sink, offset_, index_section_bytes(index_.size()));
   throw_on_stream_error(os_);
   finished_ = true;
 }
 
-DatasetReader::DatasetReader(std::istream& is) : is_(is) {
-  buffer_ = buffer_container(is_);
-  Source src(buffer_.data(), buffer_.size());
-  const auto prologue =
-      get_prologue(src, PayloadKind::kDataset, kDatasetFormatVersion);
-  version_ = prologue.info.version;
-  bool have_meta = false;
-  for (const SectionEntry& entry : prologue.table) {
-    src.push_budget(entry.size);
-    if (entry.id == kSecDatasetMeta) {
-      meta_ = get_dataset_meta(src);
-      have_meta = true;
-    } else {
-      src.skip(entry.size);
-    }
-    src.pop_budget();
-  }
-  if (!have_meta)
-    throw FormatError("corrupt dataset file: missing meta section");
-  offset_ = src.consumed();
-}
-
-bool DatasetReader::next(model::TrainingSample& sample, Split& split) {
-  if (done_) return false;
-  // Each frame is buffered and then decoded from memory: 12 header bytes
-  // (marker + size, or the end marker + record count), then the body.
-  buffer_.clear();
-  read_into(is_, buffer_, 12);
-  Source head(buffer_.data(), buffer_.size());
-  std::uint64_t body = 0;
-  // Frame-header corruption (bad/truncated marker, implausible size) names
-  // the record ordinal and frame offset exactly like body-level corruption
-  // below does, and exactly as DatasetView reports the same bytes.
-  try {
-    const std::uint32_t marker = get_u32(head);
-    if (marker == kEndMarker) {
-      const std::uint64_t declared = get_u64(head);
-      if (declared != records_)
-        throw FormatError("corrupt dataset file: record count mismatch at end "
-                          "marker (dropped tail?)");
-      done_ = true;
-      return false;
-    }
-    if (marker != kRecordMarker)
-      throw FormatError("bad record marker");
-    const std::uint64_t size = get_u64(head);
-    if (size == 0 || size > kMaxSectionBytes)
-      throw FormatError("implausible record size");
-    body = size;
-  } catch (const FormatError& e) {
-    // The end-marker count mismatch is a whole-file diagnostic, not a
-    // per-record one — let it through untouched.
-    if (std::string_view(e.what()).find("end marker") != std::string_view::npos)
-      throw;
-    throw_record_error(records_, offset_, 0, e.what());
-  }
-  // The body joins the frame header in the buffer, so the byte offsets in
-  // a body error count from the frame start, as DatasetView's do.
-  read_into(is_, buffer_, body);
-  Source src(buffer_.data(), buffer_.size());
-  try {
-    src.skip(12);
-    src.push_budget(body);
-    const std::uint8_t split_raw = get_u8(src);
-    if (split_raw > static_cast<std::uint8_t>(Split::kValidation))
-      throw FormatError("bad split tag");
-    split = static_cast<Split>(split_raw);
-    sample = get_sample_body(src);
-    src.pop_budget();
-  } catch (const FormatError& e) {
-    throw_record_error(records_, offset_, body, e.what());
-  }
-  offset_ += 12 + body;
-  ++records_;
-  return true;
-}
-
 void write_sample_set(std::ostream& os, const model::SampleSet& set,
                       const std::string& platform,
-                      const std::string& representation, std::uint64_t seed,
-                      std::uint16_t format_version) {
+                      const std::string& representation, std::uint64_t seed) {
   DatasetMeta meta = DatasetMeta::scalers_from(set);
   meta.platform = platform;
   meta.representation = representation;
   meta.seed = seed;
-  DatasetWriter writer(os, meta, format_version);
+  DatasetWriter writer(os, meta);
   for (const model::TrainingSample& s : set.train)
     writer.append(s, Split::kTrain);
   for (const model::TrainingSample& s : set.validation)
     writer.append(s, Split::kValidation);
   writer.finish();
-}
-
-StoredSampleSet read_sample_set(std::istream& is) {
-  DatasetReader reader(is);
-  StoredSampleSet out;
-  out.meta = reader.meta();
-  out.meta.apply_scalers(out.set);
-  model::TrainingSample sample;
-  Split split = Split::kTrain;
-  while (reader.next(sample, split)) {
-    if (split == Split::kTrain)
-      out.set.train.push_back(std::move(sample));
-    else
-      out.set.validation.push_back(std::move(sample));
-    sample = {};
-  }
-  return out;
 }
 
 // --- file helpers ---------------------------------------------------------
@@ -928,14 +816,9 @@ model::TrainingSample read_sample_file(const std::string& path,
 void write_sample_set_file(const std::string& path, const model::SampleSet& set,
                            const std::string& platform,
                            const std::string& representation,
-                           std::uint64_t seed, std::uint16_t format_version) {
+                           std::uint64_t seed) {
   auto os = open_out(path);
-  write_sample_set(os, set, platform, representation, seed, format_version);
-}
-
-StoredSampleSet read_sample_set_file(const std::string& path) {
-  auto is = open_in(path);
-  return read_sample_set(is);
+  write_sample_set(os, set, platform, representation, seed);
 }
 
 FileInfo probe_file(const std::string& path) {

@@ -9,9 +9,9 @@
 //   kGraph    (.pgraph)  — graph::ProgramGraph (nodes + edges sections)
 //   kSample   (.psample) — model::TrainingSample (meta + features + relations)
 //   kDataset  (.pgds)    — a DatasetMeta section followed by a *record
-//                          stream* of framed samples (streaming: the writer
-//                          never buffers the file, the reader never needs to
-//                          seek or know the record count up front)
+//                          stream* of framed samples and an offset/checksum
+//                          index (the writer never buffers the file; every
+//                          read goes through DatasetView, dataset_view.hpp)
 //
 // The feature-schema hash pins the feature-order contract: node-kind names
 // in enum order, edge-type names in enum order, and the node feature width.
@@ -37,12 +37,13 @@ namespace pg::io {
 
 inline constexpr std::uint16_t kFormatVersion = 1;
 
-/// Current dataset (.pgds) container version. Version 2 appends a
-/// record-offset index section (offset/length/split/FNV-1a checksum per
-/// record + footer) after the end marker, enabling mmap-backed random
-/// access via DatasetView; the record stream itself is byte-identical to
-/// version 1, so the streaming DatasetReader reads both. Graph/sample
-/// payloads stay at kFormatVersion.
+/// The dataset (.pgds) container version DatasetWriter emits. Version 2
+/// appends a record-offset index section (offset/length/split/FNV-1a
+/// checksum per record + footer) after the end marker, enabling mmap-backed
+/// random access via DatasetView. The record stream itself is byte-identical
+/// to version 1, which DatasetView still reads (by an offset scan, without
+/// checksums) and reindex_dataset upgrades. Graph/sample payloads stay at
+/// kFormatVersion.
 inline constexpr std::uint16_t kDatasetFormatVersion = 2;
 
 enum class PayloadKind : std::uint16_t {
@@ -117,19 +118,15 @@ namespace detail {
 struct IndexEntry;  // format_detail.hpp — v2 index bookkeeping
 }
 
-/// Streams samples into a .pgds container. Header + meta are written by the
-/// constructor, each append() frames and writes one record immediately, and
-/// finish() seals the stream with an end marker carrying the record count
-/// (readers detect a dropped tail). The destructor finishes automatically.
-///
-/// `format_version` selects the container version: 2 (default) additionally
-/// tracks each record's offset/length/split/checksum and appends the index
-/// section + footer in finish(); 1 reproduces the legacy byte stream
-/// exactly. Record bytes are identical under both.
+/// Streams samples into a format-v2 .pgds container. Header + meta are
+/// written by the constructor, each append() frames and writes one record
+/// immediately (tracking its offset/length/split/checksum), and finish()
+/// seals the stream with an end marker carrying the record count, then
+/// appends the index section + footer. The destructor finishes
+/// automatically.
 class DatasetWriter {
  public:
-  DatasetWriter(std::ostream& os, const DatasetMeta& meta,
-                std::uint16_t format_version = kDatasetFormatVersion);
+  DatasetWriter(std::ostream& os, const DatasetMeta& meta);
   ~DatasetWriter();
   DatasetWriter(const DatasetWriter&) = delete;
   DatasetWriter& operator=(const DatasetWriter&) = delete;
@@ -137,66 +134,31 @@ class DatasetWriter {
   void append(const model::TrainingSample& sample, Split split);
   void finish();
 
-  [[nodiscard]] std::uint64_t records_written() const { return records_; }
-  [[nodiscard]] std::uint16_t format_version() const { return version_; }
-
  private:
   std::ostream& os_;
-  std::uint16_t version_;
   std::uint64_t records_ = 0;
-  std::uint64_t offset_ = 0;  // bytes emitted so far (v2 index bookkeeping)
+  std::uint64_t offset_ = 0;  // bytes emitted so far (index bookkeeping)
   std::vector<detail::IndexEntry> index_;
   bool finished_ = false;
 };
 
-/// Streams samples out of a .pgds container: meta is available right after
-/// construction; next() decodes one record at a time (no whole-file
-/// buffering), returns false at the (validated) end marker.
-class DatasetReader {
- public:
-  explicit DatasetReader(std::istream& is);
-
-  [[nodiscard]] const DatasetMeta& meta() const { return meta_; }
-
-  /// Container version from the header (1 or 2). The record stream is
-  /// identical under both; a v2 file's trailing index section is simply
-  /// left unread once next() hits the end marker.
-  [[nodiscard]] std::uint16_t format_version() const { return version_; }
-
-  /// Reads the next record into `sample`/`split`; false at end-of-stream.
-  bool next(model::TrainingSample& sample, Split& split);
-
-  [[nodiscard]] std::uint64_t records_read() const { return records_; }
-
- private:
-  std::istream& is_;
-  std::vector<unsigned char> buffer_;  // the frame being decoded
-  DatasetMeta meta_;
-  std::uint16_t version_ = kFormatVersion;
-  std::uint64_t records_ = 0;
-  std::uint64_t offset_ = 0;  // stream bytes before the next frame
-  bool done_ = false;
-};
-
-/// A deserialised dataset: the sample set (scalers installed) + provenance.
+/// A deserialised dataset (io::load_sample_set): the sample set (scalers
+/// installed) + provenance.
 struct StoredSampleSet {
   model::SampleSet set;
   DatasetMeta meta;
 };
 
 /// Writes a whole SampleSet (train + validation, scalers from the set) with
-/// the given provenance fields.
+/// the given provenance fields. Read it back with
+/// io::load_sample_set(io::DatasetView(path)).
 void write_sample_set(std::ostream& os, const model::SampleSet& set,
                       const std::string& platform,
-                      const std::string& representation, std::uint64_t seed,
-                      std::uint16_t format_version = kDatasetFormatVersion);
+                      const std::string& representation, std::uint64_t seed);
 void write_sample_set_file(const std::string& path, const model::SampleSet& set,
                            const std::string& platform,
                            const std::string& representation,
-                           std::uint64_t seed,
-                           std::uint16_t format_version = kDatasetFormatVersion);
-StoredSampleSet read_sample_set(std::istream& is);
-StoredSampleSet read_sample_set_file(const std::string& path);
+                           std::uint64_t seed);
 
 // --- probing --------------------------------------------------------------
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "io/dataset_view.hpp"
 #include "io/pgraph_io.hpp"
 #include "model/checkpoint.hpp"
 #include "model/engine.hpp"
@@ -102,7 +103,7 @@ TEST(CliPredict, BitwiseEqualToInProcessInferenceEngine) {
   model::ParaGraphModel model(config);
 
   io::StoredSampleSet stored =
-      io::read_sample_set_file(golden_path("corpus.pgds"));
+      io::load_sample_set(io::DatasetView(golden_path("corpus.pgds")));
   const model::CheckpointScalers scalers =
       model::CheckpointScalers::from_sample_set(stored.set);
   const std::string ckpt = temp_path("golden.ckpt");
@@ -168,7 +169,7 @@ TEST(CliPredict, MistypedSimdLevelIsReportedOnStderr) {
   model::ModelConfig config;
   model::ParaGraphModel model(config);
   io::StoredSampleSet stored =
-      io::read_sample_set_file(golden_path("corpus.pgds"));
+      io::load_sample_set(io::DatasetView(golden_path("corpus.pgds")));
   const std::string ckpt = temp_path("simd_warning.ckpt");
   model::save_checkpoint_file(
       ckpt, model, model::CheckpointScalers::from_sample_set(stored.set));

@@ -1,17 +1,21 @@
-// Mutation fuzzing of the format-v2 .pgds container.
+// Mutation fuzzing of the .pgds container through its one reader.
 //
 // A well-formed indexed corpus is mutated 1000 seeded ways — bit flips,
 // truncations, splices, zeroed ranges, random u64 overwrites (which land on
 // offsets, lengths, counts, and checksums) — and every mutant is pushed
-// through both reader paths (DatasetView open + full decode, and the
-// streaming DatasetReader). The contract: a mutant either reads back or
-// throws io::FormatError; nothing may crash, hang, over-read the buffer
-// (ASan-visible via the heap-exact memory constructor), or raise any other
-// exception type. Build with -DPARAGRAPH_SANITIZE=ON to run this under
-// ASan+UBSan.
+// through DatasetView open + a decode of every record. The contract: a
+// mutant either reads back or throws io::FormatError; nothing may crash,
+// hang, over-read the buffer (ASan-visible via the heap-exact memory
+// constructor), or raise any other exception type. Build with
+// -DPARAGRAPH_SANITIZE=ON to run this under ASan+UBSan.
 //
-// The same mutations run over the frozen dense-feature corpus
+// The same mutations run over the index-stripped v1 form of that corpus
+// (the offset scan's frame checks) and over the frozen dense-feature corpus
 // (tests/golden_legacy/corpus_v2.pgds), whose records readers convert.
+//
+// Every single-bit flip at a stride over the record bodies of the golden
+// corpus must fail to load: the record checksums leave no body bit that
+// decodes into a different sample.
 //
 // Targeted cases then pin the index-specific failure modes: lying counts
 // (rejected *before* allocation), out-of-bounds and overlapping index
@@ -37,21 +41,25 @@
 #include "io/dataset_view.hpp"
 #include "io/pgraph_io.hpp"
 #include "model/encoding.hpp"
+#include "pgds_v1.hpp"
 
-#ifndef PG_GOLDEN_LEGACY_DIR
-#error "PG_GOLDEN_LEGACY_DIR must point at tests/golden_legacy"
+#if !defined(PG_GOLDEN_DIR) || !defined(PG_GOLDEN_LEGACY_DIR)
+#error "PG_GOLDEN_DIR / PG_GOLDEN_LEGACY_DIR must point at the golden corpora"
 #endif
 
 namespace pg::io {
 namespace {
 
-std::string legacy_corpus() {
-  std::ifstream is(std::string(PG_GOLDEN_LEGACY_DIR) + "/corpus_v2.pgds",
-                   std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(is)) << "cannot open the legacy corpus";
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  EXPECT_TRUE(static_cast<bool>(is)) << "cannot open " << path;
   std::ostringstream buffer;
   buffer << is.rdbuf();
   return buffer.str();
+}
+
+std::string legacy_corpus() {
+  return slurp(std::string(PG_GOLDEN_LEGACY_DIR) + "/corpus_v2.pgds");
 }
 
 std::string base_corpus(std::uint16_t version = 2) {
@@ -78,11 +86,11 @@ std::string base_corpus(std::uint16_t version = 2) {
     (i % 3 ? set.train : set.validation).push_back(s);
   }
   std::ostringstream os(std::ios::binary);
-  write_sample_set(os, set, "fuzz", "ParaGraph", 7, version);
-  return os.str();
+  write_sample_set(os, set, "fuzz", "ParaGraph", 7);
+  return version == 1 ? test_io::strip_to_v1(os.str()) : os.str();
 }
 
-/// Exercises both reader paths over `bytes`. FormatError is the only
+/// Opens `bytes` and decodes every record. FormatError is the only
 /// acceptable failure; anything else fails the test. The bytes are staged
 /// in a heap buffer sized exactly to the payload so any over-read past the
 /// end trips AddressSanitizer instead of sliding by in string slack.
@@ -104,19 +112,6 @@ void expect_graceful(const std::string& bytes, std::uint64_t seed) {
     // rejected at open — acceptable
   } catch (const std::exception& e) {
     FAIL() << "seed " << seed << ": DatasetView raised non-FormatError: "
-           << e.what();
-  }
-
-  try {
-    std::istringstream is(bytes, std::ios::binary);
-    DatasetReader reader(is);
-    model::TrainingSample sample;
-    Split split = Split::kTrain;
-    while (reader.next(sample, split)) {
-    }
-  } catch (const FormatError&) {
-  } catch (const std::exception& e) {
-    FAIL() << "seed " << seed << ": DatasetReader raised non-FormatError: "
            << e.what();
   }
 }
@@ -176,8 +171,45 @@ TEST(CorpusFuzz, ThousandSeededMutationsNeverCrash) {
   thousand_mutations(base_corpus());
 }
 
+TEST(CorpusFuzz, ThousandSeededMutationsOfTheOffsetScanNeverCrash) {
+  thousand_mutations(base_corpus(1));
+}
+
 TEST(CorpusFuzz, ThousandSeededMutationsOfTheDenseLayoutNeverCrash) {
   thousand_mutations(legacy_corpus());
+}
+
+TEST(CorpusFuzz, FlippedBodyBitsAreRejectedByEveryLoad) {
+  // The low bit of every 7th record-body byte of the golden corpus, one
+  // mutant each: the index stays intact, so open succeeds, and the record's
+  // checksum must stop both the whole-corpus load and the one-record
+  // decode the out-of-core trainer uses.
+  const std::string golden = slurp(std::string(PG_GOLDEN_DIR) + "/corpus.pgds");
+  const DatasetView clean(golden.data(), golden.size());
+  ASSERT_TRUE(clean.has_checksums());
+  std::size_t mutants = 0;
+  std::size_t stride_at = 0;  // body bytes seen, across records
+  for (std::size_t r = 0; r < clean.size(); ++r) {
+    const auto first = static_cast<std::size_t>(clean.record_offset(r)) + 12;
+    const auto end = static_cast<std::size_t>(clean.record_offset(r) +
+                                              clean.record_length(r));
+    for (std::size_t at = first; at < end; ++at, ++stride_at) {
+      if (stride_at % 7 != 0) continue;
+      std::string mutant = golden;
+      mutant[at] = static_cast<char>(mutant[at] ^ 0x01);
+      const auto heap = std::make_unique<unsigned char[]>(mutant.size());
+      std::memcpy(heap.get(), mutant.data(), mutant.size());
+      const DatasetView view(heap.get(), mutant.size());
+      EXPECT_THROW((void)load_sample_set(view, 1), FormatError)
+          << "record " << r << " byte " << at;
+      model::TrainingSample sample;
+      EXPECT_THROW(DatasetSampleStore(view).load(r, sample), FormatError)
+          << "record " << r << " byte " << at;
+      ++mutants;
+    }
+  }
+  // Four records of 7-8 kB of bodies each: thousands of mutants.
+  EXPECT_GT(mutants, 4000u);
 }
 
 // --- targeted index attacks -----------------------------------------------
@@ -330,8 +362,8 @@ TEST(CorpusFuzz, LyingChecksumFailsOnlyTheLiedAboutRecord) {
 
 // --- record feature sections ----------------------------------------------
 
-/// Record 0 of a v1 corpus (no record checksums, so both readers reach the
-/// feature decode): where its frame starts and where its features section
+/// Record 0 of a v1 corpus (no record checksums, so a mutated body reaches
+/// the feature decode): where its frame starts and where its features section
 /// starts, found by its (u64 rows, u64 layout word) prefix.
 struct RecordLayout {
   std::string bytes;
@@ -362,22 +394,18 @@ RecordLayout record_layout(std::string bytes, std::uint64_t layout_word) {
 
 /// The frozen dense-layout corpus at format v1 (no record checksums).
 std::string legacy_v1_corpus() {
-  std::ifstream is(std::string(PG_GOLDEN_LEGACY_DIR) + "/corpus.pgds",
-                   std::ios::binary);
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return buffer.str();
+  return slurp(std::string(PG_GOLDEN_LEGACY_DIR) + "/corpus.pgds");
 }
 
-/// Both readers over a corpus whose record 0 is corrupt: each must throw a
+/// A corpus whose record 0 is corrupt: opening it (the v1 offset scan
+/// checks frame headers and split tags) or decoding record 0 must throw a
 /// FormatError naming record 0 and ending in `what` (containing it, when
-/// `exact_end` is false), and the two texts must be identical.
+/// `exact_end` is false).
 void expect_record0_rejected(const std::string& bytes, const std::string& what,
                              const char* label, bool exact_end = true) {
   const auto heap = std::make_unique<unsigned char[]>(bytes.size());
   std::memcpy(heap.get(), bytes.data(), bytes.size());
   std::string view_text;
-  std::string reader_text;
   try {
     const DatasetView view(heap.get(), bytes.size());
     model::TrainingSample sample;
@@ -386,17 +414,6 @@ void expect_record0_rejected(const std::string& bytes, const std::string& what,
   } catch (const FormatError& e) {
     view_text = e.what();
   }
-  try {
-    std::istringstream is(bytes, std::ios::binary);
-    DatasetReader reader(is);
-    model::TrainingSample sample;
-    Split split = Split::kTrain;
-    (void)reader.next(sample, split);
-    ADD_FAILURE() << label << ": DatasetReader decoded record 0";
-  } catch (const FormatError& e) {
-    reader_text = e.what();
-  }
-  EXPECT_EQ(view_text, reader_text) << label;
   EXPECT_EQ(view_text.rfind("corrupt dataset record 0 ", 0), 0u)
       << label << ": " << view_text;
   const std::size_t at = view_text.rfind(what);
@@ -420,8 +437,8 @@ TEST(CorpusFuzz, RecordFrameHeaderErrorsNameTheFrameOffset) {
                                 "): bad record marker",
                             "bad marker");
   }
-  // A v1 corpus has no index to cross-check the frame against, so both
-  // readers see exactly the same header and body bytes.
+  // A v1 corpus has no index to cross-check the frame against, so the
+  // offset scan judges the frame header and the split tag by themselves.
   const RecordLayout l = record_layout(base_corpus(1), 2);
   const std::string at = " at byte offset " + std::to_string(l.frame);
   std::uint64_t body = 0;
@@ -487,23 +504,24 @@ TEST(CorpusFuzz, RecordLyingRowCountIsRejected) {
   }
 }
 
-TEST(CorpusFuzz, RecordTruncatedInsideTheArraysIsRejected) {
+TEST(CorpusFuzz, RecordFrameEndingInsideTheArraysIsRejected) {
+  // Record 0 cut short inside its kind or literal array, its frame size
+  // shrunk to match and the end marker moved up behind it: the frame is
+  // whole, so only the features decoder can see the arrays do not fit.
   const RecordLayout l = record_layout(base_corpus(1), 2);
   for (const std::size_t cut :
        {l.features + 16 + 2, l.features + 16 + l.rows + 5}) {
-    std::istringstream is(l.bytes.substr(0, cut), std::ios::binary);
-    DatasetReader reader(is);
-    model::TrainingSample sample;
-    Split split = Split::kTrain;
-    try {
-      (void)reader.next(sample, split);
-      ADD_FAILURE() << "truncated record decoded";
-    } catch (const FormatError& e) {
-      const std::string want = "truncated file: unexpected end of data" +
-                               at_offset(l.features + 16 - l.frame);
-      const std::string text = e.what();
-      EXPECT_NE(text.find(want), std::string::npos) << text;
-    }
+    std::string bytes = l.bytes.substr(0, cut);
+    const std::uint64_t body = cut - l.frame - 12;
+    std::memcpy(bytes.data() + l.frame + 4, &body, 8);
+    const std::uint64_t records = 1;
+    bytes += "DEND";
+    bytes.append(reinterpret_cast<const char*>(&records), 8);
+    expect_record0_rejected(bytes,
+                            "corrupt sample: kind and literal arrays larger "
+                            "than the section" +
+                                at_offset(l.features + 16 - l.frame),
+                            "short frame");
   }
 }
 

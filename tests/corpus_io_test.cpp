@@ -1,6 +1,7 @@
 // Corpus I/O suite: format-v2 indexed datasets, the mmap-backed DatasetView
 // (random access + v1 fallback scan), parallel shard loading, reindexing,
 // and the out-of-core streaming trainer's bitwise-reproducibility contract.
+// The v1 inputs are index-stripped v2 bytes (pgds_v1.hpp).
 //
 // The bitwise yardstick throughout is serialization: two TrainingSamples
 // (or two trained models) are "equal" iff their serialized bytes are equal,
@@ -24,12 +25,21 @@
 #include "model/checkpoint.hpp"
 #include "model/encoding.hpp"
 #include "model/trainer.hpp"
+#include "pgds_v1.hpp"
 
 namespace pg::io {
 namespace {
 
-std::string golden_path(const std::string& name) {
-  return std::string(PG_GOLDEN_DIR) + "/" + name;
+std::string legacy_path(const std::string& name) {
+  return std::string(PG_GOLDEN_LEGACY_DIR) + "/" + name;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  EXPECT_TRUE(static_cast<bool>(is)) << "cannot open " << path;
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  return buffer.str();
 }
 
 // --- corpus synthesis -----------------------------------------------------
@@ -80,10 +90,11 @@ model::SampleSet make_set(std::size_t train_n, std::size_t val_n,
   return set;
 }
 
-std::string set_bytes(const model::SampleSet& set, std::uint16_t version) {
+/// The set as DatasetWriter writes it (v2), or index-stripped to v1.
+std::string set_bytes(const model::SampleSet& set, std::uint16_t version = 2) {
   std::ostringstream os(std::ios::binary);
-  write_sample_set(os, set, "test", "ParaGraph", 42, version);
-  return os.str();
+  write_sample_set(os, set, "test", "ParaGraph", 42);
+  return version == 1 ? test_io::strip_to_v1(os.str()) : os.str();
 }
 
 std::string sample_bytes(const model::TrainingSample& sample) {
@@ -112,7 +123,7 @@ class TempFile {
 };
 
 /// All records of a set in stream order (train then validation), as the
-/// (split, serialized-sample) pairs the sequential reader should produce.
+/// (split, serialized-sample) pairs the view should yield.
 std::vector<std::pair<Split, std::string>> stream_order(
     const model::SampleSet& set) {
   std::vector<std::pair<Split, std::string>> out;
@@ -138,7 +149,7 @@ void expect_view_matches(const DatasetView& view,
 
 // --- random access vs sequential -----------------------------------------
 
-TEST(CorpusIo, V2RandomAccessMatchesSequentialReader) {
+TEST(CorpusIo, V2RandomAccessMatchesTheWrittenSamples) {
   const auto set = make_set(13, 5, 1);
   const TempFile file(set_bytes(set, 2));
   DatasetView view(file.path());
@@ -146,21 +157,6 @@ TEST(CorpusIo, V2RandomAccessMatchesSequentialReader) {
   EXPECT_TRUE(view.has_checksums());
   EXPECT_EQ(view.meta().platform, "test");
   expect_view_matches(view, set);
-
-  // And against the actual streaming reader, record by record.
-  std::ifstream is(file.path(), std::ios::binary);
-  DatasetReader reader(is);
-  model::TrainingSample seq;
-  model::TrainingSample rnd;
-  Split split = Split::kTrain;
-  std::size_t i = 0;
-  while (reader.next(seq, split)) {
-    view.decode(i, rnd);
-    EXPECT_EQ(sample_bytes(rnd), sample_bytes(seq)) << "record " << i;
-    EXPECT_EQ(view.split(i), split) << "record " << i;
-    ++i;
-  }
-  EXPECT_EQ(i, view.size());
 }
 
 TEST(CorpusIo, V1FallbackScanIsEquivalent) {
@@ -246,29 +242,23 @@ TEST(CorpusIo, OutOfRangeIndexThrows) {
 
 // --- parallel shard loading -----------------------------------------------
 
-TEST(CorpusIo, ParallelLoadMatchesSequentialAndIsThreadCountInvariant) {
+TEST(CorpusIo, ParallelLoadRoundTripsAndIsThreadCountInvariant) {
   const auto set = make_set(23, 9, 8);
+  // Serializing the whole loaded set covers samples, order, split
+  // partition, and scalers in one comparison: a load, written back, must
+  // be the v2 bytes it (or its v1 form) came from.
+  const std::string want = set_bytes(set, 2);
   for (std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
     const std::string bytes = set_bytes(set, version);
-
-    std::istringstream is(bytes, std::ios::binary);
-    const StoredSampleSet sequential = read_sample_set(is);
-
     DatasetView view(bytes.data(), bytes.size());
-    const StoredSampleSet one = load_sample_set(view, 1);
-    const StoredSampleSet many = load_sample_set(view, 3);
-
-    // Serializing the whole loaded set covers samples, order, split
-    // partition, and scalers in one comparison.
     auto reserialize = [](const StoredSampleSet& s) {
       std::ostringstream os(std::ios::binary);
       write_sample_set(os, s.set, s.meta.platform, s.meta.representation,
-                       s.meta.seed, 2);
+                       s.meta.seed);
       return os.str();
     };
-    const std::string want = reserialize(sequential);
-    EXPECT_EQ(reserialize(one), want) << "v" << version;
-    EXPECT_EQ(reserialize(many), want) << "v" << version;
+    EXPECT_EQ(reserialize(load_sample_set(view, 1)), want) << "v" << version;
+    EXPECT_EQ(reserialize(load_sample_set(view, 3)), want) << "v" << version;
   }
 }
 
@@ -298,23 +288,12 @@ TEST(CorpusIo, ReindexIsIdempotent) {
   EXPECT_EQ(copied.str(), set_bytes(set, 2));
 }
 
-TEST(CorpusIo, ReindexedGoldenReadsLikeV1Golden) {
-  // Both checked-in fixtures decode to the same records through both reader
-  // paths (streaming reader and DatasetView).
-  std::ifstream v1(golden_path("corpus.pgds"), std::ios::binary);
-  ASSERT_TRUE(static_cast<bool>(v1));
-  const StoredSampleSet from_v1 = read_sample_set(v1);
-
-  DatasetView view(golden_path("corpus_v2.pgds"));
-  EXPECT_EQ(view.format_version(), 2);
-  const StoredSampleSet from_v2 = load_sample_set(view);
-
-  ASSERT_EQ(from_v2.set.train.size(), from_v1.set.train.size());
-  for (std::size_t i = 0; i < from_v1.set.train.size(); ++i)
-    EXPECT_EQ(sample_bytes(from_v2.set.train[i]),
-              sample_bytes(from_v1.set.train[i]));
-  EXPECT_EQ(from_v2.meta.platform, from_v1.meta.platform);
-  EXPECT_EQ(from_v2.meta.child_weight_scale, from_v1.meta.child_weight_scale);
+TEST(CorpusIo, ReindexedV1WriterFileIsItsV2Sibling) {
+  // The frozen v1 corpus was written by the former v1 writer; reindexing it
+  // must give exactly the v2 file checked in next to it.
+  const TempFile out{std::string()};
+  reindex_dataset(legacy_path("corpus.pgds"), out.path());
+  EXPECT_TRUE(slurp(out.path()) == slurp(legacy_path("corpus_v2.pgds")));
 }
 
 // --- error context --------------------------------------------------------
@@ -390,21 +369,6 @@ TEST(CorpusIo, V1FrameHeaderCorruptionNamesTheRecord) {
     EXPECT_NE(std::string(e.what()).find("record 2"), std::string::npos)
         << e.what();
     EXPECT_NE(std::string(e.what()).find("frame header"), std::string::npos)
-        << e.what();
-  }
-
-  // The streaming reader reports the same ordinal for the same corruption.
-  std::istringstream is(bytes, std::ios::binary);
-  DatasetReader reader(is);
-  model::TrainingSample sample;
-  Split split = Split::kTrain;
-  reader.next(sample, split);
-  reader.next(sample, split);
-  try {
-    reader.next(sample, split);
-    FAIL() << "corrupt record decoded";
-  } catch (const FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("record 2"), std::string::npos)
         << e.what();
   }
 }

@@ -1,12 +1,21 @@
 // Tests for the dataset pipeline: the Table-I suite, the six variants,
-// sweep generation, determinism, and sample-set assembly.
+// sweep generation, determinism, sample-set assembly, and the .pgds corpus
+// cache.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "dataset/corpus_cache.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/sample_builder.hpp"
 #include "frontend/parser.hpp"
+#include "io/dataset_view.hpp"
+#include "io/pgraph_io.hpp"
 #include "support/check.hpp"
 
 namespace pg::dataset {
@@ -324,6 +333,64 @@ TEST(SampleBuilder, CpuWorkersAreThreads) {
 
 TEST(SampleBuilder, EmptyDatasetThrows) {
   EXPECT_THROW(build_sample_set({}, {}), InternalError);
+}
+
+// ----------------------------------------------------------- corpus cache ---
+
+/// A set's samples, split partition and scalers as bytes: two sets are
+/// bitwise equal iff these are.
+std::string set_bytes(const model::SampleSet& set) {
+  std::ostringstream os(std::ios::binary);
+  io::write_sample_set(os, set, "", "", 0);
+  return os.str();
+}
+
+TEST(CorpusCache, FlippedBodyBitIsRebuiltNotReturned) {
+  const auto points = generate_dataset(sim::summit_v100(), smoke_config());
+  const SampleBuildConfig config;
+  CorpusKey key;
+  key.platform_name = sim::summit_v100().name;
+  key.scale = RunScale::kSmoke;
+  const std::string dir = ::testing::TempDir() + "corpus_cache_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const std::string want = set_bytes(build_sample_set(points, config));
+
+  // The first call builds and writes the cache, the second loads it.
+  EXPECT_EQ(set_bytes(load_or_build_sample_set(dir, key, points, config)),
+            want);
+  const std::string path =
+      corpus_cache_path(dir, key, points_fingerprint(points));
+  ASSERT_TRUE(std::filesystem::exists(path));
+  EXPECT_EQ(set_bytes(load_or_build_sample_set(dir, key, points, config)),
+            want);
+
+  // Flip the low bit of record 0's runtime (its body holds the split tag,
+  // two f32 aux values and the f64 target first): still a finite runtime,
+  // so only the record checksum can tell.
+  std::uint64_t victim = 0;
+  {
+    const io::DatasetView view(path);
+    victim = view.record_offset(0) + 12 + 1 + 4 + 4 + 8;
+  }
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(victim));
+    char byte = 0;
+    f.get(byte);
+    f.seekp(static_cast<std::streamoff>(victim));
+    f.put(static_cast<char>(byte ^ 0x01));
+    ASSERT_TRUE(static_cast<bool>(f));
+  }
+  EXPECT_THROW((void)io::load_sample_set(io::DatasetView(path)),
+               io::FormatError);
+
+  // The cache rebuilds rather than returning the corrupt sample, and writes
+  // the rebuilt set back whole.
+  EXPECT_EQ(set_bytes(load_or_build_sample_set(dir, key, points, config)),
+            want);
+  EXPECT_EQ(set_bytes(io::load_sample_set(io::DatasetView(path)).set), want);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -18,8 +18,10 @@
 #include "frontend/parser.hpp"
 #include "graph/builder.hpp"
 #include "io/binary.hpp"
+#include "io/dataset_view.hpp"
 #include "io/pgraph_io.hpp"
 #include "model/encoding.hpp"
+#include "pgds_v1.hpp"
 
 #if !defined(PG_GOLDEN_DIR) || !defined(PG_GOLDEN_LEGACY_DIR)
 #error "PG_GOLDEN_DIR / PG_GOLDEN_LEGACY_DIR must point at the golden corpora"
@@ -156,10 +158,7 @@ TEST(IoGolden, EncodedSamplesMatchGoldenFiles) {
   Manifest manifest;
   ASSERT_NO_FATAL_FAILURE(read_manifest(manifest));
 
-  std::ifstream ds(golden_path("corpus.pgds"), std::ios::binary);
-  ASSERT_TRUE(static_cast<bool>(ds));
-  io::DatasetReader reader(ds);
-  const io::DatasetMeta meta = reader.meta();
+  const io::DatasetMeta meta = io::DatasetView(golden_path("corpus.pgds")).meta();
   EXPECT_DOUBLE_EQ(meta.child_weight_scale, manifest.child_weight_scale);
 
   model::SampleSet scalers;
@@ -235,69 +234,41 @@ TEST(IoRoundTrip, SampleBytesAreStable) {
 
 TEST(IoRoundTrip, DatasetBytesAreStable) {
   const std::string original = slurp(golden_path("corpus.pgds"));
-  std::istringstream is(original, std::ios::binary);
-  const io::StoredSampleSet stored = io::read_sample_set(is);
-  EXPECT_EQ(stored.set.train.size(), 4u);
-  EXPECT_EQ(stored.set.validation.size(), 0u);
-
-  std::ostringstream os(std::ios::binary);
-  io::write_sample_set(os, stored.set, stored.meta.platform,
-                       stored.meta.representation, stored.meta.seed,
-                       /*format_version=*/1);
-  EXPECT_EQ(os.str(), original);
-}
-
-TEST(IoRoundTrip, DatasetV2BytesAreStable) {
-  const std::string original = slurp(golden_path("corpus_v2.pgds"));
-  std::istringstream is(original, std::ios::binary);
-  const io::StoredSampleSet stored = io::read_sample_set(is);
+  const io::StoredSampleSet stored =
+      io::load_sample_set(io::DatasetView(original.data(), original.size()));
   EXPECT_EQ(stored.set.train.size(), 4u);
   EXPECT_EQ(stored.set.validation.size(), 0u);
 
   std::ostringstream os(std::ios::binary);
   io::write_sample_set(os, stored.set, stored.meta.platform,
                        stored.meta.representation, stored.meta.seed);
-  EXPECT_EQ(os.str(), original);  // the default writer format is v2
+  EXPECT_EQ(os.str(), original);
 }
 
-TEST(IoRoundTrip, GoldenV1AndV2DecodeIdentically) {
-  // Both golden fixtures hold the same records; the streaming reader must
-  // produce byte-identical samples from each.
-  for (const char* name : {"corpus.pgds", "corpus_v2.pgds"}) {
-    std::ifstream is(golden_path(name), std::ios::binary);
-    ASSERT_TRUE(static_cast<bool>(is)) << name;
-    io::DatasetReader reader(is);
-    model::TrainingSample sample;
-    io::Split split = io::Split::kValidation;
-    std::size_t count = 0;
-    while (reader.next(sample, split)) ++count;
-    EXPECT_EQ(count, 4u) << name;
+TEST(IoRoundTrip, OffsetScanFindsTheIndexedRecords) {
+  // The golden corpus minus its index is a v1 file: the offset scan must
+  // find the frames the index names and decode them to the same samples.
+  const std::string v2 = slurp(golden_path("corpus.pgds"));
+  const std::string v1 = test_io::strip_to_v1(v2);
+  const io::DatasetView indexed(v2.data(), v2.size());
+  const io::DatasetView scanned(v1.data(), v1.size());
+  EXPECT_EQ(indexed.format_version(), 2);
+  EXPECT_EQ(scanned.format_version(), 1);
+  EXPECT_TRUE(indexed.has_checksums());
+  EXPECT_FALSE(scanned.has_checksums());
+  ASSERT_EQ(indexed.size(), 4u);
+  ASSERT_EQ(scanned.size(), 4u);
+  model::TrainingSample from_index;
+  model::TrainingSample from_scan;
+  for (std::size_t i = 0; i < indexed.size(); ++i) {
+    EXPECT_EQ(scanned.record_offset(i), indexed.record_offset(i)) << i;
+    EXPECT_EQ(scanned.record_length(i), indexed.record_length(i)) << i;
+    EXPECT_EQ(scanned.split(i), io::Split::kTrain) << i;
+    indexed.decode(i, from_index);
+    scanned.decode(i, from_scan);
+    EXPECT_TRUE(io::encode_sample(from_scan) == io::encode_sample(from_index))
+        << "record " << i;
   }
-  const std::string v1 = slurp(golden_path("corpus.pgds"));
-  const std::string v2 = slurp(golden_path("corpus_v2.pgds"));
-  // v2 = v1 with the version field patched and the index appended; the
-  // record bytes themselves are untouched.
-  ASSERT_GT(v2.size(), v1.size());
-  EXPECT_EQ(v2.substr(10, v1.size() - 10), v1.substr(10));
-  EXPECT_NE(v2.substr(8, 2), v1.substr(8, 2));
-}
-
-TEST(IoRoundTrip, DatasetStreamingReaderSeesEveryRecord) {
-  std::ifstream is(golden_path("corpus.pgds"), std::ios::binary);
-  ASSERT_TRUE(static_cast<bool>(is));
-  io::DatasetReader reader(is);
-  model::TrainingSample sample;
-  io::Split split = io::Split::kValidation;
-  std::size_t count = 0;
-  while (reader.next(sample, split)) {
-    EXPECT_EQ(split, io::Split::kTrain);
-    EXPECT_GT(sample.graph.relations.num_nodes, 0u);
-    ++count;
-  }
-  EXPECT_EQ(count, 4u);
-  EXPECT_EQ(reader.records_read(), 4u);
-  // A drained reader stays drained.
-  EXPECT_FALSE(reader.next(sample, split));
 }
 
 // --- the frozen dense-feature fixtures ------------------------------------
@@ -358,13 +329,18 @@ TEST(IoLegacy, DenseSamplesDecodeToTheRegeneratedSamples) {
 }
 
 TEST(IoLegacy, DenseCorporaDecodeToTheRegeneratedCorpora) {
+  // Both frozen corpora — v1 through the offset scan, v2 through the index —
+  // decode to the regenerated corpus's samples and, written back, are its
+  // bytes.
+  const std::string regenerated = slurp(golden_path("corpus.pgds"));
+  const io::StoredSampleSet current = io::load_sample_set(
+      io::DatasetView(regenerated.data(), regenerated.size()));
   for (const auto& [file, version] :
        {std::pair{"corpus.pgds", std::uint16_t{1}},
         std::pair{"corpus_v2.pgds", std::uint16_t{2}}}) {
-    const io::StoredSampleSet legacy =
-        io::read_sample_set_file(legacy_path(file));
-    const io::StoredSampleSet current =
-        io::read_sample_set_file(golden_path(file));
+    const io::DatasetView view(legacy_path(file));
+    EXPECT_EQ(view.format_version(), version) << file;
+    const io::StoredSampleSet legacy = io::load_sample_set(view);
     ASSERT_EQ(legacy.set.train.size(), current.set.train.size()) << file;
     ASSERT_EQ(legacy.set.validation.size(), current.set.validation.size());
     for (std::size_t i = 0; i < legacy.set.train.size(); ++i)
@@ -379,14 +355,20 @@ TEST(IoLegacy, DenseCorporaDecodeToTheRegeneratedCorpora) {
 
     std::ostringstream os(std::ios::binary);
     io::write_sample_set(os, legacy.set, legacy.meta.platform,
-                         legacy.meta.representation, legacy.meta.seed,
-                         version);
-    EXPECT_TRUE(os.str() == slurp(golden_path(file))) << file;
+                         legacy.meta.representation, legacy.meta.seed);
+    EXPECT_TRUE(os.str() == regenerated) << file;
     // The kind/literal layout is what shrinks the corpus.
-    EXPECT_LT(slurp(golden_path(file)).size() * 3,
-              slurp(legacy_path(file)).size())
+    EXPECT_LT(regenerated.size() * 3, slurp(legacy_path(file)).size())
         << file;
   }
+}
+
+TEST(IoLegacy, StrippedV2IsTheV1WritersBytes) {
+  // The frozen v1 corpus came from the former v1 writer and its v2 sibling
+  // from reindexing it, so stripping the index off the v2 file must give
+  // back the v1 bytes: what the suites' v1 inputs are built by.
+  EXPECT_TRUE(test_io::strip_to_v1(slurp(legacy_path("corpus_v2.pgds"))) ==
+              slurp(legacy_path("corpus.pgds")));
 }
 
 // --- rejection paths ------------------------------------------------------
@@ -505,71 +487,75 @@ TEST(IoReject, UnknownSectionsAreSkipped) {
   EXPECT_EQ(graph.num_edges(), 123u);
 }
 
+// The dataset cases run on the golden corpus and on its index-stripped v1
+// form, so both the index checks and the offset scan's frame checks are
+// held to them.
+std::vector<Bytes> golden_corpus_both_versions() {
+  const Bytes v2 = slurp(golden_path("corpus.pgds"));
+  return {v2, test_io::strip_to_v1(v2)};
+}
+
+void expect_load_rejected(const Bytes& bytes) {
+  EXPECT_THROW(
+      (void)io::load_sample_set(io::DatasetView(bytes.data(), bytes.size())),
+      io::FormatError)
+      << "format v" << int{bytes[8]};
+}
+
 TEST(IoReject, DatasetDroppedTail) {
   // Chopping off the end marker (and part of the last record) must be
   // detected as truncation, not silently yield fewer records.
-  const Bytes bytes = slurp(golden_path("corpus.pgds"));
-  std::istringstream is(bytes.substr(0, bytes.size() - 20), std::ios::binary);
-  io::DatasetReader reader(is);
-  model::TrainingSample sample;
-  io::Split split = io::Split::kTrain;
-  EXPECT_THROW({
-    while (reader.next(sample, split)) {
-    }
-  }, io::FormatError);
+  for (const Bytes& bytes : golden_corpus_both_versions())
+    expect_load_rejected(bytes.substr(0, bytes.size() - 20));
 }
 
 TEST(IoReject, DatasetCorruptRecordMarker) {
-  Bytes bytes = slurp(golden_path("corpus.pgds"));
-  // The first record marker sits right after header+table+meta. Find it by
-  // scanning for "RECD".
-  const auto pos = bytes.find("RECD");
-  ASSERT_NE(pos, Bytes::npos);
-  bytes[pos] = 'X';
-  std::istringstream is(bytes, std::ios::binary);
-  io::DatasetReader reader(is);
-  model::TrainingSample sample;
-  io::Split split = io::Split::kTrain;
-  EXPECT_THROW(reader.next(sample, split), io::FormatError);
+  for (Bytes bytes : golden_corpus_both_versions()) {
+    // The first record marker sits right after header+table+meta.
+    const auto pos = bytes.find("RECD");
+    ASSERT_NE(pos, Bytes::npos);
+    bytes[pos] = 'X';
+    expect_load_rejected(bytes);
+  }
 }
 
 TEST(IoReject, DatasetRecordErrorsCarryRecordIndex) {
   // A decode failure deep inside a record body must name which record died:
   // "which sample of the million" is the first thing a corpus-corruption
   // report needs, and a bare FormatError used to lose it.
-  Bytes bytes = slurp(golden_path("corpus.pgds"));
-  // Poison the split tag of the third record. Each record is framed as
-  // "RECD" + u64 body size + body, and the split tag is the body's first
-  // byte (offset marker + 4 + 8). Walk frame-by-frame from the first marker
-  // (a bytewise search past it could false-match "RECD" inside a body).
-  std::size_t marker = bytes.find("RECD");
-  ASSERT_NE(marker, Bytes::npos);
-  auto u64_at = [&bytes](std::size_t off) {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[off + i]))
-           << (8 * i);
-    return v;
-  };
-  for (int skipped = 0; skipped < 2; ++skipped) {
-    marker += 12 + u64_at(marker + 4);
-    ASSERT_LT(marker + 12, bytes.size());
-    ASSERT_EQ(bytes.compare(marker, 4, "RECD"), 0);
-  }
-  bytes[marker + 12] = '\xff';
-
-  std::istringstream is(bytes, std::ios::binary);
-  io::DatasetReader reader(is);
-  model::TrainingSample sample;
-  io::Split split = io::Split::kTrain;
-  try {
-    while (reader.next(sample, split)) {
+  for (Bytes bytes : golden_corpus_both_versions()) {
+    // Poison the split tag of the third record. Each record is framed as
+    // "RECD" + u64 body size + body, and the split tag is the body's first
+    // byte (offset marker + 4 + 8). Walk frame-by-frame from the first
+    // marker (a bytewise search past it could false-match "RECD" inside a
+    // body).
+    std::size_t marker = bytes.find("RECD");
+    ASSERT_NE(marker, Bytes::npos);
+    auto u64_at = [&bytes](std::size_t off) {
+      std::uint64_t v = 0;
+      for (std::size_t i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(bytes[off + i]))
+             << (8 * i);
+      return v;
+    };
+    for (int skipped = 0; skipped < 2; ++skipped) {
+      marker += 12 + u64_at(marker + 4);
+      ASSERT_LT(marker + 12, bytes.size());
+      ASSERT_EQ(bytes.compare(marker, 4, "RECD"), 0);
     }
-    FAIL() << "expected FormatError";
-  } catch (const io::FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("dataset record 2"),
-              std::string::npos)
-        << "error message lost the record index: " << e.what();
+    bytes[marker + 12] = '\xff';
+
+    // v1: the offset scan rejects the tag at open; v2: the record's
+    // checksum no longer matches when it is decoded.
+    try {
+      (void)io::load_sample_set(io::DatasetView(bytes.data(), bytes.size()));
+      FAIL() << "expected FormatError";
+    } catch (const io::FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("dataset record 2"),
+                std::string::npos)
+          << "error message lost the record index: " << e.what();
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "io/dataset_view.hpp"
 #include "io/pgraph_io.hpp"
 #include "model/checkpoint.hpp"
 #include "model/engine.hpp"
@@ -60,7 +61,7 @@ struct Fixture {
 
 void build_fixture(Fixture& fx) {
   const io::StoredSampleSet stored =
-      io::read_sample_set_file(golden_path("corpus.pgds"));
+      io::load_sample_set(io::DatasetView(golden_path("corpus.pgds")));
   fx.scalers = model::CheckpointScalers::from_sample_set(stored.set);
   fx.model = std::make_unique<model::ParaGraphModel>(fx.config);
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "io/dataset_view.hpp"
 #include "io/pgraph_io.hpp"
 #include "model/checkpoint.hpp"
 #include "model/engine.hpp"
@@ -126,7 +127,8 @@ std::string mutate(const std::string& stream, Rng& rng) {
 class ServeFuzz : public ::testing::Test {
  protected:
   void SetUp() override {
-    stored_ = io::read_sample_set_file(golden_path("corpus.pgds"));
+    stored_ =
+        io::load_sample_set(io::DatasetView(golden_path("corpus.pgds")));
     scalers_ = model::CheckpointScalers::from_sample_set(stored_.set);
     model_ = std::make_unique<model::ParaGraphModel>(config_);
 
@@ -341,7 +343,7 @@ TEST(ServeReadGate, ConnectionThatNeverReadsIsGatedNotFatal) {
   // of the server healthy, and deliver every reply — bitwise exact — once
   // the client finally reads.
   const io::StoredSampleSet stored =
-      io::read_sample_set_file(golden_path("corpus.pgds"));
+      io::load_sample_set(io::DatasetView(golden_path("corpus.pgds")));
   const model::CheckpointScalers scalers =
       model::CheckpointScalers::from_sample_set(stored.set);
   model::ModelConfig config;

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "io/dataset_view.hpp"
 #include "io/pgraph_io.hpp"
 #include "model/checkpoint.hpp"
 #include "model/engine.hpp"
@@ -305,7 +306,8 @@ TEST(Reactor, WakeFdSignalsThroughEpollAndDrains) {
 class ServeLoopback : public ::testing::Test {
  protected:
   void SetUp() override {
-    stored_ = io::read_sample_set_file(golden_path("corpus.pgds"));
+    stored_ =
+        io::load_sample_set(io::DatasetView(golden_path("corpus.pgds")));
     scalers_ = model::CheckpointScalers::from_sample_set(stored_.set);
     model_ = std::make_unique<model::ParaGraphModel>(config_);
 
@@ -542,7 +544,7 @@ TEST(ServeIdleTimeout, ReactorTimerClosesIdleConnections) {
   // nothing gets reaped by the reactor's timer pass (no SO_RCVTIMEO — the
   // close costs no thread) and the client observes a clean end-of-stream.
   const io::StoredSampleSet stored =
-      io::read_sample_set_file(golden_path("corpus.pgds"));
+      io::load_sample_set(io::DatasetView(golden_path("corpus.pgds")));
   const model::CheckpointScalers scalers =
       model::CheckpointScalers::from_sample_set(stored.set);
   model::ModelConfig config;
@@ -579,7 +581,7 @@ TEST(ServeShutdown, StopWhileClientsConnectClosesTheListener) {
   // gets in. Looped so a ThreadSanitizer build sees many interleavings of
   // handle_accept and the close.
   const io::StoredSampleSet stored =
-      io::read_sample_set_file(golden_path("corpus.pgds"));
+      io::load_sample_set(io::DatasetView(golden_path("corpus.pgds")));
   const model::CheckpointScalers scalers =
       model::CheckpointScalers::from_sample_set(stored.set);
   model::ModelConfig config;
@@ -813,7 +815,8 @@ TEST(ReplyCache, EvictionCounterCountsEveryDroppedEntry) {
 class ServeCacheLoopback : public ::testing::Test {
  protected:
   void SetUp() override {
-    stored_ = io::read_sample_set_file(golden_path("corpus.pgds"));
+    stored_ =
+        io::load_sample_set(io::DatasetView(golden_path("corpus.pgds")));
     scalers_ = model::CheckpointScalers::from_sample_set(stored_.set);
     model_ = std::make_unique<model::ParaGraphModel>(config_);
     scalers_.apply_to(scaler_set_);

@@ -7,11 +7,11 @@
 //            through model::InferenceEngine::predict_batch
 //   dump     any pg::io file         -> human-readable summary
 //   corpus   batch-generate the paper's kernel/variant sweep into a
-//            directory (--golden emits the small pinned regression corpus
-//            under tests/golden/; --format picks the .pgds container
-//            version)
+//            format-v2 .pgds in a directory (--golden emits the small
+//            pinned regression corpus under tests/golden/)
 //   reindex  .pgds (v1 or v2)        -> format-v2 .pgds: record bytes
-//            copied verbatim, fresh offset/checksum index appended
+//            copied verbatim, fresh offset/checksum index appended (the
+//            output may be the input itself)
 //   client   .psample* -> predictions served by a running paragraph-serve
 //            daemon (the serve protocol's reference client; retries on
 //            backpressure)
@@ -79,11 +79,10 @@ int usage() {
   client  --port P [--timeout-ms T] [--ping] [--out <file>]
           <sample.psample>...
   corpus  --out <dir> [--threads N] [--simd scalar|sse2|avx2]
-          [--format v1|v2]
           (--golden | [--platform power9|v100|epyc|mi50]
           [--scale smoke|default|full] [--seed N]
           [--representation raw|augmented|paragraph] [--log-target])
-  reindex <in.pgds> <out.pgds>
+  reindex <in.pgds> <out.pgds>   (v1 or v2 in, v2 out; out may be in)
 
   predict/corpus worker threads: --threads N, else the PARAGRAPH_THREADS
   environment variable, else the OpenMP default. (encode's --threads is the
@@ -147,7 +146,7 @@ Args parse_args(int argc, char** argv, int first) {
       "--checkpoint", "--hidden",        "--out",          "--platform",
       "--scale",     "--seed",           "--simd",         "--child-weight-scale",
       "--target-bounds", "--teams-bounds", "--threads-bounds",
-      "--port",      "--timeout-ms",     "--format"};
+      "--port",      "--timeout-ms"};
   Args args;
   for (int a = first; a < argc; ++a) {
     const std::string arg = argv[a];
@@ -247,12 +246,8 @@ int cmd_compile(const Args& args) {
 // --- encode ---------------------------------------------------------------
 
 io::DatasetMeta meta_from_args(const Args& args) {
-  if (const auto meta_path = args.option("--meta")) {
-    std::ifstream is(*meta_path, std::ios::binary);
-    if (!is) throw std::runtime_error("cannot open " + *meta_path);
-    io::DatasetReader reader(is);
-    return reader.meta();
-  }
+  if (const auto meta_path = args.option("--meta"))
+    return io::DatasetView(*meta_path).meta();
   io::DatasetMeta meta;
   meta.child_weight_scale = args.double_option("--child-weight-scale", 1.0);
   meta.log_target = args.has_flag("--log-target");
@@ -484,9 +479,10 @@ int cmd_dump(const Args& args) {
       break;
     }
     case io::PayloadKind::kDataset: {
-      std::ifstream is(path, std::ios::binary);
-      io::DatasetReader reader(is);
-      const io::DatasetMeta& meta = reader.meta();
+      // The index (v2) or the offset scan (v1) yields every split tag
+      // without decoding a record.
+      const io::DatasetView view(path);
+      const io::DatasetMeta& meta = view.meta();
       std::printf("platform: %s\nrepresentation: %s\nseed: %llu\n",
                   meta.platform.c_str(), meta.representation.c_str(),
                   static_cast<unsigned long long>(meta.seed));
@@ -496,23 +492,11 @@ int cmd_dump(const Args& args) {
                   meta.target_max);
       std::size_t train = 0;
       std::size_t validation = 0;
-      if (info.version >= 2) {
-        // v2 carries a record index: count splits without touching a
-        // single record page.
-        io::DatasetView view(path);
-        for (std::size_t i = 0; i < view.size(); ++i)
-          (view.split(i) == io::Split::kTrain ? train : validation) += 1;
-        std::printf("records: %zu train + %zu validation (indexed, "
-                    "checksummed)\n",
-                    train, validation);
-      } else {
-        model::TrainingSample sample;
-        io::Split split = io::Split::kTrain;
-        while (reader.next(sample, split))
-          (split == io::Split::kTrain ? train : validation) += 1;
-        std::printf("records: %zu train + %zu validation\n", train,
-                    validation);
-      }
+      for (std::size_t i = 0; i < view.size(); ++i)
+        (view.split(i) == io::Split::kTrain ? train : validation) += 1;
+      std::printf("records: %zu train + %zu validation%s\n", train,
+                  validation,
+                  view.has_checksums() ? " (indexed, checksummed)" : "");
       break;
     }
     default:
@@ -604,18 +588,16 @@ int cmd_corpus_golden(const std::filesystem::path& dir) {
   meta.threads_min = 1.0;
   meta.threads_max = 1024.0;
 
-  // corpus.pgds stays pinned at format v1 (the drift gate compares bytes);
-  // the v2 fixture next to it is produced by reindexing it below.
   std::ofstream ds_os(dir / "corpus.pgds", std::ios::binary);
   if (!ds_os) throw std::runtime_error("cannot open corpus.pgds");
-  io::DatasetWriter ds_writer(ds_os, meta, 1);
+  io::DatasetWriter ds_writer(ds_os, meta);
 
   std::string manifest;
   manifest += "# golden regression corpus — regenerate with:\n";
   manifest += "#   paragraph-cli corpus --golden --out tests/golden\n";
-  manifest += "# corpus.pgds is format v1; corpus_v2.pgds is its byte-exact\n";
-  manifest += "# record-level reindex (paragraph-cli reindex) with the v2\n";
-  manifest += "# offset/checksum index appended.\n";
+  manifest += "# corpus.pgds is dataset format v2 (the record stream with its\n";
+  manifest += "# offset/checksum index appended); format-version below is the\n";
+  manifest += "# version of the .pgraph and .psample files.\n";
   manifest += "format-version 1\n";
   {
     char line[64];
@@ -655,19 +637,10 @@ int cmd_corpus_golden(const std::filesystem::path& dir) {
   }
   ds_writer.finish();
   ds_os.close();
-  io::reindex_dataset((dir / "corpus.pgds").string(),
-                      (dir / "corpus_v2.pgds").string());
   write_text_file(dir / "MANIFEST.txt", manifest);
   std::printf("golden corpus: %zu entries -> %s\n", built.size(),
               dir.string().c_str());
   return 0;
-}
-
-std::uint16_t format_version_from(const Args& args) {
-  const std::string format = args.option("--format").value_or("v2");
-  if (format == "v1") return 1;
-  if (format == "v2") return io::kDatasetFormatVersion;
-  throw std::runtime_error("unknown format '" + format + "' (v1|v2)");
 }
 
 int cmd_reindex(const Args& args) {
@@ -723,7 +696,7 @@ int cmd_corpus(const Args& args) {
   io::write_sample_set_file(out.string(), set, platform.name,
                             std::string(graph::representation_name(
                                 build.representation)),
-                            gen.seed, format_version_from(args));
+                            gen.seed);
   std::printf("%zu train + %zu validation samples -> %s\n", set.train.size(),
               set.validation.size(), out.string().c_str());
   return 0;
