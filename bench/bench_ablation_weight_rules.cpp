@@ -79,10 +79,7 @@ model::SampleSet build_with_rules(const std::vector<dataset::RawDataPoint>& poin
     const auto& p = points[i];
     model::TrainingSample s;
     s.graph = model::encode_graph(graphs[i], set.child_weight_scale);
-    s.aux = {static_cast<float>(
-                 set.teams_scaler.transform(static_cast<double>(p.num_teams))),
-             static_cast<float>(set.threads_scaler.transform(
-                 static_cast<double>(p.num_threads)))};
+    s.aux = set.aux_for(p.num_teams, p.num_threads);
     s.target_scaled = set.target_scaler.transform(p.runtime_us);
     s.runtime_us = p.runtime_us;
     s.app_id = p.app_id;

@@ -71,12 +71,8 @@ double predict_candidate(const DeviceAdvisor& advisor,
   const auto g =
       dataset::build_point_graph(point, graph::Representation::kParaGraph);
   const auto enc = model::encode_graph(g, advisor.set.child_weight_scale);
-  const std::array<float, 2> aux = {
-      static_cast<float>(
-          advisor.set.teams_scaler.transform(static_cast<double>(c.teams))),
-      static_cast<float>(
-          advisor.set.threads_scaler.transform(static_cast<double>(c.threads)))};
-  return advisor.set.from_target(advisor.model->predict(enc, aux));
+  return advisor.set.from_target(
+      advisor.model->predict(enc, advisor.set.aux_for(c.teams, c.threads)));
 }
 
 double measure_candidate(const sim::Platform& platform,

@@ -85,7 +85,7 @@ EncodedGraph make_graph(std::size_t nodes, std::uint64_t seed) {
         edges.push_back({src, dst, 1.0f});
       }
     }
-    g.relations.relations[r] = pg::nn::RelationEdges::from_edges(edges);
+    g.relations.relations[r] = pg::nn::RelationEdges::from_edges(edges, nodes);
   }
   return g;
 }

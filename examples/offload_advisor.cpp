@@ -26,6 +26,7 @@
 #include "frontend/parser.hpp"
 #include "model/engine.hpp"
 #include "model/trainer.hpp"
+#include "support/check.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
 
@@ -119,16 +120,18 @@ int main(int argc, char** argv) {
     point.source =
         dataset::instantiate_source(*spec, c.variant, sizes, c.teams, c.threads);
 
-    const auto pgraph =
-        dataset::build_point_graph(point, graph::Representation::kParaGraph);
+    // One parse feeds both the graph and the simulator's profile.
+    const auto parsed = frontend::parse_source(point.source);
+    check(parsed.ok(), "offload_advisor: candidate source failed to parse");
+    const auto pgraph = graph::build_graph(
+        parsed.root(),
+        dataset::point_build_options(point, graph::Representation::kParaGraph));
     auto& graphs = on_gpu ? gpu_graphs : cpu_graphs;
     auto& aux = on_gpu ? gpu_aux : cpu_aux;
     batch_index[i] = graphs.size();
     graphs.push_back(model::encode_graph(pgraph, set.child_weight_scale));
-    aux.push_back({static_cast<float>(set.teams_scaler.transform(double(c.teams))),
-                   static_cast<float>(set.threads_scaler.transform(double(c.threads)))});
+    aux.push_back(set.aux_for(c.teams, c.threads));
 
-    const auto parsed = frontend::parse_source(point.source);
     const auto profile = sim::profile_kernel(parsed.root());
     simulated[i] = sim::simulate_runtime_us(profile, c.platform, noise_free);
   }

@@ -167,16 +167,13 @@ int main(int argc, char** argv) {
       point.variant = std::string(dataset::variant_name(variant));
       point.num_teams = config.teams;
       point.num_threads = config.threads;
-      point.source = source;
-      const auto pgraph =
-          dataset::build_point_graph(point, graph::Representation::kParaGraph);
+      const auto pgraph = graph::build_graph(
+          parsed.root(),
+          dataset::point_build_options(point, graph::Representation::kParaGraph));
       auto& graphs = gpu ? gpu_graphs : cpu_graphs;
       auto& aux = gpu ? gpu_aux : cpu_aux;
       graphs.push_back(model::encode_graph(pgraph, set.child_weight_scale));
-      aux.push_back(
-          {static_cast<float>(set.teams_scaler.transform(double(config.teams))),
-           static_cast<float>(
-               set.threads_scaler.transform(double(config.threads)))});
+      aux.push_back(set.aux_for(config.teams, config.threads));
     }
     rows.push_back(std::move(row));
   }

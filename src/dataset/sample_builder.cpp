@@ -23,16 +23,24 @@ std::int64_t parallel_workers_for(const RawDataPoint& point) {
 
 }  // namespace
 
+graph::BuildOptions point_build_options(const RawDataPoint& point,
+                                        graph::Representation representation,
+                                        std::int64_t unknown_trip_fallback) {
+  graph::BuildOptions options;
+  options.representation = representation;
+  options.parallel_workers = std::max<std::int64_t>(1, parallel_workers_for(point));
+  options.unknown_trip_fallback = unknown_trip_fallback;
+  return options;
+}
+
 graph::ProgramGraph build_point_graph(const RawDataPoint& point,
                                       graph::Representation representation,
                                       std::int64_t unknown_trip_fallback) {
   const frontend::ParseResult parsed = frontend::parse_source(point.source);
   check(parsed.ok(), "build_point_graph: source failed to parse");
-  graph::BuildOptions options;
-  options.representation = representation;
-  options.parallel_workers = std::max<std::int64_t>(1, parallel_workers_for(point));
-  options.unknown_trip_fallback = unknown_trip_fallback;
-  return graph::build_graph(parsed.root(), options);
+  return graph::build_graph(
+      parsed.root(),
+      point_build_options(point, representation, unknown_trip_fallback));
 }
 
 model::TrainingSample make_training_sample(const graph::ProgramGraph& graph,
@@ -45,10 +53,7 @@ model::TrainingSample make_training_sample(const graph::ProgramGraph& graph,
                                            std::string variant) {
   model::TrainingSample sample;
   sample.graph = model::encode_graph(graph, scalers.child_weight_scale);
-  sample.aux = {static_cast<float>(scalers.teams_scaler.transform(
-                    static_cast<double>(num_teams))),
-                static_cast<float>(scalers.threads_scaler.transform(
-                    static_cast<double>(num_threads)))};
+  sample.aux = scalers.aux_for(num_teams, num_threads);
   sample.target_scaled = scalers.to_target(runtime_us);
   sample.runtime_us = runtime_us;
   sample.app_id = app_id;

@@ -27,9 +27,15 @@ struct SampleBuildConfig {
 model::SampleSet build_sample_set(const std::vector<RawDataPoint>& points,
                                   const SampleBuildConfig& config);
 
-/// Builds the graph for one data point at the given representation level
-/// (exposed for examples/tests; `parallel_workers` = threads on CPU,
-/// teams x threads on GPU — the paper's static-schedule division rule).
+/// The options build_point_graph builds one data point's graph with:
+/// `parallel_workers` = threads on CPU, teams x threads on GPU — the
+/// paper's static-schedule division rule.
+graph::BuildOptions point_build_options(const RawDataPoint& point,
+                                        graph::Representation representation,
+                                        std::int64_t unknown_trip_fallback = 100);
+
+/// Parses one data point's source and builds its graph at the given
+/// representation level (exposed for examples/tests).
 graph::ProgramGraph build_point_graph(const RawDataPoint& point,
                                       graph::Representation representation,
                                       std::int64_t unknown_trip_fallback = 100);

@@ -3,8 +3,8 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <functional>
+#include <vector>
 
 #include "frontend/loop_analysis.hpp"
 #include "support/check.hpp"
@@ -21,9 +21,9 @@ class Builder {
 
   ProgramGraph build(const AstNode* root) {
     check(root != nullptr, "build_graph: null root");
-    add_subtree(root, 1.0);
-    if (options_.representation != Representation::kRawAst) {
-      add_next_token_edges(root);
+    add_subtree(root, 1.0, false);
+    if (augmented_) {
+      add_next_token_edges();
       add_ref_edges();
     }
     return std::move(graph_);
@@ -31,35 +31,42 @@ class Builder {
 
  private:
   /// Recursively adds `node` and its subtree. `multiplier` is the execution
-  /// count of the region containing `node`.
-  std::uint32_t add_subtree(const AstNode* node, double multiplier) {
+  /// count of the region containing `node`; `divided` marks the loop an
+  /// OpenMP directive splits among the parallel workers.
+  std::uint32_t add_subtree(const AstNode* node, double multiplier, bool divided) {
     const std::uint32_t id = graph_.add_node(node->kind(), node->text());
-    node_ids_.emplace(node, id);
-    if (node->is(NodeKind::kDeclRefExpr) && node->referenced_decl() != nullptr)
-      refs_.push_back(node);
+    if (augmented_) {
+      if (node->is_terminal()) terminals_.push_back({node->range().begin.offset, id});
+      if (node->is_decl()) decls_.push_back({node, id});
+      if (node->is(NodeKind::kDeclRefExpr) && node->referenced_decl() != nullptr)
+        refs_.push_back({node->referenced_decl(), id});
+    }
 
-    const bool weighted = options_.representation == Representation::kParaGraph;
-    const bool augmented = options_.representation != Representation::kRawAst;
+    // Children [init, cond, body, inc] of a ForStmt: all but init run once
+    // per trip.
+    double trips = 1.0;
+    if (node->is(NodeKind::kForStmt)) {
+      trips = std::max(static_cast<double>(frontend::trip_count_or(
+                           node, options_.unknown_trip_fallback)),
+                       1.0);
+      if (divided) {
+        // With collapse the division is applied once, at the outermost loop
+        // (equivalent to dividing the collapsed product).
+        trips = std::max(1.0, trips / static_cast<double>(std::max<std::int64_t>(
+                                          1, options_.parallel_workers)));
+      }
+    }
 
-    // Per-child weight multipliers.
-    std::vector<std::uint32_t> child_ids(node->num_children());
+    // The children's ids sit on one stack shared by the whole walk; a
+    // child's own subtree pops its entries before returning.
+    const std::size_t first = child_ids_.size();
     for (std::size_t i = 0; i < node->num_children(); ++i) {
       const AstNode* child = node->child(i);
       double child_multiplier = multiplier;
+      bool child_divided = false;
 
       if (node->is(NodeKind::kForStmt)) {
-        // Children [init, cond, body, inc]: all but init run once per trip.
-        if (i != 0) {
-          double trips = static_cast<double>(frontend::trip_count_or(
-              node, options_.unknown_trip_fallback));
-          trips = std::max(trips, 1.0);
-          if (pending_division_.count(node) > 0) {
-            trips = std::max(1.0, trips / static_cast<double>(
-                                              std::max<std::int64_t>(
-                                                  1, options_.parallel_workers)));
-          }
-          child_multiplier = multiplier * trips;
-        }
+        if (i != 0) child_multiplier = multiplier * trips;
       } else if (node->is(NodeKind::kWhileStmt) || node->is(NodeKind::kDoStmt)) {
         // Non-canonical loops: bounds don't fold; use the fallback count.
         child_multiplier =
@@ -69,25 +76,26 @@ class Builder {
       } else if (node->is_omp_directive() && i + 1 == node->num_children() &&
                  child->is(NodeKind::kForStmt)) {
         // The directly associated loop's iteration space is split among the
-        // parallel workers; with collapse the division is applied once, at
-        // the outermost loop (equivalent to dividing the collapsed product).
-        pending_division_.insert(child);
+        // parallel workers.
+        child_divided = true;
       }
 
       child_multiplier = std::min(child_multiplier, options_.max_weight);
-      child_ids[i] = add_subtree(child, child_multiplier);
-      const float weight =
-          weighted ? static_cast<float>(child_multiplier) : 1.0f;
-      graph_.add_edge(id, child_ids[i], EdgeType::kChild, weight);
+      const std::uint32_t child_id = add_subtree(child, child_multiplier, child_divided);
+      child_ids_.push_back(child_id);
+      const float weight = weighted_ ? static_cast<float>(child_multiplier) : 1.0f;
+      graph_.add_edge(id, child_id, EdgeType::kChild, weight);
     }
 
-    if (augmented) {
+    if (augmented_) {
+      const std::uint32_t* child_ids = child_ids_.data() + first;
+      const std::size_t num_children = child_ids_.size() - first;
       // NextSib: consecutive children, left to right.
-      for (std::size_t i = 0; i + 1 < child_ids.size(); ++i)
+      for (std::size_t i = 0; i + 1 < num_children; ++i)
         graph_.add_edge(child_ids[i], child_ids[i + 1], EdgeType::kNextSib, 0.0f);
 
       if (node->is(NodeKind::kForStmt)) {
-        check(child_ids.size() == 4, "ForStmt must have 4 children");
+        check(num_children == 4, "ForStmt must have 4 children");
         const std::uint32_t init = child_ids[0];
         const std::uint32_t cond = child_ids[1];
         const std::uint32_t body = child_ids[2];
@@ -99,41 +107,62 @@ class Builder {
       }
       if (node->is(NodeKind::kIfStmt)) {
         graph_.add_edge(child_ids[0], child_ids[1], EdgeType::kConTrue, 0.0f);
-        if (child_ids.size() > 2)
+        if (num_children > 2)
           graph_.add_edge(child_ids[0], child_ids[2], EdgeType::kConFalse, 0.0f);
       }
     }
+    child_ids_.resize(first);
     return id;
   }
 
-  void add_next_token_edges(const AstNode* root) {
-    const auto terminals = frontend::terminals_in_token_order(root);
-    for (std::size_t i = 0; i + 1 < terminals.size(); ++i) {
-      const auto src = node_ids_.find(terminals[i]);
-      const auto dst = node_ids_.find(terminals[i + 1]);
-      check(src != node_ids_.end() && dst != node_ids_.end(),
-            "terminal missing from graph");
-      graph_.add_edge(src->second, dst->second, EdgeType::kNextToken, 0.0f);
-    }
+  /// Terminals were recorded in pre-order, the order
+  /// frontend::terminals_in_token_order walks them, so the same stable sort
+  /// by source offset gives the same token order.
+  void add_next_token_edges() {
+    std::stable_sort(terminals_.begin(), terminals_.end(),
+                     [](const Terminal& a, const Terminal& b) {
+                       return a.offset < b.offset;
+                     });
+    for (std::size_t i = 0; i + 1 < terminals_.size(); ++i)
+      graph_.add_edge(terminals_[i].id, terminals_[i + 1].id, EdgeType::kNextToken,
+                      0.0f);
   }
 
+  /// The frontend only ever names a Var/ParmVar/FunctionDecl as a
+  /// DeclRefExpr's target, so the decls seen are every possible target.
   void add_ref_edges() {
-    for (const AstNode* ref : refs_) {
-      const auto src = node_ids_.find(ref);
-      const auto dst = node_ids_.find(ref->referenced_decl());
+    const auto by_node = [](const Decl& a, const Decl& b) {
+      return std::less<const AstNode*>{}(a.node, b.node);
+    };
+    std::sort(decls_.begin(), decls_.end(), by_node);
+    for (const Decl& ref : refs_) {
+      const auto it = std::lower_bound(decls_.begin(), decls_.end(), ref, by_node);
       // Declarations outside the built subtree (e.g. globals when building a
       // single function) simply have no Ref edge.
-      if (src == node_ids_.end() || dst == node_ids_.end()) continue;
-      graph_.add_edge(src->second, dst->second, EdgeType::kRef, 0.0f);
+      if (it == decls_.end() || it->node != ref.node) continue;
+      graph_.add_edge(ref.id, it->id, EdgeType::kRef, 0.0f);
     }
   }
 
+  struct Terminal {
+    std::uint32_t offset;  // source offset of the token
+    std::uint32_t id;
+  };
+  struct Decl {
+    const AstNode* node;
+    std::uint32_t id;
+  };
+
   const BuildOptions& options_;
+  const bool weighted_ = options_.representation == Representation::kParaGraph;
+  const bool augmented_ = options_.representation != Representation::kRawAst;
   ProgramGraph graph_;
-  std::unordered_map<const AstNode*, std::uint32_t> node_ids_;
-  std::vector<const AstNode*> refs_;
-  // Loops whose iteration space is split among parallel workers.
-  std::unordered_set<const AstNode*> pending_division_;
+  std::vector<std::uint32_t> child_ids_;
+  std::vector<Terminal> terminals_;
+  // Every declaration and its id, sorted by node before Ref resolution.
+  std::vector<Decl> decls_;
+  // Each resolved DeclRefExpr in pre-order: its target decl and its own id.
+  std::vector<Decl> refs_;
 };
 
 }  // namespace

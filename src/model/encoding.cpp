@@ -3,6 +3,7 @@
 #include "model/encoding.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 
@@ -38,9 +39,16 @@ EncodedGraph encode_graph(const graph::ProgramGraph& graph,
     out.literals[i] = literal_magnitude(graph.nodes()[i]);
   }
 
-  std::vector<std::vector<nn::RelEdge>> per_relation(graph::kNumEdgeTypes);
+  // Bucket the edges by relation with one stable counting pass, computing
+  // the Child gates on the way; each bucket keeps the graph's edge order.
+  std::array<std::size_t, graph::kNumEdgeTypes + 1> offsets{};
+  for (const graph::GraphEdge& e : graph.edges())
+    ++offsets[static_cast<std::size_t>(e.type) + 1];
+  for (std::size_t r = 0; r < graph::kNumEdgeTypes; ++r) offsets[r + 1] += offsets[r];
+  auto cursor = offsets;
+  std::vector<nn::RelEdge> bucketed(graph.num_edges());
   for (const graph::GraphEdge& e : graph.edges()) {
-    nn::RelEdge edge;
+    nn::RelEdge& edge = bucketed[cursor[static_cast<std::size_t>(e.type)]++];
     edge.src = e.src;
     edge.dst = e.dst;
     if (e.type == graph::EdgeType::kChild) {
@@ -50,13 +58,9 @@ EncodedGraph encode_graph(const graph::ProgramGraph& graph,
     } else {
       edge.gate = 1.0f;
     }
-    per_relation[static_cast<std::size_t>(e.type)].push_back(edge);
   }
 
-  out.relations.num_nodes = n;
-  out.relations.relations.reserve(graph::kNumEdgeTypes);
-  for (auto& edges : per_relation)
-    out.relations.relations.push_back(nn::RelationEdges::from_edges(std::move(edges)));
+  out.relations = nn::RelationalGraph::from_buckets(bucketed, offsets, n);
   return out;
 }
 

@@ -41,6 +41,14 @@ struct SampleSet {
     return target_scaler.transform(log_target ? std::log(std::max(runtime_us, 1e-3))
                                               : runtime_us);
   }
+  /// The MinMax-scaled {num_teams, num_threads} pair a sample carries as
+  /// its aux input.
+  [[nodiscard]] std::array<float, 2> aux_for(std::int64_t num_teams,
+                                             std::int64_t num_threads) const {
+    return {static_cast<float>(teams_scaler.transform(static_cast<double>(num_teams))),
+            static_cast<float>(
+                threads_scaler.transform(static_cast<double>(num_threads)))};
+  }
   /// scaled model output -> runtime in microseconds (clamped at 0).
   [[nodiscard]] double from_target(double scaled) const {
     const double raw = target_scaler.inverse(scaled);

@@ -16,7 +16,10 @@
 // relation — the basis of model::GraphBatch's fused batch forward.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace pg::nn {
@@ -56,9 +59,17 @@ struct RelationEdges {
     return num_groups() == num_edges();
   }
 
-  /// Builds the grouped/localised CSR form from (src, dst, gate) triples.
-  /// Parallel (duplicate) edges and self-loops are kept as distinct slots.
-  static RelationEdges from_edges(std::vector<RelEdge> edges);
+  /// Builds the grouped/localised CSR form from (src, dst, gate) triples
+  /// over the nodes [0, num_nodes); an id at or above the bound throws.
+  /// Parallel (duplicate) edges and self-loops are kept as distinct slots,
+  /// in input order within their group. O(num_nodes + edges).
+  static RelationEdges from_edges(std::span<const RelEdge> edges,
+                                  std::size_t num_nodes);
+  static RelationEdges from_edges(std::initializer_list<RelEdge> edges,
+                                  std::size_t num_nodes) {
+    return from_edges(std::span<const RelEdge>(edges.begin(), edges.size()),
+                      num_nodes);
+  }
 
   /// Expands back to global (src, dst, gate) triples in storage (grouped)
   /// order — the legacy array-of-structs view, for serialisation and tests.
@@ -68,6 +79,13 @@ struct RelationEdges {
 struct RelationalGraph {
   std::size_t num_nodes = 0;
   std::vector<RelationEdges> relations;
+
+  /// One relation per bucket: relation r is RelationEdges::from_edges over
+  /// edges [bucket_offsets[r], bucket_offsets[r + 1]), and all of them
+  /// share one dense per-node scratch.
+  static RelationalGraph from_buckets(std::span<const RelEdge> edges,
+                                      std::span<const std::size_t> bucket_offsets,
+                                      std::size_t num_nodes);
 
   [[nodiscard]] std::size_t num_edges() const {
     std::size_t total = 0;

@@ -21,7 +21,7 @@ EncodedGraph tiny_graph() {
   g.relations.num_nodes = 4;
   g.relations.relations.resize(graph::kNumEdgeTypes);
   g.relations.relations[0] = nn::RelationEdges::from_edges(
-      {{0, 1, 0.5f}, {1, 2, 1.0f}, {2, 3, 0.25f}});
+      {{0, 1, 0.5f}, {1, 2, 1.0f}, {2, 3, 0.25f}}, 4);
   return g;
 }
 

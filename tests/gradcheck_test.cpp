@@ -149,13 +149,13 @@ nn::RelationalGraph gradcheck_graph() {
       {1, 2, 0.2f},
       {2, 3, 1.0f},
       {4, 3, 0.5f},
-  }));
+  }, 6));
   g.relations.push_back(nn::RelationEdges::from_edges({
       {0, 5, 1.0f},
       {1, 5, 1.0f},
       {2, 5, 1.0f},
-  }));
-  g.relations.push_back(nn::RelationEdges::from_edges({{5, 0, 1.0f}}));
+  }, 6));
+  g.relations.push_back(nn::RelationEdges::from_edges({{5, 0, 1.0f}}, 6));
   return g;
 }
 
@@ -211,7 +211,7 @@ TEST(GradCheck, RgatConvWithRelu) {
   nn::RelationalGraph g;
   g.num_nodes = 3;
   g.relations.push_back(
-      nn::RelationEdges::from_edges({{0, 1, 0.8f}, {2, 1, 0.3f}}));
+      nn::RelationEdges::from_edges({{0, 1, 0.8f}, {2, 1, 0.3f}}, 3));
   Matrix x(3, 3);
   pg::Rng xr(8);
   tensor::uniform_init(x, xr, 0.2f, 1.0f);  // keep pre-activations away from 0
@@ -252,9 +252,9 @@ TEST(GradCheck, ParaGraphModelEndToEnd) {
   graph.relations.num_nodes = 6;
   graph.relations.relations.resize(graph::kNumEdgeTypes);
   graph.relations.relations[0] = nn::RelationEdges::from_edges(
-      {{0, 1, 0.4f}, {1, 2, 0.9f}, {2, 3, 0.1f}});
+      {{0, 1, 0.4f}, {1, 2, 0.9f}, {2, 3, 0.1f}}, 6);
   graph.relations.relations[2] =
-      nn::RelationEdges::from_edges({{3, 4, 1.0f}, {4, 5, 1.0f}});
+      nn::RelationEdges::from_edges({{3, 4, 1.0f}, {4, 5, 1.0f}}, 6);
 
   const std::array<float, 2> aux = {0.3f, 0.8f};
   const double target = 0.25;

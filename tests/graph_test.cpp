@@ -2,12 +2,16 @@
 // (paper §III-A, Figure 2), ablation levels, and structural invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "dataset/kernel_spec.hpp"
 #include "dataset/variants.hpp"
 #include "frontend/parser.hpp"
 #include "graph/builder.hpp"
+#include "model/encoding.hpp"
+#include "sim/platform.hpp"
 
 namespace pg::graph {
 namespace {
@@ -385,6 +389,112 @@ TEST(ProgramGraph, EdgeEndpointValidation) {
   const auto a = g.add_node(NodeKind::kVarDecl);
   EXPECT_THROW(g.add_edge(a, 99, EdgeType::kChild, 1.0f), InternalError);
   EXPECT_THROW(g.add_edge(a, a, EdgeType::kChild, -1.0f), InternalError);
+}
+
+// ------------------------------------------------ builder + encoder pin ---
+
+/// FNV-1a 64, fed field by field.
+class Fnv {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void value(const T& v) { bytes(&v, sizeof v); }
+  template <typename T>
+  void array(const std::vector<T>& v) {
+    value(v.size());
+    bytes(v.data(), v.size() * sizeof(T));
+  }
+  [[nodiscard]] std::uint64_t digest() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+void hash_graph(Fnv& h, const ProgramGraph& g) {
+  h.value(g.num_nodes());
+  for (const GraphNode& n : g.nodes()) {
+    h.value(n.kind);
+    h.value(n.label.size());
+    h.bytes(n.label.data(), n.label.size());
+  }
+  h.value(g.num_edges());
+  for (const GraphEdge& e : g.edges()) {
+    h.value(e.src);
+    h.value(e.dst);
+    h.value(e.type);
+    h.value(std::bit_cast<std::uint32_t>(e.weight));
+  }
+}
+
+void hash_encoding(Fnv& h, const model::EncodedGraph& enc) {
+  h.array(enc.kinds);
+  h.array(enc.literals);
+  h.value(enc.relations.num_nodes);
+  h.value(enc.relations.relations.size());
+  for (const nn::RelationEdges& rel : enc.relations.relations) {
+    h.array(rel.src_local);
+    h.array(rel.gate);
+    h.array(rel.nodes);
+    h.array(rel.group_offsets);
+    h.array(rel.group_dst);
+  }
+}
+
+TEST(Builder, GraphsAndEncodingsMatchRecordedHash) {
+  // Byte pin of build_graph and encode_graph over the advisor's whole
+  // candidate space: every suite kernel, every applicable CPU and GPU
+  // variant at the advise launch configurations, all three
+  // representations and the first and last sweep sizes. Recorded before
+  // the builder and the encoder became counting passes; a pure speed
+  // change to either must not move it.
+  const std::vector<std::int64_t> cpu_threads = {8, sim::summit_power9().cores};
+  const std::vector<std::pair<std::int64_t, std::int64_t>> gpu_configs = {
+      {64, 128}, {256, 256}, {1024, 256}};
+  Fnv graphs, encodings;
+  std::size_t cases = 0;
+  for (const dataset::KernelSpec& spec : dataset::benchmark_suite()) {
+    for (const dataset::SizePoint* size :
+         {&spec.default_sizes.front(), &spec.default_sizes.back()}) {
+      for (const bool gpu : {false, true}) {
+        std::vector<std::pair<std::int64_t, std::int64_t>> configs;
+        if (gpu) configs = gpu_configs;
+        else
+          for (const std::int64_t t : cpu_threads) configs.emplace_back(1, t);
+        for (const dataset::Variant variant :
+             dataset::applicable_variants(spec, gpu)) {
+          for (const auto& [teams, threads] : configs) {
+            const auto parsed = frontend::parse_source(dataset::instantiate_source(
+                spec, variant, *size, teams, threads));
+            ASSERT_TRUE(parsed.ok()) << spec.kernel;
+            for (const Representation representation :
+                 {Representation::kRawAst, Representation::kAugmentedAst,
+                  Representation::kParaGraph}) {
+              BuildOptions options;
+              options.representation = representation;
+              options.parallel_workers =
+                  std::max<std::int64_t>(1, gpu ? teams * threads : threads);
+              const ProgramGraph g = build_graph(parsed.root(), options);
+              hash_graph(graphs, g);
+              // Half the largest weight, so some Child gates clamp to 1.
+              const double scale =
+                  std::max(1.0, 0.5 * static_cast<double>(g.max_child_weight()));
+              hash_encoding(encodings, model::encode_graph(g, scale));
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 1104u);
+  EXPECT_EQ(graphs.digest(), 0xe0a7adcff8126555ULL) << "0x" << std::hex << graphs.digest();
+  EXPECT_EQ(encodings.digest(), 0x27356917a159677fULL) << "0x" << std::hex << encodings.digest();
 }
 
 // --------------------------------------- property sweep over the suite ---

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -255,7 +256,7 @@ TEST(MseLoss, ValueAndGradient) {
 
 TEST(RelationEdges, GroupsByDestination) {
   std::vector<RelEdge> edges = {{0, 2, 1.0f}, {1, 2, 1.0f}, {0, 1, 1.0f}};
-  const RelationEdges rel = RelationEdges::from_edges(edges);
+  const RelationEdges rel = RelationEdges::from_edges(edges, 3);
   ASSERT_EQ(rel.num_groups(), 2u);
   EXPECT_EQ(rel.num_edges(), 3u);
   // Groups sorted by local dst; nodes = {0,1,2}.
@@ -268,7 +269,7 @@ TEST(RelationEdges, GroupsByDestination) {
 
 TEST(RelationEdges, LocalIndicesMapBackToGlobals) {
   std::vector<RelEdge> edges = {{10, 20, 1.0f}, {30, 20, 1.0f}};
-  const RelationEdges rel = RelationEdges::from_edges(edges);
+  const RelationEdges rel = RelationEdges::from_edges(edges, 31);
   ASSERT_EQ(rel.nodes.size(), 3u);
   const std::vector<RelEdge> back = rel.to_edges();
   ASSERT_EQ(back.size(), 2u);
@@ -278,7 +279,7 @@ TEST(RelationEdges, LocalIndicesMapBackToGlobals) {
 }
 
 TEST(RelationEdges, EmptyRelation) {
-  const RelationEdges rel = RelationEdges::from_edges({});
+  const RelationEdges rel = RelationEdges::from_edges({}, 0);
   EXPECT_TRUE(rel.empty());
   EXPECT_EQ(rel.num_groups(), 0u);
   EXPECT_EQ(rel.num_active_nodes(), 0u);
@@ -291,7 +292,7 @@ TEST(RelationEdges, DuplicateParallelEdgesKeepDistinctSlots) {
   // Two identical edges plus a differently-gated parallel edge: all three
   // must survive as separate slots in the same destination group.
   std::vector<RelEdge> edges = {{0, 1, 0.25f}, {0, 1, 0.25f}, {0, 1, 0.75f}};
-  const RelationEdges rel = RelationEdges::from_edges(edges);
+  const RelationEdges rel = RelationEdges::from_edges(edges, 2);
   EXPECT_EQ(rel.num_edges(), 3u);
   ASSERT_EQ(rel.num_groups(), 1u);
   EXPECT_EQ(rel.group_offsets[1] - rel.group_offsets[0], 3u);
@@ -303,7 +304,7 @@ TEST(RelationEdges, DuplicateParallelEdgesKeepDistinctSlots) {
 }
 
 TEST(RelationEdges, SelfLoop) {
-  const RelationEdges rel = RelationEdges::from_edges({{5, 5, 0.5f}});
+  const RelationEdges rel = RelationEdges::from_edges({{5, 5, 0.5f}}, 6);
   EXPECT_EQ(rel.num_edges(), 1u);
   ASSERT_EQ(rel.num_active_nodes(), 1u);  // src == dst collapses to one node
   EXPECT_EQ(rel.nodes[0], 5u);
@@ -316,7 +317,7 @@ TEST(RelationEdges, SelfLoop) {
 TEST(RelationEdges, SingleNodeGraph) {
   // A one-node graph can only carry a self-loop; the degenerate CSR still
   // holds every invariant the RGAT kernels index by.
-  const RelationEdges rel = RelationEdges::from_edges({{0, 0, 1.0f}});
+  const RelationEdges rel = RelationEdges::from_edges({{0, 0, 1.0f}}, 1);
   ASSERT_EQ(rel.nodes.size(), 1u);
   EXPECT_EQ(rel.nodes[0], 0u);
   ASSERT_EQ(rel.group_offsets.size(), 2u);
@@ -324,43 +325,90 @@ TEST(RelationEdges, SingleNodeGraph) {
   EXPECT_EQ(rel.group_offsets[1], 1u);
 }
 
+/// Checks from_edges against its spec: expanding the CSR back to triples
+/// reproduces the input triples stably sorted by destination (global dst
+/// order == local dst order, since the local numbering is sorted), and the
+/// CSR holds the invariants the conv kernels rely on.
+void expect_matches_stable_sort(const std::vector<RelEdge>& edges,
+                                std::size_t num_nodes, const std::string& what) {
+  const RelationEdges rel = RelationEdges::from_edges(edges, num_nodes);
+
+  std::vector<RelEdge> expected = edges;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const RelEdge& a, const RelEdge& b) { return a.dst < b.dst; });
+  EXPECT_EQ(rel.to_edges(), expected) << what;
+
+  std::vector<std::uint32_t> touched;
+  for (const RelEdge& e : edges) {
+    touched.push_back(e.src);
+    touched.push_back(e.dst);
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  EXPECT_EQ(rel.nodes, touched) << what;
+
+  ASSERT_EQ(rel.group_offsets.size(), rel.num_groups() + 1) << what;
+  EXPECT_EQ(rel.group_offsets.front(), 0u) << what;
+  EXPECT_EQ(rel.group_offsets.back(), rel.num_edges()) << what;
+  for (std::size_t g = 0; g < rel.num_groups(); ++g) {
+    EXPECT_LT(rel.group_offsets[g], rel.group_offsets[g + 1]) << what;
+    if (g > 0) {
+      EXPECT_GT(rel.group_dst[g], rel.group_dst[g - 1]) << what;
+    }
+    EXPECT_LT(rel.group_dst[g], rel.nodes.size()) << what;
+  }
+  for (std::uint32_t s : rel.src_local) EXPECT_LT(s, rel.nodes.size()) << what;
+}
+
+std::vector<RelEdge> random_edges(pg::Rng& rng, std::int64_t lo, std::int64_t hi,
+                                  std::int64_t m) {
+  std::vector<RelEdge> edges;
+  for (std::int64_t e = 0; e < m; ++e)
+    edges.push_back({static_cast<std::uint32_t>(rng.uniform_int(lo, hi)),
+                     static_cast<std::uint32_t>(rng.uniform_int(lo, hi)),
+                     static_cast<float>(rng.uniform(0.0, 1.0))});
+  return edges;
+}
+
 TEST(RelationEdges, CsrRoundTripsToGroupedFormOnRandomGraphs) {
-  // Property: expanding the CSR back to triples must reproduce the legacy
-  // grouped AoS form — the input triples stably sorted by local destination
-  // — for random multigraphs (duplicates and self-loops included).
+  // Property over random multigraphs (duplicates and self-loops included).
   pg::Rng rng(123);
   for (int trial = 0; trial < 50; ++trial) {
     const std::int64_t n = rng.uniform_int(1, 12);
     const std::int64_t m = rng.uniform_int(0, 30);
-    std::vector<RelEdge> edges;
-    for (std::int64_t e = 0; e < m; ++e)
-      edges.push_back({static_cast<std::uint32_t>(rng.uniform_int(0, n - 1)),
-                       static_cast<std::uint32_t>(rng.uniform_int(0, n - 1)),
-                       static_cast<float>(rng.uniform(0.0, 1.0))});
-
-    const RelationEdges rel = RelationEdges::from_edges(edges);
-
-    // Reference grouping: stable sort of the triples by destination (global
-    // dst order == local dst order, since the local numbering is sorted).
-    std::vector<RelEdge> expected = edges;
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const RelEdge& a, const RelEdge& b) {
-                       return a.dst < b.dst;
-                     });
-    EXPECT_EQ(rel.to_edges(), expected) << "trial " << trial;
-
-    // CSR invariants the conv kernels rely on.
-    ASSERT_EQ(rel.group_offsets.size(), rel.num_groups() + 1);
-    EXPECT_EQ(rel.group_offsets.back(), rel.num_edges());
-    for (std::size_t g = 0; g < rel.num_groups(); ++g) {
-      EXPECT_LT(rel.group_offsets[g], rel.group_offsets[g + 1]);
-      if (g > 0) {
-        EXPECT_GT(rel.group_dst[g], rel.group_dst[g - 1]);
-      }
-      EXPECT_LT(rel.group_dst[g], rel.nodes.size());
-    }
-    for (std::uint32_t s : rel.src_local) EXPECT_LT(s, rel.nodes.size());
+    const auto edges = random_edges(rng, 0, n - 1, m);
+    const std::string what = "trial " + std::to_string(trial);
+    // The graph's own node count, and a bound of exactly max id + 1.
+    expect_matches_stable_sort(edges, static_cast<std::size_t>(n), what);
+    std::uint32_t max_id = 0;
+    for (const RelEdge& e : edges) max_id = std::max({max_id, e.src, e.dst});
+    expect_matches_stable_sort(edges, max_id + 1, what + ", tight bound");
   }
+  for (int trial = 0; trial < 20; ++trial) {
+    // Large node bound, few edges scattered over it.
+    const std::int64_t n = rng.uniform_int(10000, 100000);
+    const auto edges = random_edges(rng, 0, n - 1, rng.uniform_int(1, 8));
+    expect_matches_stable_sort(edges, static_cast<std::size_t>(n),
+                               "sparse trial " + std::to_string(trial));
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    // Every edge touches one node: a self-loop multigraph, anywhere below
+    // the bound.
+    const std::int64_t n = rng.uniform_int(1, 50);
+    const auto v = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
+    const auto edges = random_edges(rng, v, v, rng.uniform_int(1, 6));
+    expect_matches_stable_sort(edges, static_cast<std::size_t>(n),
+                               "one-node trial " + std::to_string(trial));
+  }
+}
+
+TEST(RelationEdges, IdAtOrAboveTheNodeBoundThrows) {
+  EXPECT_THROW((void)RelationEdges::from_edges({{0, 3, 1.0f}}, 3), InternalError);
+  EXPECT_THROW((void)RelationEdges::from_edges({{3, 0, 1.0f}}, 3), InternalError);
+  EXPECT_THROW((void)RelationEdges::from_edges({{0, 0, 1.0f}, {7, 1, 1.0f}}, 2),
+               InternalError);
+  EXPECT_THROW((void)RelationEdges::from_edges({{0, 0, 1.0f}}, 0), InternalError);
+  EXPECT_NO_THROW((void)RelationEdges::from_edges({{0, 2, 1.0f}}, 3));
 }
 
 // ----------------------------------------------------------------- rgat ---
@@ -372,9 +420,9 @@ RelationalGraph line_graph(std::size_t n, std::size_t relations) {
   for (std::size_t i = 0; i + 1 < n; ++i)
     edges.push_back({static_cast<std::uint32_t>(i),
                      static_cast<std::uint32_t>(i + 1), 1.0f});
-  g.relations.push_back(RelationEdges::from_edges(edges));
+  g.relations.push_back(RelationEdges::from_edges(edges, n));
   for (std::size_t r = 1; r < relations; ++r)
-    g.relations.push_back(RelationEdges::from_edges({}));
+    g.relations.push_back(RelationEdges::from_edges({}, n));
   return g;
 }
 
@@ -408,7 +456,7 @@ TEST(RgatConv, IsolatedNodesStillGetSelfTransform) {
   RgatConv conv(3, 3, 1, rng, /*apply_relu=*/false);
   RelationalGraph g;
   g.num_nodes = 2;
-  g.relations.push_back(RelationEdges::from_edges({}));  // no edges at all
+  g.relations.push_back(RelationEdges::from_edges({}, 2));  // no edges at all
   tensor::Matrix x(2, 3, 1.0f);
   tensor::Workspace ws;
   RgatConv::Cache cache;
@@ -424,7 +472,7 @@ TEST(RgatConv, AttentionIsNormalisedPerDestination) {
   RelationalGraph g;
   g.num_nodes = 3;
   g.relations.push_back(
-      RelationEdges::from_edges({{0, 2, 1.0f}, {1, 2, 1.0f}}));
+      RelationEdges::from_edges({{0, 2, 1.0f}, {1, 2, 1.0f}}, 3));
   tensor::Matrix x(3, 3, 0.5f);
   tensor::Workspace ws;
   RgatConv::Cache cache;
@@ -442,7 +490,7 @@ TEST(RgatConv, GateScalesMessages) {
   auto out_with_gate = [&](float gate) -> tensor::Matrix {
     RelationalGraph g;
     g.num_nodes = 2;
-    g.relations.push_back(RelationEdges::from_edges({{0, 1, gate}}));
+    g.relations.push_back(RelationEdges::from_edges({{0, 1, gate}}, 2));
     tensor::Workspace ws;
     RgatConv::Cache cache;
     return conv.forward(x, g, cache, ws);
@@ -485,7 +533,7 @@ TEST(RgatConv, SkippingInputGradientKeepsParameterGradientsBitwise) {
             {static_cast<std::uint32_t>(rng.uniform_int(0, 16)),
              static_cast<std::uint32_t>(rng.uniform_int(0, 16)),
              static_cast<float>(rng.uniform(0.1, 1.0))});
-      g.relations.push_back(RelationEdges::from_edges(edges));
+      g.relations.push_back(RelationEdges::from_edges(edges, g.num_nodes));
     }
     tensor::Matrix x(g.num_nodes, in);
     tensor::uniform_init(x, rng, -1.0f, 1.0f);

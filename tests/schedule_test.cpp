@@ -156,7 +156,7 @@ EncodedGraph make_graph(std::size_t nodes, std::uint64_t seed) {
                          static_cast<std::uint32_t>(mix64(rng) % nodes),
                          1.0f});
     }
-    g.relations.relations[r] = nn::RelationEdges::from_edges(edges);
+    g.relations.relations[r] = nn::RelationEdges::from_edges(edges, nodes);
   }
   return g;
 }
