@@ -2,8 +2,17 @@
 // resolution, OpenMP directives, implicit casts, and error reporting.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "dataset/kernel_spec.hpp"
+#include "dataset/variants.hpp"
 #include "frontend/ast_dump.hpp"
 #include "frontend/parser.hpp"
+#include "frontend_mutations.hpp"
+#include "sim/platform.hpp"
 
 namespace pg::frontend {
 namespace {
@@ -397,6 +406,125 @@ TEST(Parser, SubtreeSizeCountsAllNodes) {
   auto r = parse_ok("void f(void) {}");
   // TU + FunctionDecl + CompoundStmt.
   EXPECT_EQ(subtree_size(r.root()), 3u);
+}
+
+// --- AST byte pin ---------------------------------------------------------
+
+class Fnv {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void value(const T& v) { bytes(&v, sizeof v); }
+  void text(std::string_view t) {
+    value(t.size());
+    bytes(t.data(), t.size());
+  }
+  [[nodiscard]] std::uint64_t digest() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+void hash_location(Fnv& h, const SourceLocation& loc) {
+  h.value(loc.offset);
+  h.value(loc.line);
+  h.value(loc.column);
+}
+
+/// Every node in preorder: kind, text, int and float value, full type,
+/// source range, referenced decl (as a preorder index) and child count.
+void hash_ast(Fnv& h, const AstNode* root) {
+  std::vector<const AstNode*> order;
+  std::unordered_map<const AstNode*, std::uint64_t> index;
+  walk(root, [&](const AstNode* n, int) {
+    index.emplace(n, order.size());
+    order.push_back(n);
+    return true;
+  });
+  h.value(order.size());
+  for (const AstNode* n : order) {
+    h.value(n->kind());
+    h.text(n->text());
+    h.value(n->int_value());
+    h.value(n->float_value());
+    const QualType& t = n->type();
+    h.value(t.base);
+    h.value(t.pointer_depth);
+    h.value(t.is_const);
+    h.value(std::size_t{t.array_extents.size()});
+    for (std::size_t i = 0; i < t.array_extents.size(); ++i) h.value(t.array_extents[i]);
+    hash_location(h, n->range().begin);
+    hash_location(h, n->range().end);
+    std::uint64_t decl = ~std::uint64_t{0};
+    if (const AstNode* d = n->referenced_decl(); d != nullptr) {
+      const auto it = index.find(d);
+      ASSERT_NE(it, index.end()) << "referenced decl outside the tree";
+      decl = it->second;
+    }
+    h.value(decl);
+    h.value(std::size_t{n->num_children()});
+  }
+}
+
+void hash_parse(Fnv& h, const ParseResult& r) {
+  h.value(r.ok());
+  h.value(r.diagnostics.entries().size());
+  if (!r.diagnostics.entries().empty()) {
+    hash_location(h, r.diagnostics.entries()[0].location);
+    h.text(r.diagnostics.entries()[0].message);
+  }
+  if (r.ok()) hash_ast(h, r.root());
+}
+
+TEST(Parser, AstsMatchRecordedHash) {
+  // Byte pin of parse_source: every unique source of the builder pin's
+  // enumeration (suite kernel x variant x advise launch configuration x
+  // first/last sweep size), the robustness seeds and their seeded
+  // mutations. Recorded before the frontend moved onto one arena; a change
+  // of storage must not move it.
+  const std::vector<std::int64_t> cpu_threads = {8, sim::summit_power9().cores};
+  const std::vector<std::pair<std::int64_t, std::int64_t>> gpu_configs = {
+      {64, 128}, {256, 256}, {1024, 256}};
+  std::set<std::string> sources;
+  for (const dataset::KernelSpec& spec : dataset::benchmark_suite()) {
+    for (const dataset::SizePoint* size :
+         {&spec.default_sizes.front(), &spec.default_sizes.back()}) {
+      for (const bool gpu : {false, true}) {
+        std::vector<std::pair<std::int64_t, std::int64_t>> configs;
+        if (gpu) configs = gpu_configs;
+        else
+          for (const std::int64_t t : cpu_threads) configs.emplace_back(1, t);
+        for (const dataset::Variant variant : dataset::applicable_variants(spec, gpu))
+          for (const auto& [teams, threads] : configs)
+            sources.insert(dataset::instantiate_source(spec, variant, *size, teams, threads));
+      }
+    }
+  }
+  Fnv suite;
+  for (const std::string& source : sources) {
+    const ParseResult r = parse_source(source);
+    ASSERT_TRUE(r.ok()) << r.diagnostics.summary();
+    hash_parse(suite, r);
+  }
+  const std::vector<std::string> seeds = test::seed_sources();
+  Fnv mutated;
+  std::size_t accepted = 0;
+  for (const std::string& source : seeds) hash_parse(mutated, parse_source(source));
+  for (const std::string& source : test::seeded_mutations(seeds)) {
+    const ParseResult r = parse_source(source);
+    accepted += r.ok();
+    hash_parse(mutated, r);
+  }
+  EXPECT_EQ(sources.size(), 368u);
+  EXPECT_EQ(accepted, 122u);
+  EXPECT_EQ(suite.digest(), 0x086fc69242d8065bULL) << "0x" << std::hex << suite.digest();
+  EXPECT_EQ(mutated.digest(), 0x5a55f9d2a64878baULL) << "0x" << std::hex << mutated.digest();
 }
 
 }  // namespace

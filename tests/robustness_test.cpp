@@ -6,113 +6,27 @@
 // ASan+UBSan CI job, which turns latent UB into failures here).
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "dataset/kernel_spec.hpp"
-#include "dataset/variants.hpp"
 #include "frontend/parser.hpp"
-#include "support/rng.hpp"
-
-#ifndef PG_GOLDEN_DIR
-#error "PG_GOLDEN_DIR must point at tests/golden"
-#endif
+#include "frontend_mutations.hpp"
 
 namespace pg {
 namespace {
 
-std::vector<std::string> seed_sources() {
-  std::vector<std::string> sources;
-  // The four golden corpus kernels, read from disk.
-  for (const char* name : {"matvec_cpu", "matmul_gpu_collapse_mem",
-                           "corr_gpu_mem", "gauss_seidel_cpu_collapse"}) {
-    std::ifstream is(std::string(PG_GOLDEN_DIR) + "/" + name + ".c");
-    EXPECT_TRUE(static_cast<bool>(is)) << name;
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    sources.push_back(buffer.str());
-  }
-  // One instantiation of every suite kernel for syntax diversity.
-  for (const auto& spec : dataset::benchmark_suite()) {
-    const auto variant = spec.collapsible ? dataset::Variant::kGpuCollapseMem
-                                          : dataset::Variant::kGpuMem;
-    sources.push_back(dataset::instantiate_source(
-        spec, variant, spec.default_sizes.front(), 64, 64));
-  }
-  return sources;
-}
-
-/// Applies one seeded mutation. Mutations are intentionally crude — the
-/// point is hostile input, not plausible input.
-std::string mutate(const std::string& source, Rng& rng) {
-  std::string s = source;
-  switch (rng.index(6)) {
-    case 0: {  // truncation
-      s.resize(rng.index(s.size() + 1));
-      break;
-    }
-    case 1: {  // byte flip (any value, including NUL and >0x7f)
-      if (s.empty()) break;
-      s[rng.index(s.size())] =
-          static_cast<char>(static_cast<unsigned char>(rng.index(256)));
-      break;
-    }
-    case 2: {  // token splice: copy a random slice over a random position
-      if (s.size() < 4) break;
-      const std::size_t from = rng.index(s.size());
-      const std::size_t len = 1 + rng.index(std::min<std::size_t>(
-                                      32, s.size() - from));
-      const std::size_t to = rng.index(s.size());
-      s.insert(to, s.substr(from, len));
-      break;
-    }
-    case 3: {  // random insertion of punctuation-heavy garbage
-      static const char kGarbage[] = "(){}[]<>;:#\"'\\*/%&|^!~.,$`@0x";
-      const std::size_t to = s.empty() ? 0 : rng.index(s.size());
-      const std::size_t count = 1 + rng.index(8);
-      std::string junk;
-      for (std::size_t i = 0; i < count; ++i)
-        junk += kGarbage[rng.index(sizeof kGarbage - 1)];
-      s.insert(to, junk);
-      break;
-    }
-    case 4: {  // range deletion
-      if (s.size() < 2) break;
-      const std::size_t from = rng.index(s.size());
-      s.erase(from, 1 + rng.index(std::min<std::size_t>(64, s.size() - from)));
-      break;
-    }
-    default: {  // digit bombing: stretch a number into a huge literal
-      const std::size_t digit = s.find_first_of("0123456789");
-      if (digit == std::string::npos) break;
-      std::string digits;
-      const std::size_t count = 1 + rng.index(30);
-      for (std::size_t i = 0; i < count; ++i)
-        digits += static_cast<char>('0' + rng.index(10));
-      s.insert(digit, digits);
-      break;
-    }
-  }
-  return s;
-}
-
 TEST(FrontendRobustness, SeededMutationsNeverCrashTheParser) {
-  const std::vector<std::string> sources = seed_sources();
+  const std::vector<std::string> sources = test::seed_sources();
   ASSERT_FALSE(sources.empty());
 
-  Rng rng(0xfeedfacecafebeefULL);
+  // The first 1000 inputs stack 1-3 mutations so errors can compound.
+  const std::vector<std::string> inputs = test::seeded_mutations(sources);
   constexpr int kIterations = 1000;
   int parsed_ok = 0;
   int rejected = 0;
   for (int i = 0; i < kIterations; ++i) {
-    std::string mutated = sources[rng.index(sources.size())];
-    // Stack 1-3 mutations so errors can compound.
-    const std::size_t rounds = 1 + rng.index(3);
-    for (std::size_t r = 0; r < rounds; ++r) mutated = mutate(mutated, rng);
-
+    const std::string& mutated = inputs[i];
     frontend::ParseResult result;
     ASSERT_NO_THROW(result = frontend::parse_source(mutated))
         << "iteration " << i << " threw on:\n"
@@ -137,11 +51,9 @@ TEST(FrontendRobustness, SeededMutationsNeverCrashTheParser) {
 TEST(FrontendRobustness, ParseOfMutatedInputIsDeterministic) {
   // Same hostile bytes -> same verdict and same number of diagnostics: the
   // parser keeps no hidden state across calls even on malformed input.
-  const std::vector<std::string> sources = seed_sources();
-  Rng rng(2024);
+  const std::vector<std::string> inputs = test::seeded_mutations(test::seed_sources());
   for (int i = 0; i < 50; ++i) {
-    std::string mutated = sources[rng.index(sources.size())];
-    mutated = mutate(mutated, rng);
+    const std::string& mutated = inputs[1000 + i];
     const frontend::ParseResult a = frontend::parse_source(mutated);
     const frontend::ParseResult b = frontend::parse_source(mutated);
     EXPECT_EQ(a.ok(), b.ok()) << "iteration " << i;
