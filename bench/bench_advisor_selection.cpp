@@ -59,33 +59,21 @@ DeviceAdvisor make_advisor(const sim::Platform& platform,
   return advisor;
 }
 
-double predict_candidate(const DeviceAdvisor& advisor,
-                         const dataset::KernelSpec& spec, const Candidate& c,
-                         const dataset::SizePoint& size) {
-  dataset::RawDataPoint point;
-  point.variant = std::string(dataset::variant_name(c.variant));
-  point.num_teams = c.teams;
-  point.num_threads = c.threads;
-  point.source =
-      dataset::instantiate_source(spec, c.variant, size, c.teams, c.threads);
-  const auto g =
-      dataset::build_point_graph(point, graph::Representation::kParaGraph);
+/// Predicted runtime of a candidate from its already-built graph; the lin
+/// and log advisors of a device share the graph and differ in encoding
+/// scale, model and target transform.
+double predict_candidate(const DeviceAdvisor& advisor, const graph::ProgramGraph& g,
+                         const Candidate& c) {
   const auto enc = model::encode_graph(g, advisor.set.child_weight_scale);
   return advisor.set.from_target(
       advisor.model->predict(enc, advisor.set.aux_for(c.teams, c.threads)));
 }
 
-double measure_candidate(const sim::Platform& platform,
-                         const dataset::KernelSpec& spec, const Candidate& c,
-                         const dataset::SizePoint& size) {
-  const std::string source =
-      dataset::instantiate_source(spec, c.variant, size, c.teams, c.threads);
-  const auto parsed = frontend::parse_source(source);
-  check(parsed.ok(), "advisor: candidate failed to parse");
+/// The simulator's noise-free ground truth for a parsed candidate.
+double measure_candidate(const sim::Platform& platform, const frontend::AstNode* root) {
   sim::SimOptions noise_free;
   noise_free.noise_sigma = 0.0;
-  return sim::simulate_runtime_us(sim::profile_kernel(parsed.root()), platform,
-                                  noise_free);
+  return sim::simulate_runtime_us(sim::profile_kernel(root), platform, noise_free);
 }
 
 }  // namespace
@@ -139,11 +127,22 @@ int main() {
       std::vector<double> pred_log(candidates.size());
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         Candidate& c = candidates[i];
-        const sim::Platform& platform =
-            c.gpu ? gpu_lin.platform : cpu_lin.platform;
-        c.actual_us = measure_candidate(platform, spec, c, size);
-        pred_lin[i] = predict_candidate(c.gpu ? gpu_lin : cpu_lin, spec, c, size);
-        pred_log[i] = predict_candidate(c.gpu ? gpu_log : cpu_log, spec, c, size);
+        dataset::RawDataPoint point;
+        point.variant = std::string(dataset::variant_name(c.variant));
+        point.num_teams = c.teams;
+        point.num_threads = c.threads;
+        point.source =
+            dataset::instantiate_source(spec, c.variant, size, c.teams, c.threads);
+        // One parse feeds the ground truth and the graph both advisors read.
+        const auto parsed = frontend::parse_source(point.source);
+        check(parsed.ok(), "advisor: candidate failed to parse");
+        c.actual_us = measure_candidate(c.gpu ? gpu_lin.platform : cpu_lin.platform,
+                                        parsed.root());
+        const graph::ProgramGraph g = graph::build_graph(
+            parsed.root(),
+            dataset::point_build_options(point, graph::Representation::kParaGraph));
+        pred_lin[i] = predict_candidate(c.gpu ? gpu_lin : cpu_lin, g, c);
+        pred_log[i] = predict_candidate(c.gpu ? gpu_log : cpu_log, g, c);
       }
 
       auto argmin = [&](const std::vector<double>& keys) {

@@ -2,8 +2,76 @@
 #include "frontend/ast.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
+#include <type_traits>
 
 namespace pg::frontend {
+namespace {
+
+// Every arena block is a multiple of this, so each one starts aligned for
+// any node field.
+constexpr std::size_t kArenaAlign = alignof(std::max_align_t);
+static_assert(alignof(AstNode) <= kArenaAlign && alignof(AstNode*) <= kArenaAlign);
+static_assert(std::is_trivially_destructible_v<AstNode>,
+              "the arena never runs node destructors");
+
+std::size_t align_up(std::size_t bytes) {
+  return (bytes + kArenaAlign - 1) & ~(kArenaAlign - 1);
+}
+
+// A suite kernel of n source bytes makes about n/4 nodes (casts included)
+// and fewer child spans. Sizing the first chunk for n/3 nodes, their spans
+// and the source copy lets a typical parse allocate one chunk. The cap
+// keeps a huge input that is mostly comments from reserving a huge block;
+// later chunks double.
+constexpr std::size_t kArenaBytesPerSourceByte = (sizeof(AstNode) + 16) / 3 + 1;
+constexpr std::size_t kMinChunkBytes = std::size_t{4} << 10;
+constexpr std::size_t kMaxFirstChunkBytes = std::size_t{1} << 20;
+
+}  // namespace
+
+AstContext::AstContext(std::string_view source)
+    : next_chunk_bytes_(std::clamp(source.size() * kArenaBytesPerSourceByte, kMinChunkBytes,
+                                   kMaxFirstChunkBytes)) {
+  source_ = keep(source);
+}
+
+void* AstContext::allocate(std::size_t bytes) {
+  bytes = align_up(bytes);
+  if (static_cast<std::size_t>(end_ - next_) < bytes) {
+    const std::size_t chunk = std::max(next_chunk_bytes_, bytes);
+    chunks_.emplace_back(new std::byte[chunk]);
+    next_ = chunks_.back().get();
+    end_ = next_ + chunk;
+    next_chunk_bytes_ = 2 * chunk;
+  }
+  void* out = next_;
+  next_ += bytes;
+  return out;
+}
+
+std::string_view AstContext::keep(std::string_view text) {
+  if (text.empty()) return {};
+  auto* copy = static_cast<char*>(allocate(text.size()));
+  std::memcpy(copy, text.data(), text.size());
+  return {copy, text.size()};
+}
+
+AstNode* AstContext::create(NodeKind kind, SourceRange range) {
+  return new (allocate(sizeof(AstNode))) AstNode(kind, range);
+}
+
+void AstContext::set_children(AstNode* node, std::span<AstNode* const> children) {
+  check(node->children_ == nullptr && node->num_children_ == 0,
+        "set_children called twice on one node");
+  for (AstNode* child : children) check(child != nullptr, "null AST child");
+  if (children.empty()) return;
+  auto** span = static_cast<AstNode**>(allocate(children.size() * sizeof(AstNode*)));
+  std::copy(children.begin(), children.end(), span);
+  node->children_ = span;
+  node->num_children_ = static_cast<std::uint32_t>(children.size());
+}
 
 std::string_view node_kind_name(NodeKind kind) {
   switch (kind) {
@@ -64,19 +132,6 @@ std::size_t subtree_size(const AstNode* node) {
     return true;
   });
   return count;
-}
-
-std::vector<const AstNode*> terminals_in_token_order(const AstNode* root) {
-  std::vector<const AstNode*> terminals;
-  walk(root, [&terminals](const AstNode* node, int) {
-    if (node->is_terminal()) terminals.push_back(node);
-    return true;
-  });
-  std::stable_sort(terminals.begin(), terminals.end(),
-                   [](const AstNode* a, const AstNode* b) {
-                     return a->range().begin.offset < b->range().begin.offset;
-                   });
-  return terminals;
 }
 
 }  // namespace pg::frontend

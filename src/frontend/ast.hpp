@@ -8,6 +8,19 @@
 // (e.g. "ForStmt has exactly 4 children") is enforced by the parser and by
 // accessors that `check()` their preconditions.
 //
+// Storage and lifetime: one parse owns one AstContext, and everything the
+// tree refers to lives in the context's chunked arena, which never moves
+// what it has handed out:
+//   * a copy of the source bytes, so node text outlives the caller's buffer;
+//   * the nodes themselves (trivially destructible, never freed one by one);
+//   * each node's children, one contiguous span of AstNode* written once
+//     when the node is complete (set_child may still replace an entry);
+//   * the folded body of a pragma that had line continuations.
+// Node text is a std::string_view into that source copy or kept text, or a
+// string literal for synthesized spellings ("++pre", "LValueToRValue",
+// "CStyleCast"). Every pointer and view stays valid exactly as long as the
+// context; nothing else needs to outlive the parse.
+//
 // Child layouts (documented invariants):
 //   TranslationUnit : [FunctionDecl...]
 //   FunctionDecl    : [ParmVarDecl..., CompoundStmt body]
@@ -36,9 +49,11 @@
 // difference does not leak into token order.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
-#include <string>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -114,28 +129,28 @@ class AstNode {
   [[nodiscard]] const SourceRange& range() const { return range_; }
   void set_range(SourceRange range) { range_ = range; }
 
-  [[nodiscard]] const std::vector<AstNode*>& children() const { return children_; }
-  [[nodiscard]] std::size_t num_children() const { return children_.size(); }
+  [[nodiscard]] std::span<AstNode* const> children() const {
+    return {children_, num_children_};
+  }
+  [[nodiscard]] std::size_t num_children() const { return num_children_; }
   [[nodiscard]] AstNode* child(std::size_t i) const {
-    check(i < children_.size(), "AST child index out of range");
+    check(i < num_children_, "AST child index out of range");
     return children_[i];
   }
-  void add_child(AstNode* node) {
-    check(node != nullptr, "null AST child");
-    children_.push_back(node);
-  }
   void set_child(std::size_t i, AstNode* node) {
-    check(i < children_.size() && node != nullptr, "bad set_child");
+    check(i < num_children_ && node != nullptr, "bad set_child");
     children_[i] = node;
   }
 
   /// Terminal nodes are the paper's "syntax tokens".
-  [[nodiscard]] bool is_terminal() const { return children_.empty(); }
+  [[nodiscard]] bool is_terminal() const { return num_children_ == 0; }
 
   // --- attributes -------------------------------------------------------
   /// Identifier name, operator spelling, or literal spelling.
-  [[nodiscard]] const std::string& text() const { return text_; }
-  void set_text(std::string text) { text_ = std::move(text); }
+  [[nodiscard]] std::string_view text() const { return text_; }
+  /// `text` must live as long as the context: a view into its source or
+  /// kept text, or a string literal.
+  void set_text(std::string_view text) { text_ = text; }
 
   [[nodiscard]] std::int64_t int_value() const { return int_value_; }
   void set_int_value(std::int64_t v) { int_value_ = v; }
@@ -149,7 +164,7 @@ class AstNode {
   void set_referenced_decl(AstNode* decl) { referenced_decl_ = decl; }
 
   [[nodiscard]] const QualType& type() const { return type_; }
-  void set_type(QualType type) { type_ = std::move(type); }
+  void set_type(const QualType& type) { type_ = type; }
 
   // --- kind queries -----------------------------------------------------
   [[nodiscard]] bool is(NodeKind k) const { return kind_ == k; }
@@ -180,56 +195,77 @@ class AstNode {
   [[nodiscard]] AstNode* if_then() const { return checked(NodeKind::kIfStmt, 1); }
   [[nodiscard]] AstNode* if_else() const {
     check(kind_ == NodeKind::kIfStmt, "if_else on non-IfStmt");
-    return children_.size() > 2 ? children_[2] : nullptr;
+    return num_children_ > 2 ? children_[2] : nullptr;
   }
 
   /// For an OpenMP directive: the associated statement (last child).
   [[nodiscard]] AstNode* omp_body() const {
-    check(is_omp_directive() && !children_.empty(), "omp_body: bad node");
-    return children_.back();
+    check(is_omp_directive() && num_children_ != 0, "omp_body: bad node");
+    return children_[num_children_ - 1];
   }
 
  private:
+  friend class AstContext;
+
   [[nodiscard]] AstNode* checked(NodeKind expect, std::size_t i) const {
     check(kind_ == expect, "structured accessor on wrong node kind");
     return child(i);
   }
 
   NodeKind kind_;
+  std::uint32_t num_children_ = 0;
   SourceRange range_;
-  std::vector<AstNode*> children_;
-  std::string text_;
+  AstNode** children_ = nullptr;
+  std::string_view text_;
   std::int64_t int_value_ = 0;
   double float_value_ = 0.0;
   AstNode* referenced_decl_ = nullptr;
   QualType type_;
 };
 
-/// Arena that owns every node of one parse. Nodes hold non-owning pointers
-/// into the arena; the context must outlive all of them.
+/// Owns everything one parse produces (see the storage note above). Nodes,
+/// child spans and text views point into it, so it never moves: it lives
+/// behind ParseResult's unique_ptr.
 class AstContext {
  public:
-  AstContext() = default;
-  AstContext(AstContext&&) = default;
-  AstContext& operator=(AstContext&&) = default;
+  /// Copies `source` into the arena; source() views the copy.
+  explicit AstContext(std::string_view source = {});
+  AstContext(const AstContext&) = delete;
+  AstContext& operator=(const AstContext&) = delete;
 
-  AstNode* create(NodeKind kind, SourceRange range = {}) {
-    nodes_.push_back(std::make_unique<AstNode>(kind, range));
-    return nodes_.back().get();
+  [[nodiscard]] std::string_view source() const { return source_; }
+
+  /// Copies `text` into the arena and returns a view of the copy.
+  std::string_view keep(std::string_view text);
+
+  AstNode* create(NodeKind kind, SourceRange range = {});
+
+  /// Gives `node` its children, copied into one arena span. Called once per
+  /// node; set_child may replace entries afterwards.
+  void set_children(AstNode* node, std::span<AstNode* const> children);
+  void set_children(AstNode* node, std::initializer_list<AstNode*> children) {
+    set_children(node, std::span<AstNode* const>(children.begin(), children.size()));
   }
-
-  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
   [[nodiscard]] AstNode* root() const { return root_; }
   void set_root(AstNode* root) { root_ = root; }
 
  private:
-  std::vector<std::unique_ptr<AstNode>> nodes_;
+  /// `bytes` of storage aligned for any node field; never moves or frees
+  /// before the context does.
+  void* allocate(std::size_t bytes);
+
+  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  std::byte* next_ = nullptr;
+  std::byte* end_ = nullptr;
+  std::size_t next_chunk_bytes_ = 0;
+  std::string_view source_;
   AstNode* root_ = nullptr;
 };
 
 /// Pre-order depth-first visit; `visit(node, depth)` returning false prunes
-/// the subtree.
+/// the subtree. Recurses once per tree level; parse_source bounds the depth
+/// of the trees it returns (kMaxNestingDepth, parser.hpp).
 template <typename Visitor>
 void walk(const AstNode* node, Visitor&& visit, int depth = 0) {
   if (node == nullptr) return;
@@ -240,8 +276,5 @@ void walk(const AstNode* node, Visitor&& visit, int depth = 0) {
 
 /// Counts nodes in a subtree.
 std::size_t subtree_size(const AstNode* node);
-
-/// Collects terminal nodes ("syntax tokens") ordered by source position.
-std::vector<const AstNode*> terminals_in_token_order(const AstNode* root);
 
 }  // namespace pg::frontend

@@ -25,7 +25,7 @@ std::optional<std::int64_t> eval(const AstNode* expr, int depth) {
     case NodeKind::kUnaryOperator: {
       auto sub = eval(expr->child(0), depth + 1);
       if (!sub) return std::nullopt;
-      const std::string& op = expr->text();
+      const std::string_view op = expr->text();
       if (op == "-") return -*sub;
       if (op == "+") return *sub;
       if (op == "~") return ~*sub;
@@ -37,7 +37,7 @@ std::optional<std::int64_t> eval(const AstNode* expr, int depth) {
       auto lhs = eval(expr->child(0), depth + 1);
       auto rhs = eval(expr->child(1), depth + 1);
       if (!lhs || !rhs) return std::nullopt;
-      const std::string& op = expr->text();
+      const std::string_view op = expr->text();
       if (op == "+") return *lhs + *rhs;
       if (op == "-") return *lhs - *rhs;
       if (op == "*") return *lhs * *rhs;

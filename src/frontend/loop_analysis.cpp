@@ -51,7 +51,7 @@ std::optional<std::int64_t> analyze_step(const AstNode* inc, const AstNode* iv) 
   inc = strip(inc);
   if (inc->is(NodeKind::kUnaryOperator)) {
     if (ref_target(inc->child(0)) != iv) return std::nullopt;
-    const std::string& op = inc->text();
+    const std::string_view op = inc->text();
     if (op == "++pre" || op == "++post") return 1;
     if (op == "--pre" || op == "--post") return -1;
     return std::nullopt;
@@ -92,12 +92,12 @@ std::optional<LoopInfo> analyze_for_loop(const AstNode* for_stmt) {
 
   const AstNode* cond = strip(for_stmt->for_cond());
   if (cond == nullptr || !cond->is(NodeKind::kBinaryOperator)) return std::nullopt;
-  const std::string relation = cond->text();
+  const std::string_view relation = cond->text();
   if (relation != "<" && relation != "<=" && relation != ">" && relation != ">=")
     return std::nullopt;
 
   // Normalise `bound REL iv` into `iv REL' bound`.
-  std::string rel = relation;
+  std::string_view rel = relation;
   const AstNode* bound_expr = nullptr;
   if (ref_target(cond->child(0)) == iv) {
     bound_expr = cond->child(1);

@@ -1,10 +1,13 @@
 // Recursive-descent parser for the C subset + OpenMP pragmas.
 //
-// Produces a Clang-shaped AST (see ast.hpp for child layouts). Identifier
-// references are resolved against lexical scopes during parsing, so
-// DeclRefExpr nodes carry their defining declaration (the basis for
-// ParaGraph's `Ref` edges). Calls to unknown functions (math builtins like
-// `sqrt`) produce DeclRefExpr nodes with a null referenced decl.
+// Produces a Clang-shaped AST (see ast.hpp for child layouts and for the
+// storage and lifetime contract). Identifier references are resolved
+// against lexical scopes during parsing, so DeclRefExpr nodes carry their
+// defining declaration (the basis for ParaGraph's `Ref` edges). Calls to
+// unknown functions (math builtins like `sqrt`) produce DeclRefExpr nodes
+// with a null referenced decl. After parsing, DeclRefExpr nodes read as
+// rvalues are wrapped in ImplicitCastExpr (LValueToRValue), mirroring
+// Clang's AST shape in the paper's Figure 2.
 //
 // OpenMP support: a `#pragma omp ...` line followed by a for-statement
 // becomes an Omp*Directive node whose children are the clause nodes followed
@@ -18,17 +21,23 @@
 
 #include <memory>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "frontend/ast.hpp"
 #include "frontend/diagnostics.hpp"
-#include "frontend/token.hpp"
 
 namespace pg::frontend {
 
-/// Result of a parse: the context owns all nodes; `root` is the
-/// TranslationUnit (nullptr when parsing failed).
+/// Deepest nesting parse_source accepts. Each statement, prefix unary
+/// operator, cast, parenthesised expression, assignment right-hand side and
+/// conditional operator opens one level, and so does each further operator
+/// of a left-associative chain (binary operators, commas, subscripts, calls,
+/// postfix ++/--). One level more is an error diagnostic at the token that
+/// opens it. The bound keeps the parser's recursion, and every recursive
+/// walk of the AST it returns, within a small stack.
+inline constexpr int kMaxNestingDepth = 256;
+
+/// Result of a parse: the context owns all nodes and the source copy they
+/// view; `root` is the TranslationUnit (nullptr when parsing failed).
 struct ParseResult {
   std::unique_ptr<AstContext> context;
   Diagnostics diagnostics;
@@ -41,83 +50,7 @@ struct ParseResult {
   }
 };
 
-/// Parses a full translation unit.
+/// Parses a full translation unit. The result does not refer to `source`.
 ParseResult parse_source(std::string_view source);
-
-class Parser {
- public:
-  Parser(std::vector<Token> tokens, AstContext& context, Diagnostics& diags);
-
-  /// Parses the token stream as a translation unit; returns nullptr and
-  /// fills diagnostics on error.
-  AstNode* parse_translation_unit();
-
- private:
-  // --- token stream ------------------------------------------------------
-  [[nodiscard]] const Token& peek(std::size_t ahead = 0) const;
-  const Token& advance();
-  [[nodiscard]] bool at(TokenKind kind) const { return peek().kind == kind; }
-  bool accept(TokenKind kind);
-  const Token& expect(TokenKind kind, std::string_view what);
-
-  // --- error handling ----------------------------------------------------
-  struct ParseError {};
-  [[noreturn]] void fail(std::string_view message);
-
-  // --- scopes ------------------------------------------------------------
-  void push_scope();
-  void pop_scope();
-  void declare(const std::string& name, AstNode* decl);
-  [[nodiscard]] AstNode* lookup(const std::string& name) const;
-
-  // --- declarations ------------------------------------------------------
-  [[nodiscard]] bool at_type_specifier() const;
-  QualType parse_type_specifier();
-  AstNode* parse_function_or_global(QualType base);
-  AstNode* parse_parm_var_decl();
-  AstNode* parse_decl_stmt();
-  AstNode* parse_var_decl(const QualType& base_type);
-  void parse_declarator_suffix(QualType& type);
-
-  // --- statements --------------------------------------------------------
-  AstNode* parse_statement();
-  AstNode* parse_compound_stmt();
-  AstNode* parse_if_stmt();
-  AstNode* parse_for_stmt();
-  AstNode* parse_while_stmt();
-  AstNode* parse_do_stmt();
-  AstNode* parse_return_stmt();
-  AstNode* parse_omp_directive(const Token& pragma);
-
-  // --- OpenMP clause parsing (operates on the same token stream) ---------
-  AstNode* parse_omp_clause(NodeKind directive_kind);
-  AstNode* parse_omp_var_or_section();
-
-  // --- expressions -------------------------------------------------------
-  AstNode* parse_expression();        // comma has lowest precedence
-  AstNode* parse_assignment();
-  AstNode* parse_conditional();
-  AstNode* parse_binary(int min_precedence);
-  AstNode* parse_unary();
-  AstNode* parse_postfix();
-  AstNode* parse_primary();
-
-  // --- helpers ------------------------------------------------------------
-  AstNode* make_node(NodeKind kind, const Token& tok);
-  static QualType binary_result_type(const QualType& lhs, const QualType& rhs);
-  void infer_expr_type(AstNode* expr);
-
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-  AstContext& context_;
-  Diagnostics& diags_;
-  std::vector<std::unordered_map<std::string, AstNode*>> scopes_;
-};
-
-/// Post-parse pass: wraps DeclRefExpr nodes that are read as rvalues in
-/// ImplicitCastExpr (LValueToRValue), mirroring Clang's AST shape shown in
-/// the paper's Figure 2. Skips assignment LHS, ++/-- and unary-& operands,
-/// and callees.
-void insert_implicit_casts(AstContext& context, AstNode* root);
 
 }  // namespace pg::frontend

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "frontend/source_location.hpp"
@@ -16,7 +15,9 @@ enum class TokenKind : std::uint8_t {
   kFloatingLiteral,
   kCharLiteral,
   kStringLiteral,
-  // A whole `#pragma ...` line; text() holds everything after `#pragma`.
+  // A whole `#pragma ...` line; text holds everything after `#pragma` and
+  // the blanks that follow it, backslash-newline continuations included
+  // (the parser folds each into one space).
   kPragma,
   // Keywords.
   kKwInt, kKwLong, kKwFloat, kKwDouble, kKwChar, kKwVoid, kKwUnsigned,
@@ -37,9 +38,12 @@ enum class TokenKind : std::uint8_t {
 /// Spelling of a token kind, for diagnostics ("'{'", "identifier", ...).
 std::string_view token_kind_name(TokenKind kind);
 
+/// A token is a view into the lexed buffer, which must outlive it.
 struct Token {
   TokenKind kind = TokenKind::kEof;
-  std::string text;  // identifier name / literal spelling / pragma body
+  // Identifier or keyword spelling, literal spelling (without quotes or
+  // numeric suffix) or pragma body; empty for punctuation and end of input.
+  std::string_view text;
   SourceLocation location;
 
   [[nodiscard]] bool is(TokenKind k) const { return kind == k; }

@@ -34,7 +34,7 @@ class Builder {
   /// count of the region containing `node`; `divided` marks the loop an
   /// OpenMP directive splits among the parallel workers.
   std::uint32_t add_subtree(const AstNode* node, double multiplier, bool divided) {
-    const std::uint32_t id = graph_.add_node(node->kind(), node->text());
+    const std::uint32_t id = graph_.add_node(node->kind(), std::string(node->text()));
     if (augmented_) {
       if (node->is_terminal()) terminals_.push_back({node->range().begin.offset, id});
       if (node->is_decl()) decls_.push_back({node, id});
@@ -115,9 +115,10 @@ class Builder {
     return id;
   }
 
-  /// Terminals were recorded in pre-order, the order
-  /// frontend::terminals_in_token_order walks them, so the same stable sort
-  /// by source offset gives the same token order.
+  /// Terminals were recorded in pre-order; a stable sort by source offset
+  /// puts them in token order and keeps pre-order among equal offsets. The
+  /// NextToken tests' reference (tests/ast_terminals.hpp) sorts the same
+  /// pre-order walk the same way.
   void add_next_token_edges() {
     std::stable_sort(terminals_.begin(), terminals_.end(),
                      [](const Terminal& a, const Terminal& b) {

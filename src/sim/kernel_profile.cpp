@@ -3,6 +3,7 @@
 #include "sim/kernel_profile.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_set>
 
 #include "frontend/const_eval.hpp"
@@ -15,8 +16,8 @@ namespace {
 using frontend::AstNode;
 using frontend::NodeKind;
 
-bool is_transcendental_name(const std::string& name) {
-  static const std::unordered_set<std::string> kNames = {
+bool is_transcendental_name(std::string_view name) {
+  static const std::unordered_set<std::string_view> kNames = {
       "sqrt", "sqrtf", "exp", "expf", "log", "logf", "pow", "powf",
       "sin",  "sinf",  "cos", "cosf", "tan", "fabs", "fabsf", "atan",
       "atan2", "floor", "ceil", "round"};
@@ -176,7 +177,7 @@ class Profiler {
     if (expr == nullptr) return;
     switch (expr->kind()) {
       case NodeKind::kBinaryOperator: {
-        const std::string& op = expr->text();
+        const std::string_view op = expr->text();
         const bool assign = (op == "=");
         if (assign) {
           walk_expr(expr->child(0), mult, /*is_store_target=*/true);
@@ -201,7 +202,7 @@ class Profiler {
       }
       case NodeKind::kUnaryOperator: {
         walk_expr(expr->child(0), mult, false);
-        const std::string& op = expr->text();
+        const std::string_view op = expr->text();
         if (op == "-" || op == "+" || op == "~" || op == "!" ||
             op.starts_with("++") || op.starts_with("--")) {
           if (expr->type().is_floating()) profile_.flops += mult;

@@ -3,9 +3,14 @@
 // depend on.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "frontend/ast_dump.hpp"
 #include "frontend/const_eval.hpp"
 #include "frontend/parser.hpp"
+#include "graph/builder.hpp"
+#include "sim/kernel_profile.hpp"
 
 namespace pg::frontend {
 namespace {
@@ -185,6 +190,126 @@ TEST(FrontendEdge, TwoKernelsInOneUnit) {
   )");
   EXPECT_EQ(count_kind(r.root(), NodeKind::kOmpParallelForDirective), 2u);
   EXPECT_EQ(count_kind(r.root(), NodeKind::kFunctionDecl), 2u);
+}
+
+// --- nesting limit ----------------------------------------------------------
+//
+// Each construct below nests one level per repetition. A statement is a
+// level too, so inside a `return` or an expression statement the limit
+// leaves room for kMaxNestingDepth - 1 repetitions; nested blocks sit inside
+// the function body, which is not a statement, and get kMaxNestingDepth.
+
+std::string repeat(std::string_view unit, int n) {
+  std::string out;
+  out.reserve(unit.size() * static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) out += unit;
+  return out;
+}
+
+std::string nested_parens(int n) {
+  return "int f(void) { return " + repeat("(", n) + "1" + repeat(")", n) + "; }";
+}
+std::string nested_braces(int n) {
+  return "void f(void) { " + repeat("{", n) + repeat("}", n) + " }";
+}
+std::string unary_chain(int n) {
+  return "int f(int a) { return " + repeat("- ", n) + "a; }";
+}
+std::string assignment_chain(int n) {
+  return "void f(int a) { " + repeat("a = ", n) + "0; }";
+}
+std::string else_if_chain(int n) {
+  return "void f(int a) { if (a) ;" + repeat(" else if (a) ;", n - 1) + " }";
+}
+
+struct NestedCase {
+  const char* name;
+  std::string (*source)(int);
+  int deepest;  // repetitions that still parse
+};
+
+const NestedCase kNestedCases[] = {
+    {"parentheses", nested_parens, kMaxNestingDepth - 1},
+    {"braces", nested_braces, kMaxNestingDepth},
+    {"unary chain", unary_chain, kMaxNestingDepth - 1},
+    {"assignment chain", assignment_chain, kMaxNestingDepth - 1},
+    {"else-if chain", else_if_chain, kMaxNestingDepth - 1},
+};
+
+void expect_nesting_error(const ParseResult& r, const std::string& what) {
+  EXPECT_FALSE(r.ok()) << what;
+  EXPECT_EQ(r.root(), nullptr) << what;
+  ASSERT_EQ(r.diagnostics.entries().size(), 1u) << what;
+  const Diagnostic& d = r.diagnostics.entries()[0];
+  EXPECT_EQ(d.message, "nesting deeper than " + std::to_string(kMaxNestingDepth) + " levels")
+      << what;
+  EXPECT_TRUE(d.location.valid()) << what;
+}
+
+TEST(FrontendEdge, NestingAtTheLimitParsesAndEveryWalkCompletes) {
+  for (const NestedCase& c : kNestedCases) {
+    const ParseResult r = parse_source(c.source(c.deepest));
+    ASSERT_TRUE(r.ok()) << c.name << ": " << r.diagnostics.summary();
+    // The recursive consumers of the tree run at its deepest.
+    EXPECT_GT(subtree_size(r.root()), static_cast<std::size_t>(c.deepest)) << c.name;
+    EXPECT_FALSE(dump_ast(r.root()).empty()) << c.name;
+    EXPECT_GT(graph::build_graph(r.root(), {}).num_nodes(), 0u) << c.name;
+    (void)sim::profile_kernel(r.root());
+  }
+}
+
+TEST(FrontendEdge, OneLevelPastTheLimitFailsWithALocatedDiagnostic) {
+  for (const NestedCase& c : kNestedCases)
+    expect_nesting_error(parse_source(c.source(c.deepest + 1)), c.name);
+  // The diagnostic points at the parenthesis that opens the level too many.
+  const std::string source = nested_parens(kMaxNestingDepth);
+  const ParseResult r = parse_source(source);
+  ASSERT_FALSE(r.diagnostics.entries().empty());
+  EXPECT_EQ(r.diagnostics.entries()[0].location.offset,
+            source.find('(', source.find("return")) + kMaxNestingDepth - 1);
+}
+
+TEST(FrontendEdge, HundredThousandLevelsFailCleanly) {
+  constexpr int kDeep = 100000;
+  for (const NestedCase& c : kNestedCases)
+    expect_nesting_error(parse_source(c.source(kDeep)), c.name);
+  // Left-associative chains deepen the tree without recursing in the
+  // parser; they count against the same limit.
+  expect_nesting_error(parse_source("int f(int a) { return a" + repeat(" + a", kDeep) + "; }"),
+                       "binary chain");
+  expect_nesting_error(parse_source("int f(int a) { return a" + repeat("++", kDeep) + "; }"),
+                       "postfix chain");
+  expect_nesting_error(parse_source("void f(int a) { a" + repeat(", a", kDeep) + "; }"),
+                       "comma chain");
+}
+
+TEST(FrontendEdge, LongRunsOfSkippedLinesAndStrayBytesDoNotRecurse) {
+  // The lexer steps over skipped directive lines and stray characters in
+  // a loop: a long run of either is no deeper than a short one.
+  const ParseResult defines =
+      parse_source(repeat("#define X 1\n", 100000) + "int f(void) { return 1; }");
+  EXPECT_TRUE(defines.ok()) << defines.diagnostics.summary();
+  const ParseResult stray = parse_source("int f(void) { return 1; }" + repeat("@", 100000));
+  EXPECT_FALSE(stray.ok());
+  EXPECT_EQ(stray.diagnostics.entries().size(), 100000u);
+}
+
+TEST(FrontendEdge, ArrayRankPastTheInlineLimitIsAnError) {
+  const std::string dims = repeat("[2]", static_cast<int>(ArrayExtents::kMaxRank));
+  auto r = ok("double a" + dims + ";");
+  const AstNode* var = nullptr;
+  walk(r.root(), [&](const AstNode* n, int) {
+    if (var == nullptr && n->is(NodeKind::kVarDecl)) var = n;
+    return var == nullptr;
+  });
+  ASSERT_NE(var, nullptr);
+  EXPECT_EQ(var->type().array_extents.size(), ArrayExtents::kMaxRank);
+  const ParseResult deeper = parse_source("double a" + dims + "[2];");
+  EXPECT_FALSE(deeper.ok());
+  ASSERT_EQ(deeper.diagnostics.entries().size(), 1u);
+  EXPECT_EQ(deeper.diagnostics.entries()[0].message,
+            "array declarator has more than " + std::to_string(ArrayExtents::kMaxRank) +
+                " dimensions");
 }
 
 }  // namespace

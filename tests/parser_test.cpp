@@ -11,8 +11,9 @@
 #include "dataset/variants.hpp"
 #include "frontend/ast_dump.hpp"
 #include "frontend/parser.hpp"
-#include "frontend_mutations.hpp"
 #include "sim/platform.hpp"
+#include "ast_terminals.hpp"
+#include "frontend_mutations.hpp"
 
 namespace pg::frontend {
 namespace {
@@ -346,6 +347,37 @@ TEST(Parser, UnsupportedPragmaIsError) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(Parser, ContinuedPragmaParsesLikeOneLine) {
+  // Backslash-newline continuations fold into spaces; the folded body is
+  // kept by the parse, so clause text read from it stays valid.
+  const char* kOneLine = R"(
+    double x[64];
+    void f(void) {
+      double s = 0.0;
+      #pragma omp parallel for num_threads(4) schedule(dynamic, 2) reduction(max: s)
+      for (int i = 0; i < 64; i++) s += x[i];
+    })";
+  const char* kContinued = "\n    double x[64];\n    void f(void) {\n"
+                           "      double s = 0.0;\n"
+                           "      #pragma \\\n omp parallel for num_threads(4) \\\n"
+                           "  schedule(dynamic, 2) \\\n reduction(max: s)\n"
+                           "      for (int i = 0; i < 64; i++) s += x[i];\n    }";
+  auto one_line = parse_ok(kOneLine);
+  auto continued = parse_ok(kContinued);
+  EXPECT_EQ(dump_ast(continued.root()), dump_ast(one_line.root()));
+  const AstNode* schedule = first_of(continued.root(), NodeKind::kOmpScheduleClause);
+  ASSERT_NE(schedule, nullptr);
+  EXPECT_EQ(schedule->text(), "dynamic");
+  const AstNode* reduction = first_of(continued.root(), NodeKind::kOmpReductionClause);
+  ASSERT_NE(reduction, nullptr);
+  EXPECT_EQ(reduction->text(), "max");
+
+  auto unsupported = parse_source("void f(void) {\n#pragma omp parallel \\\n  sections\n}");
+  ASSERT_FALSE(unsupported.diagnostics.entries().empty());
+  EXPECT_EQ(unsupported.diagnostics.entries()[0].message,
+            "unsupported OpenMP directive: omp parallel    sections");
+}
+
 TEST(Parser, DirectiveKindsDistinguishVariants) {
   // gpu vs cpu variants must be distinguishable by node kind alone.
   auto cpu = parse_ok(R"(
@@ -387,7 +419,7 @@ TEST(Parser, DiagnosticsCarryLocation) {
 
 TEST(Parser, TerminalsComeBackInSourceOrder) {
   auto r = parse_ok("void f(void) { int a = 1; int b = 2; a = a + b; }");
-  const auto terminals = terminals_in_token_order(r.root());
+  const auto terminals = test::terminals_in_token_order(r.root());
   ASSERT_GE(terminals.size(), 5u);
   for (std::size_t i = 1; i < terminals.size(); ++i)
     EXPECT_LE(terminals[i - 1]->range().begin.offset,

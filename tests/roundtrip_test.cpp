@@ -10,6 +10,7 @@
 #include "frontend/ast_dump.hpp"
 #include "frontend/parser.hpp"
 #include "graph/builder.hpp"
+#include "ast_terminals.hpp"
 
 namespace pg {
 namespace {
@@ -44,7 +45,7 @@ TEST_P(SuiteRoundTrip, GraphSerialisationIsLossless) {
 TEST_P(SuiteRoundTrip, NextTokenChainFollowsSourceOrder) {
   const auto parsed = frontend::parse_source(suite_source(GetParam()));
   ASSERT_TRUE(parsed.ok());
-  const auto terminals = frontend::terminals_in_token_order(parsed.root());
+  const auto terminals = test::terminals_in_token_order(parsed.root());
   ASSERT_GE(terminals.size(), 10u);
   for (std::size_t i = 1; i < terminals.size(); ++i)
     EXPECT_LE(terminals[i - 1]->range().begin.offset,
