@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/dataset_view.hpp"
@@ -400,6 +403,89 @@ TEST(ServeReadGate, ConnectionThatNeverReadsIsGatedNotFatal) {
 
   EXPECT_GT(server.stats().read_gated, 0u)
       << "pipelining far past conn_inflight_cap never engaged the read gate";
+  server.stop();
+}
+
+TEST(ServeReadGate, QueuedReplyBytesGateReadsAndEveryPongArrives) {
+  // Reply-byte backpressure: a peer floods pings and reads nothing until the
+  // pongs have filled both kernel buffers and queued past write_queue_cap
+  // inside the server. Pings hold no inflight count, so only queued reply
+  // bytes can engage the read gate. Once the peer reads, every pong must
+  // arrive exactly once and in request order, through partial sends.
+  const io::StoredSampleSet stored =
+      io::load_sample_set(io::DatasetView(golden_path("corpus.pgds")));
+  const model::CheckpointScalers scalers =
+      model::CheckpointScalers::from_sample_set(stored.set);
+  model::ModelConfig config;
+  model::ParaGraphModel model(config);
+
+  serve::ServeConfig serve_config;
+  serve_config.workers = 1;
+  serve_config.io_threads = 1;
+  serve_config.write_queue_cap = 4096;  // the floor
+  serve::Server server(model, scalers, serve_config);
+  server.start();
+
+  serve::Socket socket = serve::connect_loopback(server.port());
+  socket.set_recv_timeout_ms(30000);
+
+  // How many pings fill the loopback buffers depends on the host, so the
+  // writer sends batches until the gate engages instead of a fixed count.
+  constexpr std::uint64_t kBatch = 64 * 1024;
+  constexpr std::uint64_t kMaxPings =
+      (64u << 20) / serve::kFrameHeaderBytes;  // 64 MiB of requests
+  std::atomic<std::uint64_t> sent{0};
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    std::vector<std::uint8_t> batch(kBatch * serve::kFrameHeaderBytes);
+    try {
+      while (server.stats().read_gated == 0 && sent.load() < kMaxPings) {
+        for (std::uint64_t k = 0; k < kBatch; ++k) {
+          serve::FrameHeader header;
+          header.kind = serve::FrameKind::kPing;
+          header.request_id = sent.load() + k;
+          serve::encode_header(header,
+                               batch.data() + k * serve::kFrameHeaderBytes);
+        }
+        socket.write_all(batch.data(), batch.size());
+        sent.fetch_add(kBatch);
+      }
+      socket.shutdown_write();
+    } catch (const serve::SocketError& e) {
+      ADD_FAILURE() << "writer: " << e.what();
+      socket.shutdown_read();  // unblock the reader below
+    }
+    writer_done.store(true);
+  });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().read_gated == 0 && !writer_done.load() &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GT(server.stats().read_gated, 0u)
+      << "queued reply bytes past write_queue_cap never engaged the gate";
+
+  // Read to EOF whatever arrives, so a wrong frame fails the test below
+  // instead of leaving the writer blocked on a full socket.
+  std::uint64_t received = 0;
+  std::uint64_t mismatched = 0;
+  std::uint8_t header_bytes[serve::kFrameHeaderBytes];
+  while (socket.read_exact(header_bytes, sizeof header_bytes)) {
+    serve::FrameHeader header;
+    if (serve::decode_header(header_bytes, header) !=
+            serve::HeaderVerdict::kOk ||
+        header.kind != serve::FrameKind::kPongReply ||
+        header.payload_bytes != 0 || header.request_id != received)
+      ++mismatched;
+    ++received;
+  }
+  socket.shutdown_write();  // a writer still blocked in send fails instead
+  writer.join();
+
+  EXPECT_EQ(mismatched, 0u) << "pongs must be well-formed and in order";
+  EXPECT_EQ(received, sent.load());
+  EXPECT_EQ(server.stats().pings, sent.load());
   server.stop();
 }
 
