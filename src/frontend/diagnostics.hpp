@@ -2,6 +2,7 @@
 // (support/check.hpp), these describe problems in the *input program*.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -18,11 +19,18 @@ struct Diagnostic {
   }
 };
 
-/// Accumulates diagnostics produced while lexing/parsing one buffer.
+/// Accumulates diagnostics produced while lexing/parsing one buffer. The
+/// first kMaxErrors are kept, then one final "too many errors" entry, so a
+/// long run of bad input cannot grow the list (or a caller's log) unbounded.
 class Diagnostics {
  public:
+  static constexpr std::size_t kMaxErrors = 100;
+
   void error(SourceLocation loc, std::string message) {
-    entries_.push_back({loc, std::move(message)});
+    if (entries_.size() < kMaxErrors)
+      entries_.push_back({loc, std::move(message)});
+    else if (entries_.size() == kMaxErrors)
+      entries_.push_back({loc, "too many errors; stopped reporting them"});
   }
 
   [[nodiscard]] bool has_errors() const { return !entries_.empty(); }

@@ -58,17 +58,25 @@ HeaderVerdict decode_header(const std::uint8_t bytes[kFrameHeaderBytes],
   return HeaderVerdict::kOk;
 }
 
-std::vector<std::uint8_t> encode_frame(FrameKind kind, std::uint64_t request_id,
-                                       const void* payload,
-                                       std::size_t payload_bytes) {
+void append_frame(std::vector<std::uint8_t>& out, FrameKind kind,
+                  std::uint64_t request_id, const void* payload,
+                  std::size_t payload_bytes) {
   FrameHeader header;
   header.kind = kind;
   header.request_id = request_id;
   header.payload_bytes = payload_bytes;
-  std::vector<std::uint8_t> frame(kFrameHeaderBytes + payload_bytes);
-  encode_header(header, frame.data());
+  const std::size_t at = out.size();
+  out.resize(at + kFrameHeaderBytes + payload_bytes);
+  encode_header(header, out.data() + at);
   if (payload_bytes > 0)
-    std::memcpy(frame.data() + kFrameHeaderBytes, payload, payload_bytes);
+    std::memcpy(out.data() + at + kFrameHeaderBytes, payload, payload_bytes);
+}
+
+std::vector<std::uint8_t> encode_frame(FrameKind kind, std::uint64_t request_id,
+                                       const void* payload,
+                                       std::size_t payload_bytes) {
+  std::vector<std::uint8_t> frame;
+  append_frame(frame, kind, request_id, payload, payload_bytes);
   return frame;
 }
 

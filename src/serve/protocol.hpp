@@ -94,7 +94,12 @@ enum class HeaderVerdict : std::uint8_t {
 HeaderVerdict decode_header(const std::uint8_t bytes[kFrameHeaderBytes],
                             FrameHeader& out);
 
-/// Header + payload concatenated into one buffer, ready to write.
+/// Appends header + payload to `out`, ready to write.
+void append_frame(std::vector<std::uint8_t>& out, FrameKind kind,
+                  std::uint64_t request_id, const void* payload,
+                  std::size_t payload_bytes);
+
+/// append_frame into a fresh buffer.
 std::vector<std::uint8_t> encode_frame(FrameKind kind, std::uint64_t request_id,
                                        const void* payload,
                                        std::size_t payload_bytes);

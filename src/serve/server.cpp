@@ -1,13 +1,12 @@
 // Server implementation: an epoll reactor (fixed pool of io threads driving
 // nonblocking sockets) feeding a bounded admission queue, worker threads
 // coalescing requests through the dynamic batching window into fused
-// InferenceEngine batches, replies draining back through per-connection
-// write queues with gathered (single-syscall) flushes.
+// InferenceEngine batches, replies going back through one contiguous
+// reply buffer and one send path per connection.
 #include "serve/server.hpp"
 
 #include <omp.h>
 #include <sys/epoll.h>
-#include <sys/uio.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -32,9 +31,9 @@ constexpr std::int64_t kMaxBatch = 4096;
 constexpr std::uint64_t kTagWake = ~std::uint64_t{0};
 constexpr std::uint64_t kTagListener = ~std::uint64_t{0} - 1;
 
-// Gathered-write fan-in per sendmsg. 64 frames per syscall is far past the
-// coalescing knee; IOV_MAX (1024) would only grow the stack frame.
-constexpr int kMaxFlushIov = 64;
+// Each io thread's read scratch. A drained reply buffer whose capacity
+// grew past this (a peer that stopped reading) gives its memory back.
+constexpr std::size_t kReadBufBytes = 64 * 1024;
 
 // Backoff after a persistent accept failure (EMFILE/ENFILE/ENOMEM): the
 // listener stays ready under level-triggered epoll, so without a cooldown
@@ -142,7 +141,7 @@ void Server::start() {
   io_threads_.reserve(nio);
   for (std::size_t i = 0; i < nio; ++i) {
     auto io = std::make_unique<IoThread>();
-    io->read_buf.resize(64 * 1024);
+    io->read_buf.resize(kReadBufBytes);
     io->epoll.add(io->wake.fd(), EPOLLIN, kTagWake);
     io_threads_.push_back(std::move(io));
   }
@@ -282,7 +281,7 @@ void Server::io_loop(std::size_t index) {
       bool pending = false;
       for (const auto& [fd, conn] : io.conns) {
         std::lock_guard<std::mutex> lock(conn->write_mutex);
-        if (!conn->write_queue.empty()) {
+        if (!conn->write_buf.empty()) {
           pending = true;
           break;
         }
@@ -456,7 +455,8 @@ void Server::process_frame(const ConnectionPtr& conn,
   switch (header.kind) {
     case FrameKind::kPing:
       stat_pings_.fetch_add(1, std::memory_order_relaxed);
-      send_frame(conn, FrameKind::kPongReply, header.request_id, nullptr, 0);
+      enqueue_reply(conn, FrameKind::kPongReply, header.request_id, nullptr,
+                    0);
       return;
 
     case FrameKind::kPredictRequest: {
@@ -478,8 +478,8 @@ void Server::process_frame(const ConnectionPtr& conn,
           reply.runtime_us = scaler_set_.from_target(*hit);
           const auto out = encode_predict_reply_payload(reply);
           stat_requests_ok_.fetch_add(1, std::memory_order_relaxed);
-          send_frame(conn, FrameKind::kPredictReply, header.request_id,
-                     out.data(), out.size());
+          enqueue_reply(conn, FrameKind::kPredictReply, header.request_id,
+                        out.data(), out.size());
           return;
         }
       }
@@ -509,8 +509,8 @@ void Server::process_frame(const ConnectionPtr& conn,
           return;
         case Enqueue::kBusy:
           stat_busy_.fetch_add(1, std::memory_order_relaxed);
-          send_frame(conn, FrameKind::kBusyReply, header.request_id, nullptr,
-                     0, /*completes=*/true);
+          enqueue_reply(conn, FrameKind::kBusyReply, header.request_id,
+                        nullptr, 0, /*completes=*/true);
           return;
         case Enqueue::kShuttingDown:
           send_error(conn, header.request_id, ErrorCode::kShuttingDown,
@@ -555,43 +555,14 @@ void Server::flush_and_update(IoThread& io, const ConnectionPtr& conn) {
     std::lock_guard<std::mutex> lock(conn->write_mutex);
     if (conn->closed) return;
     try {
-      while (!conn->write_queue.empty()) {
-        // Gather up to kMaxFlushIov queued frames into one sendmsg: every
-        // reply that landed in this window leaves in a single syscall.
-        struct iovec iov[kMaxFlushIov];
-        int iovcnt = 0;
-        std::size_t gathered = 0;
-        for (const std::vector<std::uint8_t>& buf : conn->write_queue) {
-          if (iovcnt == kMaxFlushIov) break;
-          const std::size_t off =
-              (iovcnt == 0) ? conn->write_head_offset : 0;
-          iov[iovcnt].iov_base =
-              const_cast<std::uint8_t*>(buf.data()) + off;
-          iov[iovcnt].iov_len = buf.size() - off;
-          gathered += iov[iovcnt].iov_len;
-          ++iovcnt;
-        }
-        const std::size_t wrote = conn->socket.write_some(iov, iovcnt);
-        if (wrote == 0) break;  // kernel send buffer full: wait for EPOLLOUT
-        stat_writev_calls_.fetch_add(1, std::memory_order_relaxed);
-        conn->write_queue_bytes.fetch_sub(wrote, std::memory_order_relaxed);
-        std::size_t consumed = conn->write_head_offset + wrote;
-        while (!conn->write_queue.empty() &&
-               consumed >= conn->write_queue.front().size()) {
-          consumed -= conn->write_queue.front().size();
-          conn->write_queue.pop_front();
-          stat_reply_frames_.fetch_add(1, std::memory_order_relaxed);
-        }
-        conn->write_head_offset = consumed;
-        if (wrote < gathered) break;  // partial: kernel buffer just filled
-      }
+      if (!conn->write_buf.empty()) send_queued(*conn);
     } catch (const SocketError&) {
       // The peer is gone; dropping its queued replies is the correct
       // outcome.
       should_close = true;
     }
     if (!should_close) {
-      const bool empty = conn->write_queue.empty();
+      const bool empty = conn->write_buf.empty();
       if (empty && conn->read_closed &&
           conn->inflight.load(std::memory_order_relaxed) == 0) {
         // Nothing more will ever be owed: requests all answered, answers
@@ -623,7 +594,7 @@ void Server::close_connection(IoThread& io, const ConnectionPtr& conn) {
     std::lock_guard<std::mutex> lock(conn->write_mutex);
     if (conn->closed) return;
     conn->closed = true;
-    conn->write_queue.clear();
+    conn->write_buf = std::vector<std::uint8_t>();
     conn->write_queue_bytes.store(0, std::memory_order_relaxed);
   }
   const int fd = conn->socket.fd();
@@ -728,20 +699,14 @@ void Server::worker_loop(std::size_t /*worker_index*/) {
       // Count before writing: a client that reads stats() right after its
       // reply must already see this request.
       stat_requests_ok_.fetch_add(1, std::memory_order_relaxed);
-      send_frame(batch[i].conn, FrameKind::kPredictReply, batch[i].request_id,
-                 payload.data(), payload.size(), /*completes=*/true);
+      enqueue_reply(batch[i].conn, FrameKind::kPredictReply,
+                    batch[i].request_id, payload.data(), payload.size(),
+                    /*completes=*/true);
     }
   }
 }
 
 // --- replies --------------------------------------------------------------
-
-void Server::send_frame(const ConnectionPtr& conn, FrameKind kind,
-                        std::uint64_t request_id, const void* payload,
-                        std::size_t payload_bytes, bool completes) {
-  enqueue_reply(conn, encode_frame(kind, request_id, payload, payload_bytes),
-                completes);
-}
 
 void Server::send_error(const ConnectionPtr& conn, std::uint64_t request_id,
                         ErrorCode code, const std::string& message,
@@ -751,56 +716,47 @@ void Server::send_error(const ConnectionPtr& conn, std::uint64_t request_id,
   reply.message = message;
   const auto payload = encode_error_reply_payload(reply);
   stat_requests_error_.fetch_add(1, std::memory_order_relaxed);
-  send_frame(conn, FrameKind::kErrorReply, request_id, payload.data(),
-             payload.size(), completes);
+  enqueue_reply(conn, FrameKind::kErrorReply, request_id, payload.data(),
+                payload.size(), completes);
 }
 
-void Server::enqueue_reply(const ConnectionPtr& conn,
-                           std::vector<std::uint8_t>&& frame, bool completes) {
+void Server::enqueue_reply(const ConnectionPtr& conn, FrameKind kind,
+                           std::uint64_t request_id, const void* payload,
+                           std::size_t payload_bytes, bool completes) {
   bool notify = false;
   {
     std::lock_guard<std::mutex> lock(conn->write_mutex);
     // The inflight count-down happens here, under the same mutex as the
-    // queue push and the close check in flush_and_update: the owning io
-    // thread can never observe "queue empty + inflight 0" with this reply
-    // still unqueued, so the last reply on a read-closed connection is
-    // never dropped by an early close.
+    // append and the close check in flush_and_update: the owning io thread
+    // can never observe "buffer empty + inflight 0" with this reply still
+    // unqueued, so the last reply on a read-closed connection is never
+    // dropped by an early close.
     if (completes) conn->inflight.fetch_sub(1, std::memory_order_relaxed);
     if (!conn->closed) {
-      // Opportunistic direct write: with nothing queued ahead of it the
-      // frame can go straight to the kernel from this thread (the mutex
-      // serialises all writers of this socket) — the common case costs one
-      // sendmsg and zero reactor wakeups. Anything the kernel did not take
-      // is queued for the reactor to finish under EPOLLOUT.
-      std::size_t wrote = 0;
-      if (conn->write_queue.empty()) {
-        struct iovec iov;
-        iov.iov_base = frame.data();
-        iov.iov_len = frame.size();
+      const bool was_empty = conn->write_buf.empty();
+      append_frame(conn->write_buf, kind, request_id, payload, payload_bytes);
+      conn->write_queue_bytes.store(conn->write_buf.size(),
+                                    std::memory_order_relaxed);
+      stat_reply_frames_.fetch_add(1, std::memory_order_relaxed);
+      // With nothing queued ahead of it the frame goes straight to the
+      // kernel from this thread (the mutex serialises all writers of this
+      // socket): the common case costs one send and no reactor wakeup.
+      // Bytes queued ahead mean the socket is full, and the reactor sends
+      // them on EPOLLOUT together with this frame.
+      if (was_empty) {
         try {
-          wrote = conn->socket.write_some(&iov, 1);
+          send_queued(*conn);
         } catch (const SocketError&) {
-          // Hard error: queue the frame anyway; the reactor's flush hits
-          // the same error and closes the connection (only the owning io
+          // Hard error: leave the bytes queued; the reactor's send hits the
+          // same error and closes the connection (only the owning io
           // thread may close).
-          wrote = 0;
         }
-        if (wrote > 0)
-          stat_writev_calls_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (wrote >= frame.size()) {
-        stat_reply_frames_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        if (conn->write_queue.empty()) conn->write_head_offset = wrote;
-        conn->write_queue_bytes.fetch_add(frame.size() - wrote,
-                                          std::memory_order_relaxed);
-        conn->write_queue.push_back(std::move(frame));
       }
       // Wake the owning io thread only when there is reactor work left:
-      // unwritten bytes (arm EPOLLOUT), an engaged read gate that this
+      // unsent bytes (arm EPOLLOUT), an engaged read gate that this
       // completion may release (re-arm EPOLLIN), or a finished connection
       // to close.
-      const bool work_left = !conn->write_queue.empty();
+      const bool work_left = !conn->write_buf.empty();
       const bool gate_recheck = conn->read_gated;
       const bool close_ready =
           !work_left && conn->read_closed &&
@@ -820,6 +776,19 @@ void Server::enqueue_reply(const ConnectionPtr& conn,
     }
     io.wake.signal();
   }
+}
+
+void Server::send_queued(Connection& conn) {
+  std::vector<std::uint8_t>& buf = conn.write_buf;
+  const std::size_t wrote = conn.socket.write_some(buf.data(), buf.size());
+  if (wrote == 0) return;  // kernel send buffer full: wait for EPOLLOUT
+  stat_writev_calls_.fetch_add(1, std::memory_order_relaxed);
+  // A partial send means the kernel buffer just filled: the rest waits for
+  // EPOLLOUT, and the read gate keeps it near write_queue_cap.
+  buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(wrote));
+  if (buf.empty() && buf.capacity() > kReadBufBytes)
+    buf = std::vector<std::uint8_t>();
+  conn.write_queue_bytes.store(buf.size(), std::memory_order_relaxed);
 }
 
 }  // namespace pg::serve

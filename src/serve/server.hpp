@@ -15,10 +15,12 @@
 //                 frames decode straight from their bytes (a memory
 //                 io::Source) and try_push into the admission queue
 //                 (full queue => immediate kBusyReply backpressure)
-//        write:   replies append to a bounded per-connection write queue;
-//                 the owning io thread drains it with ONE gathered
-//                 sendmsg per readiness window, so replies completing in
-//                 the same batching window coalesce into one syscall
+//        write:   reply frames append to one contiguous byte buffer per
+//                 connection. The thread whose append finds it empty
+//                 sends right away; bytes the kernel does not take wait
+//                 for the owning io thread, which sends everything queued
+//                 in one send(2) on EPOLLOUT, so replies that pile up
+//                 behind a full socket leave together
 //        gate:    a connection whose admitted-but-unanswered requests
 //                 exceed conn_inflight_cap, or whose queued reply bytes
 //                 exceed write_queue_cap (a peer that never reads), stops
@@ -39,7 +41,7 @@
 // predict_one regardless of how graphs are coalesced, every reply is
 // bitwise-equal to a single-threaded in-process prediction no matter how
 // the batching window cut the traffic (tests/serve_test.cpp pins this).
-// Reply write coalescing moves bytes, never values: frames are concatenated
+// Reply buffering moves bytes, never values: frames are concatenated
 // verbatim, so the wire bytes are identical to one write_all per frame.
 //
 // The daemon's thread count is FIXED at io_threads + workers regardless of
@@ -146,12 +148,12 @@ struct ServerStats {
   std::uint64_t batches = 0;          // fused predict_batch calls
   std::uint64_t pings = 0;
   // Reactor counters. reply_frames / writev_calls is the write-coalescing
-  // ratio: frames that left in the same gathered sendmsg as a neighbour.
+  // ratio: how many frames one reply send carried on average.
   std::uint64_t accepts_dropped = 0;  // accept failures (EMFILE, ...) backed off
   std::uint64_t idle_closed = 0;      // connections reaped by the idle timer
   std::uint64_t read_gated = 0;       // times a connection's reads were paused
-  std::uint64_t writev_calls = 0;     // gathered reply-flush syscalls
-  std::uint64_t reply_frames = 0;     // reply frames fully written
+  std::uint64_t writev_calls = 0;     // reply sends that moved bytes
+  std::uint64_t reply_frames = 0;     // reply frames queued to live conns
   // Scheduler counters aggregated over every worker's engine shard (the
   // per-batch deltas of model::ScheduleStats): fused chunks dispatched,
   // node rows packed, and chunks run under intra-batch parallelism.
@@ -210,11 +212,12 @@ class Server {
     // the "still owed a reply" count that delays the final close).
     std::atomic<std::uint32_t> inflight{0};
 
-    // Write queue: workers append under write_mutex, the owning io thread
-    // drains with gathered writes. One deque entry == one reply frame.
+    // Unsent reply bytes, whole frames in reply order (the first possibly
+    // partly sent already has its sent prefix erased). Any thread appends
+    // and sends under write_mutex; write_queue_bytes mirrors its size for
+    // the lock-free read gate.
     std::mutex write_mutex;
-    std::deque<std::vector<std::uint8_t>> write_queue;
-    std::size_t write_head_offset = 0;  // bytes of the front frame written
+    std::vector<std::uint8_t> write_buf;
     std::atomic<std::size_t> write_queue_bytes{0};
     bool closed = false;  // fd gone — drop any further replies
     bool dirty = false;   // already queued on the io thread's dirty list
@@ -249,26 +252,28 @@ class Server {
   void handle_readable(IoThread& io, const ConnectionPtr& conn);
   void process_frame(const ConnectionPtr& conn, FrameAssembler::Frame&& frame);
   void reap_idle(IoThread& io);
-  /// Drains the write queue with gathered writes, then re-arms epoll
-  /// interest (EPOLLOUT while bytes remain, EPOLLIN unless gated/closed)
-  /// and closes the connection once it is fully finished. The single
-  /// point where epoll interest changes — io thread only.
+  /// Sends the queued reply bytes, then re-arms epoll interest (EPOLLOUT
+  /// while bytes remain, EPOLLIN unless gated/closed) and closes the
+  /// connection once it is fully finished. The single point where epoll
+  /// interest changes — io thread only.
   void flush_and_update(IoThread& io, const ConnectionPtr& conn);
   void close_connection(IoThread& io, const ConnectionPtr& conn);
   [[nodiscard]] bool read_gate_engaged(const Connection& conn) const;
 
-  // Replies (any thread): append to the write queue and wake the owner.
-  // `completes` marks the final answer to an admitted request — the
+  // Replies (any thread): append a frame to the connection's buffer, send
+  // it if nothing was queued ahead of it, and wake the owner if work is
+  // left. `completes` marks the final answer to an admitted request — the
   // inflight count-down happens inside enqueue_reply, under write_mutex,
   // so the close check can never race it.
-  void send_frame(const ConnectionPtr& conn, FrameKind kind,
-                  std::uint64_t request_id, const void* payload,
-                  std::size_t payload_bytes, bool completes = false);
+  void enqueue_reply(const ConnectionPtr& conn, FrameKind kind,
+                     std::uint64_t request_id, const void* payload,
+                     std::size_t payload_bytes, bool completes = false);
   void send_error(const ConnectionPtr& conn, std::uint64_t request_id,
                   ErrorCode code, const std::string& message,
                   bool completes = false);
-  void enqueue_reply(const ConnectionPtr& conn,
-                     std::vector<std::uint8_t>&& frame, bool completes);
+  /// One send(2) of conn.write_buf; erases what the kernel took. Caller
+  /// holds write_mutex. Throws SocketError on a hard error.
+  void send_queued(Connection& conn);
 
   enum class Enqueue { kOk, kBusy, kShuttingDown };
   Enqueue try_enqueue(Pending&& pending);

@@ -9,7 +9,6 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -131,16 +130,13 @@ Socket::ReadResult Socket::read_some(void* out, std::size_t n) {
   }
 }
 
-std::size_t Socket::write_some(const struct iovec* iov, int iovcnt) {
-  msghdr msg{};
-  msg.msg_iov = const_cast<struct iovec*>(iov);
-  msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
+std::size_t Socket::write_some(const void* data, std::size_t n) {
   while (true) {
-    const ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    const ssize_t w = ::send(fd_, data, n, MSG_NOSIGNAL);
     if (w >= 0) return static_cast<std::size_t>(w);
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
-    throw SocketError(errno_text("sendmsg failed"));
+    throw SocketError(errno_text("send failed"));
   }
 }
 

@@ -7,7 +7,9 @@
 // Two usage styles share the Socket class: the blocking reference client
 // keeps using read_exact/write_all, while the server's epoll reactor puts
 // sockets in nonblocking mode and drives them with read_some/write_some
-// behind EpollSet readiness events (see serve/server.hpp).
+// behind EpollSet readiness events (see serve/server.hpp). Each server
+// connection keeps its unsent replies in one contiguous buffer, so a single
+// span per write_some is all the reactor needs.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +17,6 @@
 #include <stdexcept>
 #include <string>
 
-struct iovec;        // <sys/uio.h>
 struct epoll_event;  // <sys/epoll.h>
 
 namespace pg::serve {
@@ -86,12 +87,10 @@ class Socket {
   /// throws SocketError on a hard error (reset, EBADF, ...).
   ReadResult read_some(void* out, std::size_t n);
 
-  /// One gathered sendmsg(2) over `iovcnt` buffers (MSG_NOSIGNAL). Returns
-  /// the bytes accepted by the kernel — 0 when the send buffer is full
-  /// (would-block) — and throws SocketError on a hard error. This is the
-  /// reactor's coalescing primitive: replies queued in the same batching
-  /// window go out in ONE syscall.
-  std::size_t write_some(const struct iovec* iov, int iovcnt);
+  /// One send(2) of up to `n` bytes on a nonblocking socket (MSG_NOSIGNAL).
+  /// Returns the bytes accepted by the kernel — 0 when the send buffer is
+  /// full (would-block) — and throws SocketError on a hard error.
+  std::size_t write_some(const void* data, std::size_t n);
 
  private:
   int fd_ = -1;

@@ -291,7 +291,11 @@ TEST(FrontendEdge, LongRunsOfSkippedLinesAndStrayBytesDoNotRecurse) {
   EXPECT_TRUE(defines.ok()) << defines.diagnostics.summary();
   const ParseResult stray = parse_source("int f(void) { return 1; }" + repeat("@", 100000));
   EXPECT_FALSE(stray.ok());
-  EXPECT_EQ(stray.diagnostics.entries().size(), 100000u);
+  // 100,000 stray bytes: the first kMaxErrors diagnostics plus one that
+  // says the rest were dropped.
+  ASSERT_EQ(stray.diagnostics.entries().size(), Diagnostics::kMaxErrors + 1);
+  EXPECT_EQ(stray.diagnostics.entries().back().message,
+            "too many errors; stopped reporting them");
 }
 
 TEST(FrontendEdge, ArrayRankPastTheInlineLimitIsAnError) {
