@@ -406,12 +406,11 @@ TEST(ServeReadGate, ConnectionThatNeverReadsIsGatedNotFatal) {
   server.stop();
 }
 
-TEST(ServeReadGate, QueuedReplyBytesGateReadsAndEveryPongArrives) {
-  // Reply-byte backpressure: a peer floods pings and reads nothing until the
-  // pongs have filled both kernel buffers and queued past write_queue_cap
-  // inside the server. Pings hold no inflight count, so only queued reply
-  // bytes can engage the read gate. Once the peer reads, every pong must
-  // arrive exactly once and in request order, through partial sends.
+/// Floods one connection with pings, reading nothing, until queued pong
+/// bytes past `write_queue_cap` engage the read gate; then reads to EOF and
+/// checks that every pong arrived exactly once and in request order.
+void flood_pings_until_gated(std::size_t write_queue_cap) {
+  SCOPED_TRACE("write_queue_cap " + std::to_string(write_queue_cap));
   const io::StoredSampleSet stored =
       io::load_sample_set(io::DatasetView(golden_path("corpus.pgds")));
   const model::CheckpointScalers scalers =
@@ -422,7 +421,7 @@ TEST(ServeReadGate, QueuedReplyBytesGateReadsAndEveryPongArrives) {
   serve::ServeConfig serve_config;
   serve_config.workers = 1;
   serve_config.io_threads = 1;
-  serve_config.write_queue_cap = 4096;  // the floor
+  serve_config.write_queue_cap = write_queue_cap;
   serve::Server server(model, scalers, serve_config);
   server.start();
 
@@ -466,27 +465,43 @@ TEST(ServeReadGate, QueuedReplyBytesGateReadsAndEveryPongArrives) {
   EXPECT_GT(server.stats().read_gated, 0u)
       << "queued reply bytes past write_queue_cap never engaged the gate";
 
-  // Read to EOF whatever arrives, so a wrong frame fails the test below
-  // instead of leaving the writer blocked on a full socket.
+  // Read to EOF or to the first wrong frame; no assertion may return
+  // before the writer is joined.
   std::uint64_t received = 0;
-  std::uint64_t mismatched = 0;
-  std::uint8_t header_bytes[serve::kFrameHeaderBytes];
-  while (socket.read_exact(header_bytes, sizeof header_bytes)) {
-    serve::FrameHeader header;
-    if (serve::decode_header(header_bytes, header) !=
-            serve::HeaderVerdict::kOk ||
-        header.kind != serve::FrameKind::kPongReply ||
-        header.payload_bytes != 0 || header.request_id != received)
-      ++mismatched;
-    ++received;
+  try {
+    std::uint8_t header_bytes[serve::kFrameHeaderBytes];
+    while (socket.read_exact(header_bytes, sizeof header_bytes)) {
+      serve::FrameHeader header;
+      if (serve::decode_header(header_bytes, header) !=
+              serve::HeaderVerdict::kOk ||
+          header.kind != serve::FrameKind::kPongReply ||
+          header.payload_bytes != 0 || header.request_id != received) {
+        ADD_FAILURE() << "reply " << received
+                      << " is not the next pong in request order";
+        break;
+      }
+      ++received;
+    }
+  } catch (const serve::SocketError& e) {
+    ADD_FAILURE() << "reader after " << received << " pongs: " << e.what();
   }
   socket.shutdown_write();  // a writer still blocked in send fails instead
   writer.join();
 
-  EXPECT_EQ(mismatched, 0u) << "pongs must be well-formed and in order";
   EXPECT_EQ(received, sent.load());
   EXPECT_EQ(server.stats().pings, sent.load());
   server.stop();
+}
+
+TEST(ServeReadGate, QueuedReplyBytesGateReadsAndEveryPongArrives) {
+  // Reply-byte backpressure: pings hold no inflight count, so only queued
+  // reply bytes can engage the read gate. At the 4096-byte floor the queue
+  // stays small enough that the kernel mostly takes it whole in one send.
+  // At 16 MiB it outgrows the largest kernel send buffer of a default
+  // Linux (tcp_wmem max 4 MiB), so sends go out partial and each must
+  // resume at the right byte.
+  flood_pings_until_gated(4096);
+  flood_pings_until_gated(std::size_t{16} << 20);
 }
 
 TEST_F(ServeFuzz, DegenerateStreams) {
