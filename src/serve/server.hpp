@@ -212,10 +212,10 @@ class Server {
     // the "still owed a reply" count that delays the final close).
     std::atomic<std::uint32_t> inflight{0};
 
-    // Unsent reply bytes, whole frames in reply order (the first possibly
-    // partly sent already has its sent prefix erased). Any thread appends
-    // and sends under write_mutex; write_queue_bytes mirrors its size for
-    // the lock-free read gate.
+    // Unsent reply bytes in reply order; a partial send erases the sent
+    // prefix, so the buffer may start mid-frame. Any thread appends and
+    // sends under write_mutex; write_queue_bytes mirrors its size for the
+    // lock-free read gate.
     std::mutex write_mutex;
     std::vector<std::uint8_t> write_buf;
     std::atomic<std::size_t> write_queue_bytes{0};
