@@ -3,10 +3,9 @@
 // OpenMP-parallel over sweep points.
 #include "dataset/generator.hpp"
 
-#include <omp.h>
-
 #include "frontend/parser.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -96,33 +95,30 @@ std::vector<RawDataPoint> generate_dataset(const sim::Platform& platform,
   for (std::size_t i = 0; i < sweep.size(); ++i) streams.push_back(master.split());
 
   std::vector<RawDataPoint> points(sweep.size());
-  bool parse_failure = false;
+  LoopFailures failures;
 #pragma omp parallel for schedule(dynamic, 4)
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& sp = sweep[i];
-    RawDataPoint point;
-    point.app = sp.spec->app;
-    point.kernel = sp.spec->kernel;
-    point.variant = std::string(variant_name(sp.variant));
-    point.app_id = app_id(sp.spec->app);
-    point.sizes = sp.sizes;
-    point.num_teams = sp.teams;
-    point.num_threads = sp.threads;
-    point.source =
-        instantiate_source(*sp.spec, sp.variant, sp.sizes, sp.teams, sp.threads);
+  for (std::size_t i = 0; i < sweep.size(); ++i)
+    failures.run(i, [&] {
+      const SweepPoint& sp = sweep[i];
+      RawDataPoint point;
+      point.app = sp.spec->app;
+      point.kernel = sp.spec->kernel;
+      point.variant = std::string(variant_name(sp.variant));
+      point.app_id = app_id(sp.spec->app);
+      point.sizes = sp.sizes;
+      point.num_teams = sp.teams;
+      point.num_threads = sp.threads;
+      point.source = instantiate_source(*sp.spec, sp.variant, sp.sizes,
+                                        sp.teams, sp.threads);
 
-    const frontend::ParseResult parsed = frontend::parse_source(point.source);
-    if (!parsed.ok()) {
-#pragma omp critical
-      parse_failure = true;
-      continue;
-    }
-    point.profile = sim::profile_kernel(parsed.root());
-    point.runtime_us =
-        sim::measure_runtime_us(point.profile, platform, streams[i], config.sim);
-    points[i] = std::move(point);
-  }
-  check(!parse_failure, "generated kernel source failed to parse");
+      const frontend::ParseResult parsed = frontend::parse_source(point.source);
+      check(parsed.ok(), "generated kernel source failed to parse");
+      point.profile = sim::profile_kernel(parsed.root());
+      point.runtime_us = sim::measure_runtime_us(point.profile, platform,
+                                                 streams[i], config.sim);
+      points[i] = std::move(point);
+    });
+  failures.rethrow();
   return points;
 }
 

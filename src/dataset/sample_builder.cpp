@@ -2,8 +2,6 @@
 // graph at the requested representation, encode, and split train/validation.
 #include "dataset/sample_builder.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <numeric>
@@ -11,6 +9,7 @@
 #include "frontend/parser.hpp"
 #include "model/encoding.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace pg::dataset {
@@ -80,10 +79,14 @@ model::SampleSet build_sample_set(const std::vector<RawDataPoint>& points,
 
   // Build all graphs in parallel (the expensive part: one parse per point).
   std::vector<graph::ProgramGraph> graphs(points.size());
+  LoopFailures failures;
 #pragma omp parallel for schedule(dynamic, 8)
   for (std::size_t i = 0; i < points.size(); ++i)
-    graphs[i] = build_point_graph(points[i], config.representation,
-                                  config.unknown_trip_fallback);
+    failures.run(i, [&] {
+      graphs[i] = build_point_graph(points[i], config.representation,
+                                    config.unknown_trip_fallback);
+    });
+  failures.rethrow();
 
   model::SampleSet set;
 

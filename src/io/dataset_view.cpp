@@ -4,12 +4,10 @@
 #include "io/dataset_view.hpp"
 
 #include <fcntl.h>
-#include <omp.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string_view>
@@ -17,6 +15,7 @@
 
 #include "io/format_detail.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 
 namespace pg::io {
 namespace {
@@ -306,28 +305,13 @@ StoredSampleSet load_sample_set(const DatasetView& view, int threads) {
   const std::size_t n = view.size();
   std::vector<model::TrainingSample> all(n);
 
-  // Disjoint shards decode concurrently; exceptions must not escape the
-  // parallel region, so the lowest-index failure is captured and rethrown —
-  // the same error single-threaded decoding would have hit first.
-  std::exception_ptr first_error;
-  std::size_t first_error_index = n;
-  const int team = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(static) num_threads(team)
-  for (std::int64_t idx = 0; idx < static_cast<std::int64_t>(n); ++idx) {
-    const auto i = static_cast<std::size_t>(idx);
-    try {
-      view.decode(i, all[i]);
-    } catch (...) {
-#pragma omp critical(pg_dataset_view_load_error)
-      {
-        if (first_error == nullptr || i < first_error_index) {
-          first_error = std::current_exception();
-          first_error_index = i;
-        }
-      }
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  // Disjoint shards decode concurrently; the lowest-index failure is the
+  // one rethrown — the same error single-threaded decoding would hit first.
+  LoopFailures failures;
+#pragma omp parallel for schedule(static) num_threads(team_size(threads))
+  for (std::size_t i = 0; i < n; ++i)
+    failures.run(i, [&] { view.decode(i, all[i]); });
+  failures.rethrow();
 
   // Assembly stays in record order whatever the thread count, so the result
   // is bit-for-bit the sequential read.
@@ -338,6 +322,18 @@ StoredSampleSet load_sample_set(const DatasetView& view, int threads) {
       out.set.validation.push_back(std::move(all[i]));
   }
   return out;
+}
+
+DatasetSampleStore::DatasetSampleStore(const DatasetView& view) : view_(view) {
+  for (std::size_t i = 0; i < view.size(); ++i)
+    if (view.split(i) == Split::kTrain) train_records_.push_back(i);
+}
+
+const model::TrainingSample& DatasetSampleStore::get(
+    std::size_t i, model::TrainingSample& scratch) const {
+  check(i < train_records_.size(), "SampleStore index out of range");
+  view_.decode(train_records_[i], scratch);
+  return scratch;
 }
 
 void reindex_dataset(const std::string& in_path, const std::string& out_path) {

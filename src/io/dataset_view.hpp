@@ -101,21 +101,26 @@ class DatasetView {
 /// thread-count-independent.
 StoredSampleSet load_sample_set(const DatasetView& view, int threads = 0);
 
-/// model::SampleStore over a DatasetView: load(i) decodes record i on
-/// demand (out-of-core training never materialises the corpus).
+/// model::SampleStore over the train-split records of a DatasetView, in
+/// record order — the order of load_sample_set(view).set.train. get(i)
+/// decodes the i-th train record into the caller's scratch on demand
+/// (out-of-core training never materialises the corpus). Construction
+/// reads only the split tags of the index (or the v1 scan).
 class DatasetSampleStore final : public model::SampleStore {
  public:
   /// Borrows `view`; it must outlive the store.
-  explicit DatasetSampleStore(const DatasetView& view) : view_(view) {}
+  explicit DatasetSampleStore(const DatasetView& view);
 
-  [[nodiscard]] std::size_t size() const override { return view_.size(); }
-
-  void load(std::size_t i, model::TrainingSample& out) const override {
-    view_.decode(i, out);
+  [[nodiscard]] std::size_t size() const override {
+    return train_records_.size();
   }
+
+  [[nodiscard]] const model::TrainingSample& get(
+      std::size_t i, model::TrainingSample& scratch) const override;
 
  private:
   const DatasetView& view_;
+  std::vector<std::size_t> train_records_;  // record index of each sample
 };
 
 /// Rewrites the .pgds at `in_path` as format v2 at `out_path`: header and

@@ -13,17 +13,16 @@
 // wasted cores on small batches and unbalanced skewed ones.)
 #include "model/trainer.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
-#include <exception>
+#include <limits>
 #include <numeric>
 
 #include "model/engine.hpp"
 #include "model/graph_batch.hpp"
 #include "model/schedule.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -68,12 +67,12 @@ struct ChunkState {
   std::vector<double> targets;
 };
 
-/// The optimisation core shared by the in-RAM and streaming trainers: one
-/// call is one mini-batch step — cost-balanced chunk partition, parallel
-/// fused chunk gradients, ordered reduction, one Adam update. Every FP
-/// operation is a pure function of the batch's samples and costs (never of
-/// where the samples live or how many threads run), which is what makes
-/// train_model_streaming bitwise-equal to train_model.
+/// The optimisation core of the training loop: one call is one mini-batch
+/// step — cost-balanced chunk partition, parallel fused chunk gradients,
+/// ordered reduction, one Adam update. Every FP operation is a pure
+/// function of the batch's samples and costs (never of where the samples
+/// live or how many threads run), which is what makes the trained model
+/// independent of the store, the window size and the thread count.
 class BatchStepper {
  public:
   BatchStepper(ParaGraphModel& model, const nn::AdamConfig& adam_config)
@@ -162,107 +161,13 @@ std::vector<double> predict_all(const ParaGraphModel& model,
 
 TrainResult train_model(ParaGraphModel& model, const SampleSet& set,
                         const TrainConfig& config) {
-  check(!set.train.empty(), "train_model: empty training set");
-  check(config.batch_size > 0 && config.epochs > 0, "train_model: bad config");
-
-  nn::AdamConfig adam_config;
-  adam_config.learning_rate = config.learning_rate;
-  BatchStepper stepper(model, adam_config);
-  InferenceEngine eval_engine(model);
-
-  std::vector<std::size_t> order(set.train.size());
-  std::iota(order.begin(), order.end(), 0);
-  pg::Rng shuffle_rng(config.shuffle_seed);
-
-  // Per-sample cost under the scheduling model, indexed like set.train;
-  // batch chunk boundaries derive from these alone (thread-independent).
-  std::vector<std::uint64_t> sample_cost(set.train.size());
-  for (std::size_t i = 0; i < set.train.size(); ++i)
-    sample_cost[i] = schedule::graph_cost(set.train[i].graph);
-  std::vector<const TrainingSample*> batch_samples;
-  std::vector<std::uint64_t> batch_costs;
-
-  // Normalisation range over the *runtime* domain (the scaler may be in
-  // log space when set.log_target is on).
-  double min_runtime = set.train.front().runtime_us;
-  double max_runtime = min_runtime;
-  for (const auto& sample : set.train) {
-    min_runtime = std::min(min_runtime, sample.runtime_us);
-    max_runtime = std::max(max_runtime, sample.runtime_us);
-  }
-  const double actual_range = max_runtime - min_runtime;
-  TrainResult result;
-  result.history.reserve(config.epochs);
-
-  for (int epoch = 1; epoch <= config.epochs; ++epoch) {
-    shuffle_rng.shuffle(order);
-    double epoch_loss = 0.0;
-
-    for (std::size_t start = 0; start < order.size();
-         start += static_cast<std::size_t>(config.batch_size)) {
-      const std::size_t end =
-          std::min(order.size(), start + static_cast<std::size_t>(config.batch_size));
-      batch_samples.clear();
-      batch_costs.clear();
-      for (std::size_t i = start; i < end; ++i) {
-        batch_samples.push_back(&set.train[order[i]]);
-        batch_costs.push_back(sample_cost[order[i]]);
-      }
-      stepper.step(batch_samples, batch_costs, epoch_loss);
-    }
-
-    EpochRecord record;
-    record.epoch = epoch;
-    record.train_mse_scaled = epoch_loss / static_cast<double>(order.size());
-    const bool last_epoch = (epoch == config.epochs);
-    record.val_rmse_us = evaluate_rmse_us(
-        eval_engine, set.validation, set,
-        last_epoch ? &result.val_predictions_us : nullptr);
-    record.val_norm_rmse =
-        actual_range > 0.0 ? record.val_rmse_us / actual_range : 0.0;
-    result.history.push_back(record);
-    if (config.on_epoch) config.on_epoch(epoch, record.train_mse_scaled,
-                                         record.val_rmse_us);
-  }
-
-  if (!result.history.empty()) {
-    result.final_rmse_us = result.history.back().val_rmse_us;
-    result.final_norm_rmse = result.history.back().val_norm_rmse;
-  }
-  return result;
+  // The streaming loop with one window over the set's own samples:
+  // VectorSampleStore hands them out in place, so nothing is copied.
+  const VectorSampleStore store(set.train);
+  return train_model_streaming(
+      model, store, set,
+      StreamTrainConfig{config, std::numeric_limits<std::size_t>::max()});
 }
-
-namespace {
-
-/// Runs fn(i) for i in [lo, hi) across `threads` workers (0 = omp default)
-/// without letting an exception escape the parallel region: the failure at
-/// the lowest index — the one a sequential pass would have hit first — is
-/// rethrown after the join, so corrupt-record errors are deterministic.
-template <typename Fn>
-void parallel_load(std::size_t lo, std::size_t hi, int threads, Fn&& fn) {
-  std::exception_ptr first_error;
-  std::size_t first_error_index = hi;
-  const int team = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(static) num_threads(team)
-  for (std::int64_t idx = static_cast<std::int64_t>(lo);
-       idx < static_cast<std::int64_t>(hi); ++idx) {
-    const auto i = static_cast<std::size_t>(idx);
-    try {
-      fn(i);
-    } catch (...) {
-#pragma omp critical(pg_trainer_parallel_load_error)
-      {
-        if (first_error == nullptr || i < first_error_index) {
-          first_error = std::current_exception();
-          first_error_index = i;
-        }
-      }
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-}  // namespace
 
 TrainResult train_model_streaming(ParaGraphModel& model,
                                   const SampleStore& train_store,
@@ -270,15 +175,14 @@ TrainResult train_model_streaming(ParaGraphModel& model,
                                   const StreamTrainConfig& config) {
   const TrainConfig& base = config.base;
   const std::size_t n = train_store.size();
-  check(n > 0, "train_model_streaming: empty training store");
-  check(base.batch_size > 0 && base.epochs > 0,
-        "train_model_streaming: bad config");
+  check(n > 0, "train_model: empty training set");
+  check(base.batch_size > 0 && base.epochs > 0, "train_model: bad config");
 
   const auto batch = static_cast<std::size_t>(base.batch_size);
   // Round the window down to whole batches (minimum one batch): batch
-  // boundaries then coincide exactly with train_model's, and since one
-  // step only ever sees its own batch, streaming matches the in-RAM
-  // trainer bit for bit at every window size.
+  // boundaries then fall every `batch` positions of the shuffled order
+  // whatever the window, and since one step only ever sees its own batch,
+  // the trained model is bitwise the same at every window size.
   std::size_t window = std::max(config.window, batch);
   window -= window % batch;
 
@@ -287,35 +191,39 @@ TrainResult train_model_streaming(ParaGraphModel& model,
   BatchStepper stepper(model, adam_config);
   InferenceEngine eval_engine(model);
 
-  // Prepass: one parallel sweep decodes each sample once for the two
+  // Prepass: one parallel sweep fetches each sample once for the two
   // whole-corpus facts the loop needs — the schedule cost (chunk
-  // partitioning) and the runtime range (RMSE normalisation). Samples are
-  // dropped immediately; only two scalars per record stay resident.
+  // partitioning) and the runtime range (RMSE normalisation). Decoded
+  // samples are dropped immediately; only two scalars per record stay
+  // resident.
   std::vector<std::uint64_t> sample_cost(n);
   std::vector<double> runtime_us(n);
   {
-    // Per-iteration local sample: allocation is churned here, but the
-    // prepass runs once; the epoch loop below reuses its window slots.
-    parallel_load(0, n, config.load_threads, [&](std::size_t i) {
-      TrainingSample sample;
-      train_store.load(i, sample);
-      sample_cost[i] = schedule::graph_cost(sample.graph);
-      runtime_us[i] = sample.runtime_us;
-    });
+    LoopFailures failures;
+#pragma omp parallel for schedule(static)
+    for (std::size_t i = 0; i < n; ++i)
+      failures.run(i, [&] {
+        TrainingSample scratch;
+        const TrainingSample& sample = train_store.get(i, scratch);
+        sample_cost[i] = schedule::graph_cost(sample.graph);
+        runtime_us[i] = sample.runtime_us;
+      });
+    failures.rethrow();
   }
-  double min_runtime = runtime_us.front();
-  double max_runtime = min_runtime;
-  for (const double r : runtime_us) {
-    min_runtime = std::min(min_runtime, r);
-    max_runtime = std::max(max_runtime, r);
-  }
-  const double actual_range = max_runtime - min_runtime;
+  // Normalisation range over the *runtime* domain (the scaler may be in
+  // log space when holdout.log_target is on).
+  const auto [min_runtime, max_runtime] =
+      std::minmax_element(runtime_us.begin(), runtime_us.end());
+  const double actual_range = *max_runtime - *min_runtime;
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   pg::Rng shuffle_rng(base.shuffle_seed);
 
-  std::vector<TrainingSample> slots(std::min(window, n));
+  // One scratch slot per window position; window_samples[k] points at
+  // that slot or at the store's own sample.
+  std::vector<TrainingSample> scratch(std::min(window, n));
+  std::vector<const TrainingSample*> window_samples(scratch.size());
   std::vector<const TrainingSample*> batch_samples;
   std::vector<std::uint64_t> batch_costs;
 
@@ -326,25 +234,31 @@ TrainResult train_model_streaming(ParaGraphModel& model,
     shuffle_rng.shuffle(order);
     double epoch_loss = 0.0;
 
-    for (std::size_t seg_lo = 0; seg_lo < n; seg_lo += window) {
-      const std::size_t seg_hi = std::min(n, seg_lo + window);
-      // Fill the window: workers decode disjoint shards of the shuffled
-      // order into fixed slots. load() is deterministic, so the window
+    for (std::size_t seg_lo = 0; seg_lo < n;) {
+      const std::size_t seg_hi = seg_lo + std::min(window, n - seg_lo);
+      // Fill the window: workers fetch disjoint shards of the shuffled
+      // order into fixed slots. get() is deterministic, so the window
       // contents — and everything downstream — are thread-independent.
-      parallel_load(seg_lo, seg_hi, config.load_threads, [&](std::size_t j) {
-        train_store.load(order[j], slots[j - seg_lo]);
-      });
+      LoopFailures failures;
+#pragma omp parallel for schedule(static)
+      for (std::size_t j = seg_lo; j < seg_hi; ++j)
+        failures.run(j, [&] {
+          window_samples[j - seg_lo] =
+              &train_store.get(order[j], scratch[j - seg_lo]);
+        });
+      failures.rethrow();
 
       for (std::size_t start = seg_lo; start < seg_hi; start += batch) {
         const std::size_t end = std::min(seg_hi, start + batch);
         batch_samples.clear();
         batch_costs.clear();
         for (std::size_t i = start; i < end; ++i) {
-          batch_samples.push_back(&slots[i - seg_lo]);
+          batch_samples.push_back(window_samples[i - seg_lo]);
           batch_costs.push_back(sample_cost[order[i]]);
         }
         stepper.step(batch_samples, batch_costs, epoch_loss);
       }
+      seg_lo = seg_hi;
     }
 
     EpochRecord record;
@@ -361,10 +275,8 @@ TrainResult train_model_streaming(ParaGraphModel& model,
       base.on_epoch(epoch, record.train_mse_scaled, record.val_rmse_us);
   }
 
-  if (!result.history.empty()) {
-    result.final_rmse_us = result.history.back().val_rmse_us;
-    result.final_norm_rmse = result.history.back().val_norm_rmse;
-  }
+  result.final_rmse_us = result.history.back().val_rmse_us;
+  result.final_norm_rmse = result.history.back().val_norm_rmse;
   return result;
 }
 

@@ -2,8 +2,13 @@
 // is split into contiguous cost-balanced chunks (model/schedule.hpp; a pure
 // function of the batch, never of the OpenMP thread count); every chunk runs
 // one fused block-diagonal forward/backward into its own gradient buffer,
-// and the buffers are reduced in chunk order. Training is therefore bitwise-reproducible across
-// machines and thread counts.
+// and the buffers are reduced in chunk order. Training is therefore
+// bitwise-reproducible across machines and thread counts.
+//
+// There is one epoch loop, train_model_streaming, which pulls samples from a
+// SampleStore through a bounded window. train_model is that loop over a
+// VectorSampleStore of the set's own samples with one window spanning the
+// corpus, so in-RAM training copies no sample.
 #pragma once
 
 #include <cstddef>
@@ -49,32 +54,32 @@ std::vector<double> predict_all(const ParaGraphModel& model,
                                 const std::vector<TrainingSample>& samples,
                                 const SampleSet& set);
 
+/// Trains on set.train and evaluates on set.validation after every epoch:
+/// train_model_streaming over a VectorSampleStore(set.train) with a window
+/// that covers the whole corpus.
 TrainResult train_model(ParaGraphModel& model, const SampleSet& set,
                         const TrainConfig& config);
 
-/// Out-of-core streaming trainer configuration. `window` bounds how many
-/// decoded training samples are resident at once; it is rounded down to a
-/// whole number of batches (minimum one batch) so batch boundaries coincide
-/// exactly with the in-RAM trainer's.
+/// Training-loop configuration. `window` bounds how many samples a store
+/// must keep decoded at once; it is rounded down to a whole number of
+/// batches (minimum one batch) so batch boundaries never depend on it.
 struct StreamTrainConfig {
   TrainConfig base;
   std::size_t window = 4096;
-  /// Worker count for the parallel window fills and the cost prepass;
-  /// 0 = the OpenMP default. Loading is pure (SampleStore::load is
-  /// deterministic), so this knob never changes the trained model.
-  int load_threads = 0;
 };
 
-/// Trains by streaming epochs through a bounded window of samples decoded
-/// on demand from `train_store` (e.g. an mmap-backed io::DatasetSampleStore)
-/// instead of holding the corpus in RAM. `holdout` supplies the fitted
-/// scalers and the (in-RAM) validation samples for per-epoch evaluation.
+/// The training loop. Streams epochs through a bounded window of samples
+/// fetched from `train_store` — decoded on demand from an mmap-backed
+/// io::DatasetSampleStore, or handed out in place by a VectorSampleStore.
+/// `holdout` supplies the fitted scalers and the (in-RAM) validation
+/// samples for per-epoch evaluation. Window fills and the cost prepass run
+/// on the OpenMP default team.
 ///
 /// Determinism contract: the shuffled index order, batch boundaries, chunk
-/// partition, and every FP operation are identical to train_model over the
-/// same samples/seed — for *any* window size — so the resulting model is
-/// bitwise-equal to the in-RAM trainer's, independent of window, thread
-/// count, and run-to-run.
+/// partition, and every FP operation depend only on the samples, their
+/// order in the store and the seed — never on the window size, the store's
+/// backing or the thread count — so training the same samples from a
+/// .pgds file or from RAM gives a bitwise-equal model, run to run.
 TrainResult train_model_streaming(ParaGraphModel& model,
                                   const SampleStore& train_store,
                                   const SampleSet& holdout,

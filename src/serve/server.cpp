@@ -388,6 +388,11 @@ bool Server::read_gate_engaged(const Connection& conn) const {
 
 void Server::handle_readable(IoThread& io, const ConnectionPtr& conn) {
   conn->last_activity = Clock::now();
+  // Stored under write_mutex: enqueue_reply reads the flag on workers.
+  const auto mark_read_closed = [&conn] {
+    std::lock_guard<std::mutex> lock(conn->write_mutex);
+    conn->read_closed = true;
+  };
   std::vector<FrameAssembler::Frame> frames;
   try {
     while (!conn->read_closed) {
@@ -401,7 +406,7 @@ void Server::handle_readable(IoThread& io, const ConnectionPtr& conn) {
           conn->socket.read_some(io.read_buf.data(), io.read_buf.size());
       if (r.status == Socket::ReadStatus::kWouldBlock) break;
       if (r.status == Socket::ReadStatus::kEof) {
-        conn->read_closed = true;
+        mark_read_closed();
         break;
       }
 
@@ -434,7 +439,7 @@ void Server::handle_readable(IoThread& io, const ConnectionPtr& conn) {
           case HeaderVerdict::kOk:
             break;  // unreachable: consume() only fails on a bad verdict
         }
-        conn->read_closed = true;
+        mark_read_closed();
         break;
       }
       // A short read drained the socket; the next readiness event (level-

@@ -201,7 +201,9 @@ class Server {
     Socket socket;
     std::size_t io_index = 0;  // owning io thread
 
-    // Read-side state: touched ONLY by the owning io thread.
+    // Read-side state, written only by the owning io thread. read_closed
+    // and read_gated are written under write_mutex too: enqueue_reply reads
+    // both on worker threads.
     FrameAssembler assembler;
     Clock::time_point last_activity{};
     bool read_closed = false;     // peer EOF or fatal framing error

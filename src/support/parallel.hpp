@@ -17,12 +17,19 @@
 //   - n < 2 * grain — too little work to amortise a fork/join.
 // `grain` is the minimum per-block work in the caller's units (rows,
 // groups, elements); blocks never shrink below it.
+//
+// LoopFailures is the one way a parallel loop reports a failing iteration:
+// an exception must not leave an OpenMP region (that calls std::terminate),
+// so each iteration body runs inside run(i, ...) and rethrow() after the
+// loop throws the failure at the lowest index — the one a serial pass would
+// have hit first — whatever the thread count or schedule.
 #pragma once
 
 #include <omp.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <exception>
 
 namespace pg {
 
@@ -57,5 +64,46 @@ void parallel_for_blocks(std::size_t n, std::size_t grain, Fn&& fn) {
     fn(lo, hi);
   }
 }
+
+/// Worker count for a loop that pins its team: `threads` > 0 as given,
+/// otherwise the OpenMP default.
+inline int team_size(int threads) {
+  return threads > 0 ? threads : omp_get_max_threads();
+}
+
+/// Keeps the lowest-index exception thrown by the iterations of a parallel
+/// loop (see the file comment). The loop and its schedule stay at the call
+/// site:
+///
+///   LoopFailures failures;
+///   #pragma omp parallel for schedule(dynamic, 8)
+///   for (std::size_t i = 0; i < n; ++i) failures.run(i, [&] { work(i); });
+///   failures.rethrow();
+class LoopFailures {
+ public:
+  /// Runs fn() as iteration `i`; an exception it throws is kept, not
+  /// propagated.
+  template <typename Fn>
+  void run(std::size_t i, Fn&& fn) noexcept {
+    try {
+      fn();
+    } catch (...) {
+#pragma omp critical(pg_loop_failures)
+      if (error_ == nullptr || i < index_) {
+        error_ = std::current_exception();
+        index_ = i;
+      }
+    }
+  }
+
+  /// After the loop: rethrows the lowest-index failure, if any.
+  void rethrow() const {
+    if (error_ != nullptr) std::rethrow_exception(error_);
+  }
+
+ private:
+  std::exception_ptr error_;
+  std::size_t index_ = 0;
+};
 
 }  // namespace pg

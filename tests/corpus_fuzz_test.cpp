@@ -183,12 +183,14 @@ TEST(CorpusFuzz, FlippedBodyBitsAreRejectedByEveryLoad) {
   // The low bit of every 7th record-body byte of the golden corpus, one
   // mutant each: the index stays intact, so open succeeds, and the record's
   // checksum must stop both the whole-corpus load and the one-record
-  // decode the out-of-core trainer uses.
+  // decode the out-of-core trainer uses (its store serves train records
+  // only, by their ordinal among them).
   const std::string golden = slurp(std::string(PG_GOLDEN_DIR) + "/corpus.pgds");
   const DatasetView clean(golden.data(), golden.size());
   ASSERT_TRUE(clean.has_checksums());
   std::size_t mutants = 0;
   std::size_t stride_at = 0;  // body bytes seen, across records
+  std::size_t train_ordinal = 0;  // train records before record r
   for (std::size_t r = 0; r < clean.size(); ++r) {
     const auto first = static_cast<std::size_t>(clean.record_offset(r)) + 12;
     const auto end = static_cast<std::size_t>(clean.record_offset(r) +
@@ -202,11 +204,15 @@ TEST(CorpusFuzz, FlippedBodyBitsAreRejectedByEveryLoad) {
       const DatasetView view(heap.get(), mutant.size());
       EXPECT_THROW((void)load_sample_set(view, 1), FormatError)
           << "record " << r << " byte " << at;
-      model::TrainingSample sample;
-      EXPECT_THROW(DatasetSampleStore(view).load(r, sample), FormatError)
-          << "record " << r << " byte " << at;
+      if (clean.split(r) == Split::kTrain) {
+        const DatasetSampleStore store(view);
+        model::TrainingSample scratch;
+        EXPECT_THROW((void)store.get(train_ordinal, scratch), FormatError)
+            << "record " << r << " byte " << at;
+      }
       ++mutants;
     }
+    if (clean.split(r) == Split::kTrain) ++train_ordinal;
   }
   // Four records of 7-8 kB of bodies each: thousands of mutants.
   EXPECT_GT(mutants, 4000u);

@@ -7,6 +7,7 @@
 // (or two trained models) are "equal" iff their serialized bytes are equal,
 // which is exactly the property the paper's corpus pipeline depends on.
 #include <gtest/gtest.h>
+#include <omp.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -262,6 +263,35 @@ TEST(CorpusIo, ParallelLoadRoundTripsAndIsThreadCountInvariant) {
   }
 }
 
+TEST(CorpusIo, SampleStoreServesTrainRecordsInRecordOrder) {
+  // Splits interleaved on disk: the store must skip validation records and
+  // serve exactly load_sample_set's train list, in the same order.
+  const auto set = make_set(7, 5, 9);
+  std::ostringstream os(std::ios::binary);
+  {
+    DatasetWriter writer(os, DatasetMeta::scalers_from(set));
+    for (std::size_t i = 0; i < set.train.size(); ++i) {
+      if (i < set.validation.size())
+        writer.append(set.validation[i], Split::kValidation);
+      writer.append(set.train[i], Split::kTrain);
+    }
+    writer.finish();
+  }
+  for (std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
+    const std::string bytes =
+        version == 1 ? test_io::strip_to_v1(os.str()) : os.str();
+    DatasetView view(bytes.data(), bytes.size());
+    const DatasetSampleStore store(view);
+    ASSERT_EQ(store.size(), set.train.size()) << "v" << version;
+    model::TrainingSample scratch;
+    for (std::size_t i = 0; i < store.size(); ++i)
+      EXPECT_EQ(sample_bytes(store.get(i, scratch)),
+                sample_bytes(set.train[i]))
+          << "v" << version << " sample " << i;
+    EXPECT_THROW((void)store.get(store.size(), scratch), InternalError);
+  }
+}
+
 // --- reindex --------------------------------------------------------------
 
 TEST(CorpusIo, ReindexMatchesNativeV2Writer) {
@@ -438,18 +468,20 @@ TEST(StreamingTrainer, SmallWindowsStayBitwiseIdentical) {
 TEST(StreamingTrainer, LoadThreadCountNeverChangesTheModel) {
   const auto set = make_set(17, 5, 14);
   const model::VectorSampleStore store(set.train);
+  const int default_threads = omp_get_max_threads();
   std::string want;
   for (int threads : {1, 3}) {
+    omp_set_num_threads(threads);
     model::ParaGraphModel streamed(tiny_model());
     model::StreamTrainConfig stream;
     stream.base = small_train_config();
     stream.window = 8;
-    stream.load_threads = threads;
     (void)model::train_model_streaming(streamed, store, set, stream);
     const std::string got = checkpoint_bytes(streamed, set);
     if (want.empty()) want = got;
     EXPECT_EQ(got, want) << "threads " << threads;
   }
+  omp_set_num_threads(default_threads);
 }
 
 TEST(StreamingTrainer, TrainsOutOfCoreFromAnMmappedV2Corpus) {
@@ -461,22 +493,8 @@ TEST(StreamingTrainer, TrainsOutOfCoreFromAnMmappedV2Corpus) {
 
   const TempFile file(set_bytes(set, 2));
   DatasetView view(file.path());
-  // The view holds the full stream order (train then validation); build a
-  // train-only store via the index prefix.
-  ASSERT_EQ(view.split(set.train.size() - 1), Split::kTrain);
-  class PrefixStore final : public model::SampleStore {
-   public:
-    PrefixStore(const DatasetView& view, std::size_t n) : view_(view), n_(n) {}
-    std::size_t size() const override { return n_; }
-    void load(std::size_t i, model::TrainingSample& out) const override {
-      view_.decode(i, out);
-    }
-
-   private:
-    const DatasetView& view_;
-    std::size_t n_;
-  };
-  const PrefixStore store(view, set.train.size());
+  const DatasetSampleStore store(view);
+  ASSERT_EQ(store.size(), set.train.size());
 
   model::ParaGraphModel streamed(tiny_model());
   model::StreamTrainConfig stream;

@@ -335,6 +335,17 @@ TEST(SampleBuilder, EmptyDatasetThrows) {
   EXPECT_THROW(build_sample_set({}, {}), InternalError);
 }
 
+TEST(SampleBuilder, UnparsableSourceThrowsInsteadOfAborting) {
+  // Graphs are built in a parallel loop; a point whose source does not
+  // parse must surface as an exception from build_sample_set, never as
+  // std::terminate out of the OpenMP region.
+  auto points = generate_dataset(sim::summit_v100(), smoke_config());
+  ASSERT_GT(points.size(), 40u);
+  points[5].source = "void broken( {";
+  points[37].source = "for (;;";
+  EXPECT_THROW(build_sample_set(points, {}), InternalError);
+}
+
 // ----------------------------------------------------------- corpus cache ---
 
 /// A set's samples, split partition and scalers as bytes: two sets are

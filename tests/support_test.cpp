@@ -1,20 +1,62 @@
-// Tests for src/support: rng, stats, table, csv, env, check.
+// Tests for src/support: rng, stats, table, csv, env, check, parallel.
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/csv.hpp"
 #include "support/env.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace pg {
 namespace {
+
+// ------------------------------------------------------------- parallel ---
+
+TEST(LoopFailures, LowestFailingIndexIsRethrownAtAnyThreadCount) {
+  const int default_threads = omp_get_max_threads();
+  for (int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    LoopFailures failures;
+    std::vector<int> done(64, 0);
+#pragma omp parallel for schedule(dynamic, 1)
+    for (std::size_t i = 0; i < done.size(); ++i)
+      failures.run(i, [&] {
+        if (i == 41) throw std::runtime_error("index 41");
+        if (i == 9) throw std::runtime_error("index 9");
+        done[i] = 1;
+      });
+    try {
+      failures.rethrow();
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 9") << threads << " threads";
+    }
+    // A failure stops only its own iteration.
+    EXPECT_EQ(std::count(done.begin(), done.end(), 1), 62) << threads;
+  }
+  omp_set_num_threads(default_threads);
+}
+
+TEST(LoopFailures, LoopWithoutFailureDoesNotThrow) {
+  LoopFailures failures;
+  std::vector<int> done(32, 0);
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < done.size(); ++i)
+    failures.run(i, [&] { done[i] = 1; });
+  EXPECT_NO_THROW(failures.rethrow());
+  EXPECT_EQ(std::count(done.begin(), done.end(), 1), 32);
+}
 
 // ---------------------------------------------------------------- check ---
 
