@@ -567,6 +567,102 @@ TEST(RgatConv, SkippingInputGradientKeepsParameterGradientsBitwise) {
   }
 }
 
+/// A seeded random multigraph over n nodes. Every relation but the last is
+/// single-edge: each node is a destination with probability 1/2, fed by one
+/// uniform source, so fan-out, self-loops and destination-only rows all
+/// occur (and some relations come out empty). The last relation has fan-in:
+/// random edges plus a parallel pair and a self-loop, so it runs attention.
+RelationalGraph random_relational_graph(pg::Rng& rng, std::size_t n,
+                                        std::size_t relations) {
+  RelationalGraph g;
+  g.num_nodes = n;
+  const auto last = static_cast<std::int64_t>(n) - 1;
+  for (std::size_t r = 0; r + 1 < relations; ++r) {
+    std::vector<RelEdge> edges;
+    for (std::uint32_t v = 0; v < n; ++v)
+      if (rng.uniform() < 0.5)
+        edges.push_back({static_cast<std::uint32_t>(rng.uniform_int(0, last)),
+                         v, static_cast<float>(rng.uniform(0.1, 1.0))});
+    g.relations.push_back(RelationEdges::from_edges(edges, n));
+  }
+  std::vector<RelEdge> edges = random_edges(rng, 0, last, 2 * last);
+  const auto v = static_cast<std::uint32_t>(rng.uniform_int(0, last));
+  edges.push_back({0, v, 0.5f});
+  edges.push_back({0, v, 0.5f});
+  edges.push_back({v, v, 1.0f});
+  g.relations.push_back(RelationEdges::from_edges(edges, n));
+  return g;
+}
+
+TEST(RgatConv, GradientsMatchRecordedHash) {
+  // Layer pin: the exact bytes of the forward output, every parameter
+  // gradient (accumulated across calls, as the trainer does) and dL/dx,
+  // over random_relational_graph, for dense inputs (a third of them zero,
+  // for the sparse-row path) and for one-hot inputs through
+  // backward_params. Any change to the layer's FP sequence moves the hash;
+  // skipping work whose result is never read must not. Widths 8 and 24
+  // take the templated-width kernels, 10 and 7 the runtime-width ones.
+  constexpr std::size_t kRelations = 4;
+  const struct {
+    std::size_t in;
+    std::size_t out;
+    bool relu;
+    std::uint64_t hash;
+  } pins[] = {
+      {48, 24, true, 0x560158acc97761deULL},
+      {24, 24, true, 0x6987f8f6771e4c4dULL},
+      {10, 10, false, 0x7778c0e12e4c9d28ULL},
+      {7, 8, true, 0xe9ba07d1a014dbb3ULL},
+  };
+  for (const auto& pin : pins) {
+    pg::Rng rng(91 + pin.in);
+    const RgatConv conv(pin.in, pin.out, kRelations, rng, pin.relu);
+    std::vector<tensor::Matrix> grads;
+    for (const auto* p : conv.parameters())
+      grads.emplace_back(p->rows(), p->cols());
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](const tensor::Matrix& m) {
+      const auto* bytes = reinterpret_cast<const unsigned char*>(m.data().data());
+      for (std::size_t i = 0; i < m.size() * sizeof(float); ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ULL;
+      }
+    };
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(2, 150));
+      const RelationalGraph g = random_relational_graph(rng, n, kRelations);
+      ASSERT_FALSE(g.relations.back().all_single_edge());
+      tensor::Matrix dy(n, pin.out);
+      tensor::uniform_init(dy, rng, -1.0f, 1.0f);
+      tensor::Workspace ws;
+      RgatConv::Cache cache;
+
+      tensor::Matrix x(n, pin.in);
+      tensor::uniform_init(x, rng, -1.0f, 1.0f);
+      for (float& v : x.data())
+        if (rng.uniform() < 0.33) v = 0.0f;
+      mix(conv.forward(x, g, cache, ws));
+      mix(conv.backward(dy, g, cache, grads, ws));
+      for (const tensor::Matrix& grad : grads) mix(grad);
+
+      ws.reset();
+      std::vector<std::uint8_t> kinds(n);
+      std::vector<float> literals(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        kinds[i] = static_cast<std::uint8_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(pin.in) - 2));
+        literals[i] =
+            rng.uniform() < 0.5 ? 0.0f : static_cast<float>(rng.uniform(-2, 2));
+      }
+      mix(conv.forward(OneHotRows{kinds, literals}, g, cache, ws));
+      conv.backward_params(dy, g, cache, grads, ws);
+      for (const tensor::Matrix& grad : grads) mix(grad);
+    }
+    EXPECT_EQ(h, pin.hash) << "in " << pin.in << " out " << pin.out
+                           << ": 0x" << std::hex << h;
+  }
+}
+
 TEST(RgatConv, ParameterLayout) {
   pg::Rng rng(8);
   RgatConv conv(3, 5, 4, rng);
