@@ -2,8 +2,6 @@
 // per-device regression fitted on them (the paper's non-GNN baseline).
 #include "compoff/compoff.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <numeric>
@@ -11,6 +9,7 @@
 #include "nn/adam.hpp"
 #include "nn/loss.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -40,7 +39,7 @@ CompoffModel::CompoffModel(const CompoffConfig& config, std::size_t num_features
         pg::Rng rng(config.seed);
         return nn::Mlp(sizes, rng);
       }()),
-      ws_pool_(static_cast<std::size_t>(omp_get_max_threads())) {
+      ws_pool_(static_cast<std::size_t>(max_threads())) {
   feature_scalers_.resize(num_features);
 }
 
@@ -136,11 +135,11 @@ void CompoffModel::predict_batch_us(std::span<const dataset::RawDataPoint> point
   check(points.size() == out.size(),
         "CompoffModel::predict_batch_us: span length mismatch");
   auto thread_ws = [this]() -> tensor::Workspace& {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
+    const auto tid = static_cast<std::size_t>(thread_index());
     check(tid < ws_pool_.size(), "CompoffModel: thread id exceeds pool");
     return ws_pool_[tid];
   };
-  if (omp_in_parallel()) {
+  if (in_parallel()) {
     for (std::size_t i = 0; i < points.size(); ++i)
       out[i] = predict_us(points[i], thread_ws());
     return;

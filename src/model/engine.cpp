@@ -7,13 +7,12 @@
 // because the fused forward is bitwise-equal per graph.
 #include "model/engine.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cstring>
 
 #include "model/schedule.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 
 namespace pg::model {
 namespace {
@@ -51,17 +50,23 @@ constexpr std::uint64_t kIntraCostThreshold = 4 * kChunkCostBudget;
 
 InferenceEngine::InferenceEngine(const ParaGraphModel& model)
     : model_(&model),
-      pool_(static_cast<std::size_t>(omp_get_max_threads())) {}
+      pool_(static_cast<std::size_t>(max_threads())) {}
 
 InferenceEngine::ThreadState& InferenceEngine::state_for_current_thread() {
-  const auto tid = static_cast<std::size_t>(omp_get_thread_num());
+  const auto tid = static_cast<std::size_t>(thread_index());
   check(tid < pool_.size(), "InferenceEngine: thread id exceeds pool");
   return pool_[tid];
 }
 
 double InferenceEngine::predict_one(const EncodedGraph& graph,
                                     std::span<const float> aux) {
-  return model_->predict(graph, aux, state_for_current_thread().ws);
+  ThreadState& ts = state_for_current_thread();
+  ts.batch.pack(graph);
+  ts.aux.reshape(1, aux.size());
+  std::copy(aux.begin(), aux.end(), ts.aux.row_span(0).begin());
+  double prediction = 0.0;
+  model_->predict_batch(ts.batch, ts.aux, {&prediction, 1}, ts.ws);
+  return prediction;
 }
 
 void InferenceEngine::run_chunk(std::span<const EncodedGraph* const> graphs,
@@ -121,9 +126,8 @@ std::uint64_t InferenceEngine::plan_chunks(
 }
 
 std::uint64_t InferenceEngine::plan_threads() {
-  return omp_in_parallel()
-             ? std::uint64_t{1}
-             : static_cast<std::uint64_t>(omp_get_max_threads());
+  return in_parallel() ? std::uint64_t{1}
+                       : static_cast<std::uint64_t>(max_threads());
 }
 
 void InferenceEngine::run_chunked(std::span<const EncodedGraph* const> graphs,
@@ -135,7 +139,7 @@ void InferenceEngine::run_chunked(std::span<const EncodedGraph* const> graphs,
   const std::uint64_t total_rows = plan_chunks(graphs);
   const auto& costs = caller.costs;
   const auto& bounds = caller.bounds;
-  const bool nested = omp_in_parallel();
+  const bool nested = in_parallel();
   const std::uint64_t threads = plan_threads();
   const std::size_t num_chunks = bounds.size() - 1;
 

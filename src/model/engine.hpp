@@ -50,7 +50,8 @@ class InferenceEngine {
  public:
   explicit InferenceEngine(const ParaGraphModel& model);
 
-  /// One scaled-domain prediction through the calling thread's workspace.
+  /// One scaled-domain prediction: packs the graph into the calling
+  /// thread's batch and runs the fused forward in its workspace.
   [[nodiscard]] double predict_one(const EncodedGraph& graph,
                                    std::span<const float> aux);
 

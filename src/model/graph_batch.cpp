@@ -1,5 +1,6 @@
 // Block-diagonal packing of encoded graphs: kind/literal concatenation plus
-// offset-shifted concatenation of every relation's CSR/SoA arrays.
+// offset-shifted concatenation of every relation's CSR/SoA arrays, and the
+// sender index of every single-edge relation.
 #include "model/graph_batch.hpp"
 
 #include <algorithm>
@@ -45,12 +46,21 @@ void GraphBatch::pack(std::span<const EncodedGraph* const> graphs) {
     out.nodes.clear();
     out.group_offsets.clear();
     out.group_dst.clear();
+    out.src_nodes.clear();
+    out.src_slot.clear();
     out.group_offsets.push_back(0);
+    // The union is single-edge when every block is; it then gets its
+    // sender index block by block, as from_edges over the union would.
+    const bool single_edge = std::all_of(
+        graphs.begin(), graphs.end(), [r](const EncodedGraph* g) {
+          return g->relations.relations[r].all_single_edge();
+        });
     std::uint32_t row_off = 0;   // local active-row offset within relation r
     std::uint32_t edge_off = 0;  // edge-slot offset within relation r
     for (std::size_t b = 0; b < graphs.size(); ++b) {
       const nn::RelationEdges& rel = graphs[b]->relations.relations[r];
       const std::uint32_t node_off = offsets_[b];
+      if (single_edge) rel.append_sender_index(node_off, rank_, out);
       for (std::uint32_t v : rel.nodes) out.nodes.push_back(v + node_off);
       for (std::uint32_t s : rel.src_local) out.src_local.push_back(s + row_off);
       out.gate.insert(out.gate.end(), rel.gate.begin(), rel.gate.end());

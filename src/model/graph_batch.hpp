@@ -1,7 +1,10 @@
 // GraphBatch: packs B encoded graphs into one block-diagonal relational
 // graph so the model can run a single fused forward (one projection pass per
-// relation over the concatenated active rows, one segmented softmax/read-out)
-// instead of B small ones.
+// relation over the concatenated rows it sends from (single-edge) or
+// touches (attention), one segmented softmax/read-out) instead of B small
+// ones. Packing is also where a single-edge relation gets its sender index
+// (nn/relational_graph.hpp): stored graphs never carry one, so every graph
+// reaches the RGAT layer through a GraphBatch, a one-graph one included.
 //
 // The packing is exact, not approximate: each graph's nodes occupy a
 // contiguous global-id block [node_offsets()[b], node_offsets()[b+1]), and
@@ -31,6 +34,10 @@ class GraphBatch {
   void pack(std::span<const EncodedGraph* const> graphs);
   /// Convenience overload over a contiguous span of graphs.
   void pack(std::span<const EncodedGraph> graphs);
+  /// One-graph batch: the single-graph model and engine entry points.
+  void pack(const EncodedGraph& graph) {
+    pack(std::span<const EncodedGraph>(&graph, 1));
+  }
 
   [[nodiscard]] std::size_t size() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
@@ -58,6 +65,7 @@ class GraphBatch {
   nn::RelationalGraph relations_;
   std::vector<std::uint32_t> offsets_;
   std::vector<const EncodedGraph*> scratch_;  // for the value-span overload
+  std::vector<std::uint32_t> rank_;  // append_sender_index scratch
 };
 
 }  // namespace pg::model

@@ -3,8 +3,8 @@
 // workspace-borrowed: ForwardState is a plain struct of pointers into the
 // Workspace of the current pass, so the hot path never touches the heap
 // once the arena is warm. Both the single-graph and the fused GraphBatch
-// entry points run the same batched core (B=1 vs B=N), which is what keeps
-// their predictions bitwise-identical.
+// entry points run the same batched core over a packed GraphBatch (B=1 vs
+// B=N), which is what keeps their predictions bitwise-identical.
 #include "model/paragraph_model.hpp"
 
 #include <algorithm>
@@ -15,6 +15,27 @@
 #include "support/check.hpp"
 
 namespace pg::model {
+namespace {
+
+/// The single-graph entry points' one-graph batch and aux row. Packing is
+/// what gives a graph its sender index, so these run the batch core like
+/// every other caller; the buffers are this thread's and grow-only, so a
+/// warmed-up call stays allocation-free.
+struct OneGraphBatch {
+  GraphBatch batch;
+  tensor::Matrix aux;  // [1 x aux_dim]
+};
+
+const OneGraphBatch& pack_one(const EncodedGraph& graph,
+                              std::span<const float> aux) {
+  thread_local OneGraphBatch one;
+  one.batch.pack(graph);
+  one.aux.reshape(1, aux.size());
+  std::copy(aux.begin(), aux.end(), one.aux.row_span(0).begin());
+  return one;
+}
+
+}  // namespace
 
 struct ParaGraphModel::ForwardState {
   nn::RgatConv::Cache c1, c2, c3;
@@ -67,18 +88,16 @@ ParaGraphModel::ParaGraphModel(const ModelConfig& config)
         return nn::Linear(config.hidden_dim + config.aux_embed_dim, 1, rng);
       }()) {}
 
-void ParaGraphModel::run_embed(const nn::OneHotRows& features,
-                               const nn::RelationalGraph& relations,
-                               std::span<const std::uint32_t> offsets,
-                               ForwardState& s, tensor::Workspace& ws) const {
-  check(offsets.size() >= 2, "run_embed: empty batch");
-  const std::size_t batch = offsets.size() - 1;
+void ParaGraphModel::run_embed(const GraphBatch& batch, ForwardState& s,
+                               tensor::Workspace& ws) const {
+  check(!batch.empty(), "run_embed: empty batch");
+  const nn::RelationalGraph& relations = batch.relations();
 
-  s.h1 = &conv1_.forward(features, relations, s.c1, ws);
+  s.h1 = &conv1_.forward(batch.node_rows(), relations, s.c1, ws);
   s.h2 = &conv2_.forward(*s.h1, relations, s.c2, ws);
   s.h3 = &conv3_.forward(*s.h2, relations, s.c3, ws);
-  tensor::Matrix& pooled = ws.acquire_uninit(batch, config_.hidden_dim);
-  tensor::segment_row_mean_into(pooled, *s.h3, offsets);
+  tensor::Matrix& pooled = ws.acquire_uninit(batch.size(), config_.hidden_dim);
+  tensor::segment_row_mean_into(pooled, *s.h3, batch.node_offsets());
   s.pooled = &pooled;
 }
 
@@ -118,13 +137,11 @@ void ParaGraphModel::run_head(const tensor::Matrix& aux_in, ForwardState& s,
   s.out = &out_fc_.forward(concat, ws);
 }
 
-void ParaGraphModel::run_forward(const nn::OneHotRows& features,
-                                 const nn::RelationalGraph& relations,
-                                 std::span<const std::uint32_t> offsets,
+void ParaGraphModel::run_forward(const GraphBatch& batch,
                                  const tensor::Matrix& aux_in,
                                  ForwardState& s,
                                  tensor::Workspace& ws) const {
-  run_embed(features, relations, offsets, s, ws);
+  run_embed(batch, s, ws);
   run_head(aux_in, s, ws);
 }
 
@@ -136,7 +153,7 @@ void ParaGraphModel::embed_batch(const GraphBatch& batch, tensor::Matrix& out,
   }
   ws.reset();
   ForwardState s;
-  run_embed(batch.node_rows(), batch.relations(), batch.node_offsets(), s, ws);
+  run_embed(batch, s, ws);
   out.reshape(batch.size(), config_.hidden_dim);
   for (std::size_t b = 0; b < batch.size(); ++b) {
     // Pure copies (no FP ops), so memcpy is bitwise-neutral.
@@ -149,14 +166,10 @@ double ParaGraphModel::predict(const EncodedGraph& graph,
                                std::span<const float> aux,
                                tensor::Workspace& ws) const {
   check(aux.size() == config_.aux_dim, "aux feature size mismatch");
-  ws.reset();
-  tensor::Matrix& aux_in = ws.acquire_uninit(1, config_.aux_dim);
-  std::copy(aux.begin(), aux.end(), aux_in.row_span(0).begin());
-  const std::uint32_t offsets[2] = {
-      0, static_cast<std::uint32_t>(graph.num_nodes())};
-  ForwardState s;
-  run_forward(graph.node_rows(), graph.relations, offsets, aux_in, s, ws);
-  return static_cast<double>((*s.out)(0, 0));
+  const OneGraphBatch& one = pack_one(graph, aux);
+  double prediction = 0.0;
+  predict_batch(one.batch, one.aux, {&prediction, 1}, ws);
+  return prediction;
 }
 
 double ParaGraphModel::predict(const EncodedGraph& graph,
@@ -173,20 +186,20 @@ void ParaGraphModel::predict_batch(const GraphBatch& batch,
   if (batch.empty()) return;
   ws.reset();
   ForwardState s;
-  run_forward(batch.node_rows(), batch.relations(), batch.node_offsets(), aux,
-              s, ws);
+  run_forward(batch, aux, s, ws);
   for (std::size_t b = 0; b < out.size(); ++b)
     out[b] = static_cast<double>((*s.out)(b, 0));
 }
 
-void ParaGraphModel::run_backward(const nn::RelationalGraph& relations,
-                                  std::span<const std::uint32_t> offsets,
+void ParaGraphModel::run_backward(const GraphBatch& graphs,
                                   const ForwardState& s,
                                   const tensor::Matrix& dout,
                                   std::span<tensor::Matrix> grads,
                                   tensor::Workspace& ws) const {
   check(grads.size() == num_params(), "gradient buffer size mismatch");
-  const std::size_t batch = offsets.size() - 1;
+  const std::size_t batch = graphs.size();
+  const std::span<const std::uint32_t> offsets = graphs.node_offsets();
+  const nn::RelationalGraph& relations = graphs.relations();
 
   // Parameter layout: conv1, conv2, conv3, fc1, fc2, aux_fc, out_fc.
   const std::size_t conv_params = conv1_.num_params();
@@ -254,18 +267,15 @@ double ParaGraphModel::accumulate_gradients(const EncodedGraph& graph,
                                             std::span<tensor::Matrix> grads,
                                             tensor::Workspace& ws) const {
   check(aux.size() == config_.aux_dim, "aux feature size mismatch");
+  const OneGraphBatch& one = pack_one(graph, aux);
   ws.reset();
-  tensor::Matrix& aux_in = ws.acquire_uninit(1, config_.aux_dim);
-  std::copy(aux.begin(), aux.end(), aux_in.row_span(0).begin());
-  const std::uint32_t offsets[2] = {
-      0, static_cast<std::uint32_t>(graph.num_nodes())};
   ForwardState s;
-  run_forward(graph.node_rows(), graph.relations, offsets, aux_in, s, ws);
+  run_forward(one.batch, one.aux, s, ws);
   const double prediction = static_cast<double>((*s.out)(0, 0));
 
   tensor::Matrix& dout = ws.acquire_uninit(1, 1);
   dout(0, 0) = static_cast<float>(nn::mse_grad(prediction, target) * grad_scale);
-  run_backward(graph.relations, offsets, s, dout, grads, ws);
+  run_backward(one.batch, s, dout, grads, ws);
   return prediction;
 }
 
@@ -286,8 +296,7 @@ double ParaGraphModel::accumulate_gradients_batch(
   if (batch.empty()) return 0.0;
   ws.reset();
   ForwardState s;
-  run_forward(batch.node_rows(), batch.relations(), batch.node_offsets(), aux,
-              s, ws);
+  run_forward(batch, aux, s, ws);
 
   tensor::Matrix& dout = ws.acquire_uninit(batch.size(), 1);
   double loss = 0.0;
@@ -298,7 +307,7 @@ double ParaGraphModel::accumulate_gradients_batch(
     dout(b, 0) =
         static_cast<float>(nn::mse_grad(prediction, targets[b]) * grad_scale);
   }
-  run_backward(batch.relations(), batch.node_offsets(), s, dout, grads, ws);
+  run_backward(batch, s, dout, grads, ws);
   return loss;
 }
 

@@ -13,11 +13,12 @@
 // The forward/backward core is batched: it runs over a (possibly
 // block-diagonal) relational graph with per-graph node offsets and a
 // [B x aux_dim] auxiliary matrix, producing B predictions from ONE pass —
-// one projection matmul per relation over the concatenated active rows, one
-// segmented softmax, one segmented mean-pool, and batched FC-head matmuls.
-// The single-graph predict()/accumulate_gradients() are the B=1 case of the
-// same code path, so fused batch predictions are bitwise-identical to
-// per-graph ones.
+// one projection matmul per relation over the concatenated rows it sends
+// from (single-edge) or touches (attention), one segmented softmax, one
+// segmented mean-pool, and batched FC-head matmuls. The single-graph
+// predict()/accumulate_gradients() pack a one-graph GraphBatch and run the
+// B=1 case of the same code path, so fused batch predictions are
+// bitwise-identical to per-graph ones.
 #pragma once
 
 #include <array>
@@ -108,30 +109,23 @@ class ParaGraphModel {
 
  private:
   struct ForwardState;
-  /// The batched core: node rows/relations may be one graph or a
-  /// block-diagonal batch; `offsets` (size B+1) marks per-graph node blocks
-  /// and `aux_in` is [B x aux_dim]. Fills state; predictions are
-  /// state.out(b, 0). Composed of run_embed (conv stack + pool) followed by
-  /// run_head (FC head), so the public embed entry point shares its exact
-  /// FP operations by construction.
-  void run_forward(const nn::OneHotRows& features,
-                   const nn::RelationalGraph& relations,
-                   std::span<const std::uint32_t> offsets,
-                   const tensor::Matrix& aux_in, ForwardState& state,
-                   tensor::Workspace& ws) const;
+  /// The batched core over a packed batch of B >= 1 graphs; `aux_in` is
+  /// [B x aux_dim]. Fills state; predictions are state.out(b, 0). Composed
+  /// of run_embed (conv stack + pool) followed by run_head (FC head), so
+  /// the public embed entry point shares its exact FP operations by
+  /// construction.
+  void run_forward(const GraphBatch& batch, const tensor::Matrix& aux_in,
+                   ForwardState& state, tensor::Workspace& ws) const;
   /// Conv stack + segmented mean-pool: fills state.h1..h3 and state.pooled.
-  void run_embed(const nn::OneHotRows& features,
-                 const nn::RelationalGraph& relations,
-                 std::span<const std::uint32_t> offsets, ForwardState& state,
+  void run_embed(const GraphBatch& batch, ForwardState& state,
                  tensor::Workspace& ws) const;
   /// FC head from state.pooled: fills state.f1..out.
   void run_head(const tensor::Matrix& aux_in, ForwardState& state,
                 tensor::Workspace& ws) const;
   /// Matching batched backward; `dout` is [B x 1] (dL/dprediction per
   /// graph, already loss-scaled).
-  void run_backward(const nn::RelationalGraph& relations,
-                    std::span<const std::uint32_t> offsets,
-                    const ForwardState& state, const tensor::Matrix& dout,
+  void run_backward(const GraphBatch& batch, const ForwardState& state,
+                    const tensor::Matrix& dout,
                     std::span<tensor::Matrix> grads,
                     tensor::Workspace& ws) const;
 

@@ -129,17 +129,20 @@ class BatchStepper {
     }
 
     // Ordered reduction: chunk 0 hosts the sum; losses and gradient
-    // buffers are folded in ascending chunk index.
+    // buffers are folded in ascending chunk index. Each later chunk's
+    // buffer is cleared right after it is added, while it is still in
+    // cache; chunk 0's once Adam has read the sum.
     auto& base = chunks_[0].grads;
-    for (std::size_t c = 0; c < num_chunks; ++c) {
+    epoch_loss += chunk_loss_[0];
+    for (std::size_t c = 1; c < num_chunks; ++c) {
       epoch_loss += chunk_loss_[c];
-      if (c > 0)
-        for (std::size_t p = 0; p < base.size(); ++p)
-          base[p].add_(chunks_[c].grads[p]);
+      for (std::size_t p = 0; p < base.size(); ++p) {
+        base[p].add_(chunks_[c].grads[p]);
+        chunks_[c].grads[p].zero();
+      }
     }
     adam_.step(base);
-    for (std::size_t c = 0; c < num_chunks; ++c)
-      for (auto& grad : chunks_[c].grads) grad.zero();
+    for (auto& grad : base) grad.zero();
   }
 
  private:

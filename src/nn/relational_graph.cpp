@@ -77,7 +77,28 @@ class RelationBuilder {
 
 RelationEdges RelationEdges::from_edges(std::span<const RelEdge> edges,
                                         std::size_t num_nodes) {
-  return RelationBuilder(num_nodes).build(edges);
+  RelationEdges out = RelationBuilder(num_nodes).build(edges);
+  if (out.all_single_edge()) {
+    std::vector<std::uint32_t> rank;
+    out.append_sender_index(0, rank, out);
+  }
+  return out;
+}
+
+void RelationEdges::append_sender_index(std::uint32_t node_offset,
+                                        std::vector<std::uint32_t>& rank,
+                                        RelationEdges& out) const {
+  // rank[l] is 1 for a source, then its slot. A slot is written only at
+  // or after the mark it replaces was read, so the two uses never clash.
+  rank.assign(num_active_nodes(), 0);
+  for (const std::uint32_t s : src_local) rank[s] = 1;
+  auto next = static_cast<std::uint32_t>(out.src_nodes.size());
+  for (std::size_t l = 0; l < rank.size(); ++l) {
+    if (rank[l] == 0) continue;
+    rank[l] = next++;
+    out.src_nodes.push_back(nodes[l] + node_offset);
+  }
+  for (const std::uint32_t s : src_local) out.src_slot.push_back(rank[s]);
 }
 
 RelationalGraph RelationalGraph::from_buckets(

@@ -18,12 +18,14 @@
 // attention altogether: its one-edge softmax weighs the edge 1.0f, so the
 // dots, the softmax and the attention backward reach no output, and a
 // plain gated scatter (forward) and gather (backward) do the same adds
-// bit for bit. Scratch for logits and scores covers only the attention
-// relations. Lanes run across
-// independent output columns or across independent rows (the dots: each
-// lane one row's double sum in j order), reduction order pinned to the
-// scalar reference, so every dispatch level is bitwise-identical. This file
-// only sequences them.
+// bit for bit. Such a relation also projects and differentiates only the
+// rows it sends from (its sender index, nn/relational_graph.hpp; rgat.hpp
+// says why the bits do not move). Scratch for logits and scores covers
+// only the attention relations. Lanes run across independent output
+// columns or across independent rows (the dots: each lane one row's double
+// sum in j order), reduction order pinned to the scalar reference, so
+// every dispatch level is bitwise-identical. This file only sequences
+// them.
 #include "nn/rgat.hpp"
 
 #include <cmath>
@@ -46,12 +48,20 @@ constexpr std::size_t kGatherRowGrain = 64;   // rows of fused gather+project
 constexpr std::size_t kBiasRowGrain = 2048;   // rows of the bias add
 constexpr std::size_t kScatterGroupGrain = 128;  // destination groups
 
+/// The global rows of relation `rel`'s g/dg block: a single-edge relation
+/// reads only its senders' projections (src_nodes, which its edges index
+/// through src_slot), an attention relation every active node's (nodes,
+/// indexed through src_local and group_dst).
+std::span<const std::uint32_t> projected_rows(const RelationEdges& rel) {
+  return rel.all_single_edge() ? rel.src_nodes : rel.nodes;
+}
+
 /// Sizes of the concatenated per-relation blocks shared by forward and
-/// backward: g/dg rows cover every relation's active nodes; the attention
-/// scratch (raw/alpha/lrg/dscore edges, s_*/ds_* rows) only the relations
-/// with a multi-edge destination group.
+/// backward: g/dg rows cover every relation's projected_rows; the
+/// attention scratch (raw/alpha/lrg/dscore edges, s_*/ds_* rows) only the
+/// relations with a multi-edge destination group.
 struct RelationTotals {
-  std::size_t active = 0;
+  std::size_t projected = 0;
   std::size_t attention_edges = 0;
   std::size_t attention_active = 0;
 };
@@ -59,7 +69,10 @@ struct RelationTotals {
 RelationTotals relation_totals(const RelationalGraph& graph) {
   RelationTotals t;
   for (const RelationEdges& rel : graph.relations) {
-    t.active += rel.num_active_nodes();
+    check(rel.has_sender_index(),
+          "RgatConv: single-edge relation without its sender index (pack "
+          "the graph through GraphBatch or build it with from_edges)");
+    t.projected += projected_rows(rel).size();
     if (rel.all_single_edge()) continue;
     t.attention_edges += rel.num_edges();
     t.attention_active += rel.num_active_nodes();
@@ -136,7 +149,7 @@ const tensor::Matrix& RgatConv::forward_rows(std::size_t n,
   const tensor::Matrix* x = cache.x;
   const OneHotRows& one_hot = cache.one_hot;
   const std::size_t lit_row = in_ - 1;  // the one-hot input's literal row
-  cache.g = &ws.acquire(totals.active, out_);
+  cache.g = &ws.acquire(totals.projected, out_);
   cache.raw = &ws.acquire_uninit(1, totals.attention_edges);
   cache.alpha = &ws.acquire_uninit(1, totals.attention_edges);
   cache.pre = x != nullptr ? &ws.acquire_uninit(n, out_) : &ws.acquire(n, out_);
@@ -176,12 +189,14 @@ const tensor::Matrix& RgatConv::forward_rows(std::size_t n,
   for (std::size_t r = 0; r < num_relations_; ++r) {
     const RelationEdges& rel = graph.relations[r];
     if (rel.empty()) continue;
-    const std::size_t na = rel.num_active_nodes();
+    const std::span<const std::uint32_t> rows = projected_rows(rel);
+    const std::size_t na = rows.size();
     const bool attend = !rel.all_single_edge();
     float* g_block = gp + row_off * out_;
 
-    // Project only the rows this relation touches, straight into the
-    // relation's block of the concatenated cache (fused gather + matmul;
+    // Project only the rows this relation sends from (single-edge) or
+    // touches (attention), straight into the relation's block of the
+    // concatenated cache (fused gather + matmul;
     // the g block starts zero-filled, the kernel accumulates into it), then
     // for an attention relation both attention dots over the rows just
     // projected, while they are still in L1 (lanes across rows, each row's
@@ -194,12 +209,12 @@ const tensor::Matrix& RgatConv::forward_rows(std::size_t n,
     parallel_for_blocks(na, kGatherRowGrain, [&](std::size_t lo,
                                                  std::size_t hi) {
       if (x != nullptr)
-        kernels.rgat_gather_project(rel.nodes.data() + lo, hi - lo,
+        kernels.rgat_gather_project(rows.data() + lo, hi - lo,
                                     x->data().data(), in_, w, gp, out_,
                                     row_off + lo);
       else
         kernels.onehot_project(one_hot.kinds.data(), one_hot.literals.data(),
-                               rel.nodes.data() + lo, hi - lo, w, lit_row,
+                               rows.data() + lo, hi - lo, w, lit_row,
                                g_block + lo * out_, out_);
       if (attend)
         kernels.rgat_attention_dots(g_block + lo * out_, hi - lo, out_, asrc,
@@ -229,7 +244,7 @@ const tensor::Matrix& RgatConv::forward_rows(std::size_t n,
           else
             kernels.rgat_gated_scatter(
                 rel.group_dst.data() + g_lo, rel.nodes.data(),
-                rel.src_local.data() + g_lo, rel.gate.data() + g_lo,
+                rel.src_slot.data() + g_lo, rel.gate.data() + g_lo,
                 g_hi - g_lo, g_block, prep, out_);
         });
 
@@ -306,7 +321,7 @@ void RgatConv::backward_into(const tensor::Matrix& dy,
 
   // dg/ds_* accumulate (+=) and need the zero fill; dscore is assigned per
   // edge before its group reads it back.
-  tensor::Matrix& dg = ws.acquire(totals.active, out_);
+  tensor::Matrix& dg = ws.acquire(totals.projected, out_);
   tensor::Matrix& ds_src_m = ws.acquire(1, totals.attention_active);
   tensor::Matrix& ds_dst_m = ws.acquire(1, totals.attention_active);
   tensor::Matrix& dscore_m = ws.acquire_uninit(1, totals.attention_edges);
@@ -323,12 +338,13 @@ void RgatConv::backward_into(const tensor::Matrix& dy,
   for (std::size_t r = 0; r < num_relations_; ++r) {
     const RelationEdges& rel = graph.relations[r];
     if (rel.empty()) continue;
-    const std::size_t na = rel.num_active_nodes();
+    const std::span<const std::uint32_t> rows = projected_rows(rel);
+    const std::size_t na = rows.size();
     float* dg_block = dg.data().data() + row_off * out_;
     if (rel.all_single_edge()) {
       // alpha = 1: dg[src] += gate * dpre[v]; a and da receive nothing.
       kernels.rgat_gated_gather(rel.group_dst.data(), rel.nodes.data(),
-                                rel.src_local.data(), rel.gate.data(),
+                                rel.src_slot.data(), rel.gate.data(),
                                 rel.num_edges(), dpre->data().data(),
                                 dg_block, out_);
     } else {
@@ -364,20 +380,19 @@ void RgatConv::backward_into(const tensor::Matrix& dy,
     // g = gather(x) W_r  =>  dW_r += gather(x)^T dg (row gather, no
     // x_local; for one-hot rows a scatter of dg rows onto kind rows);
     // dx[global] += (dg W_r^T)[local] (row scatter, no dx_local; a
-    // relation's active nodes are distinct).
+    // relation's projected rows are distinct).
     if (x != nullptr)
-      kernels.matmul_t_a_acc(x->data().data(), rel.nodes.data(), dg_block,
+      kernels.matmul_t_a_acc(x->data().data(), rows.data(), dg_block,
                              grads[3 * r].data().data(), in_, na, out_);
     else
       kernels.onehot_scatter_acc(one_hot.kinds.data(),
-                                 one_hot.literals.data(), rel.nodes.data(),
-                                 na, dg_block, grads[3 * r].data().data(),
+                                 one_hot.literals.data(), rows.data(), na,
+                                 dg_block, grads[3 * r].data().data(),
                                  lit_row, out_);
     if (dx != nullptr) {
       tensor::transpose_into(*w_t, w_rel_[r]);
       kernels.matmul_t_b(dg_block, w_t->data().data(), dx->data().data(),
-                         rel.nodes.data(), na, out_, in_,
-                         /*accumulate=*/true);
+                         rows.data(), na, out_, in_, /*accumulate=*/true);
     }
 
     row_off += na;

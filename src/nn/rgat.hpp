@@ -15,6 +15,20 @@
 // m_v = gate_uv * g_u: such a relation runs a plain gated scatter, computes
 // no logits, and its a_src/a_dst get no gradient.
 //
+// Such a relation reads g only at its sources, so the layer projects the
+// rows a relation sends from (single-edge, through the relation's sender
+// index) or touches (attention). The backward runs dW_r and dx over the
+// same rows. That moves no bit: a dropped forward row was never read, and
+// a dropped backward row has dg = +0, so each dropped term, x * (+0) or
+// (+0) * W, is +-0 added to an accumulator that started at +0 — and an
+// IEEE sum that starts at +0 is never -0, so adding +-0 there is the
+// identity. A dx element may now keep -0 where it used to become +0; it
+// only flows into such accumulators. The one exception is a non-finite x
+// or W: the dropped 0 * inf terms were NaN, and they no longer appear.
+// A single-edge relation without its sender index (a RelationalGraph from
+// from_buckets or a reader, not packed through model::GraphBatch) fails
+// the layer's check.
+//
 // `gate` carries the ParaGraph edge weight (MinMax-scaled) for Child edges
 // and is 1 elsewhere — the graph-side realisation of W in Eq. (2).
 //
@@ -58,13 +72,14 @@ class RgatConv {
   /// point into the Workspace the forward was given (plus the borrowed
   /// input), so a Cache is valid until that workspace's next reset().
   /// Per-relation data is concatenated: relation r's block starts at the
-  /// running sum of earlier relations' active-node counts (g), or of
+  /// running sum of earlier relations' projected-row counts (g: senders
+  /// for a single-edge relation, active nodes for an attention one), or of
   /// earlier attention relations' edge counts (raw, alpha) — those with a
   /// multi-edge destination group; the single-edge ones have no logits.
   struct Cache {
     const tensor::Matrix* x = nullptr;  // borrowed dense input [N x in]
     OneHotRows one_hot;                 // borrowed one-hot input (x null)
-    tensor::Matrix* g = nullptr;        // [sum_r |nodes_r| x out] projections
+    tensor::Matrix* g = nullptr;        // [sum_r projected rows x out]
     tensor::Matrix* raw = nullptr;    // [1 x attention edges] pre-LeakyReLU logits
     tensor::Matrix* alpha = nullptr;  // [1 x attention edges] attention weights
     tensor::Matrix* pre = nullptr;      // pre-activation output [N x out]

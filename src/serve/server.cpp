@@ -5,7 +5,6 @@
 // reply buffer and one send path per connection.
 #include "serve/server.hpp"
 
-#include <omp.h>
 #include <sys/epoll.h>
 
 #include <algorithm>
@@ -18,6 +17,7 @@
 
 #include "io/pgraph_io.hpp"
 #include "support/env.hpp"
+#include "support/parallel.hpp"
 
 namespace pg::serve {
 namespace {
@@ -652,7 +652,7 @@ void Server::worker_loop(std::size_t /*worker_index*/) {
   // engine per worker keeps the workspace arenas disjoint. OpenMP's thread
   // count is per calling thread, so it is set here, before the engine sizes
   // its pool; the main thread's setting never reaches a worker.
-  omp_set_num_threads(static_cast<int>(config_.engine_threads));
+  set_max_threads(static_cast<int>(config_.engine_threads));
   model::InferenceEngine engine(*model_);
 
   std::vector<model::EncodedGraph> graphs;

@@ -1,4 +1,9 @@
-// Self-gating block parallelism for the intra-batch split points.
+// The OpenMP runtime queries, and self-gating block parallelism for the
+// intra-batch split points.
+//
+// max_threads(), thread_index(), in_parallel() and set_max_threads() are
+// the only calls into the OpenMP runtime outside `#pragma omp` lines; a
+// build without OpenMP (_OPENMP undefined) gets their serial answers.
 //
 // parallel_for_blocks cuts an index range [0, n) into at most
 // omp_get_max_threads() contiguous blocks and runs `fn(lo, hi)` on each.
@@ -25,7 +30,9 @@
 // have hit first — whatever the thread count or schedule.
 #pragma once
 
+#ifdef _OPENMP
 #include <omp.h>
+#endif
 
 #include <algorithm>
 #include <cstddef>
@@ -33,13 +40,51 @@
 
 namespace pg {
 
+/// Threads a parallel region started here would get (omp_get_max_threads).
+inline int max_threads() {
+#ifdef _OPENMP
+  return omp_get_max_threads();
+#else
+  return 1;
+#endif
+}
+
+/// The calling thread's index in its team, 0 outside any region
+/// (omp_get_thread_num).
+inline int thread_index() {
+#ifdef _OPENMP
+  return omp_get_thread_num();
+#else
+  return 0;
+#endif
+}
+
+/// True inside an active parallel region (omp_in_parallel).
+inline bool in_parallel() {
+#ifdef _OPENMP
+  return omp_in_parallel() != 0;
+#else
+  return false;
+#endif
+}
+
+/// Sets the calling thread's team size for later regions
+/// (omp_set_num_threads).
+inline void set_max_threads(int threads) {
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#else
+  (void)threads;
+#endif
+}
+
 /// Number of blocks parallel_for_blocks would use for `n` work units at
 /// `grain` units per block minimum; 1 means "stays serial".
 inline int parallel_lanes(std::size_t n, std::size_t grain) {
   if (grain == 0) grain = 1;
   if (n < 2 * grain) return 1;
-  if (omp_in_parallel()) return 1;
-  const int threads = omp_get_max_threads();
+  if (in_parallel()) return 1;
+  const int threads = max_threads();
   if (threads <= 1) return 1;
   return static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(threads), n / grain));
@@ -68,7 +113,7 @@ void parallel_for_blocks(std::size_t n, std::size_t grain, Fn&& fn) {
 /// Worker count for a loop that pins its team: `threads` > 0 as given,
 /// otherwise the OpenMP default.
 inline int team_size(int threads) {
-  return threads > 0 ? threads : omp_get_max_threads();
+  return threads > 0 ? threads : max_threads();
 }
 
 /// Keeps the lowest-index exception thrown by the iterations of a parallel

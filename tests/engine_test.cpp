@@ -173,6 +173,58 @@ TEST(GraphBatch, BlockDiagonalPackingIsExact) {
   EXPECT_EQ(batch.node_offsets()[3], offsets[3]);
 }
 
+TEST(GraphBatch, SenderIndexMatchesFromEdgesOverTheUnion) {
+  // Stored graphs carry no sender index; packing derives it. Packing
+  // [a, b] must give every relation the index from_edges builds over the
+  // block-diagonal union of a and b (and none for an attention relation),
+  // and a repack must not keep a stale one.
+  auto nested = frontend::parse_source(R"(
+    void g(double* a, double* b) {
+      for (int i = 0; i < 16; i++) {
+        for (int j = 0; j < 12; j++) {
+          a[i * 12 + j] = a[i * 12 + j] + 2.0 * b[j];
+        }
+      }
+    }
+  )");
+  ASSERT_TRUE(nested.ok());
+  const std::vector<EncodedGraph> graphs = {
+      encode_graph(small_graph(), 40.0),
+      encode_graph(graph::build_graph(nested.root(), {}), 700.0)};
+
+  GraphBatch batch;
+  const auto expect_union_index = [&](std::span<const EncodedGraph> packed) {
+    batch.pack(packed);
+    const auto offsets = batch.node_offsets();
+    std::size_t indexed = 0, attention = 0;
+    for (std::size_t r = 0; r < batch.relations().relations.size(); ++r) {
+      std::vector<nn::RelEdge> edges;
+      for (std::size_t b = 0; b < packed.size(); ++b) {
+        const nn::RelationEdges& rel = packed[b].relations.relations[r];
+        EXPECT_TRUE(rel.src_nodes.empty() && rel.src_slot.empty()) << r;
+        for (nn::RelEdge e : rel.to_edges()) {
+          e.src += offsets[b];
+          e.dst += offsets[b];
+          edges.push_back(e);
+        }
+      }
+      const nn::RelationEdges expected =
+          nn::RelationEdges::from_edges(edges, offsets.back());
+      const nn::RelationEdges& got = batch.relations().relations[r];
+      EXPECT_EQ(got.src_nodes, expected.src_nodes) << "rel " << r;
+      EXPECT_EQ(got.src_slot, expected.src_slot) << "rel " << r;
+      EXPECT_TRUE(got.has_sender_index()) << "rel " << r;
+      indexed += !got.src_slot.empty();
+      attention += !got.all_single_edge();
+    }
+    EXPECT_GT(indexed, 0u);
+    return attention;
+  };
+  EXPECT_GT(expect_union_index(graphs), 0u);  // the nested graph's Ref
+  expect_union_index(std::span(graphs).first(1));
+  expect_union_index(std::span(graphs).last(1));
+}
+
 TEST(InferenceEngine, MultiChunkBatchMatchesPredictOneBitwise) {
   // More graphs than one fuse chunk (64): exercises the chunked fan-out and
   // its boundary handling.

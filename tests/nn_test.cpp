@@ -663,6 +663,71 @@ TEST(RgatConv, GradientsMatchRecordedHash) {
   }
 }
 
+TEST(RelationEdges, SenderIndexListsEachSourceOnce) {
+  // Node 3 sends twice, 1 once (a self-loop), 0 and 2 only receive: the
+  // index holds the two senders in ascending order, whatever the edge
+  // order, and an attention relation gets none.
+  const RelationEdges rel = RelationEdges::from_edges(
+      {{3, 0, 1.0f}, {1, 1, 1.0f}, {3, 2, 1.0f}}, 5);
+  ASSERT_TRUE(rel.all_single_edge());
+  EXPECT_EQ(rel.src_nodes, (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_EQ(rel.src_slot, (std::vector<std::uint32_t>{1, 0, 1}));
+  for (std::size_t e = 0; e < rel.num_edges(); ++e)
+    EXPECT_EQ(rel.src_nodes[rel.src_slot[e]], rel.nodes[rel.src_local[e]]);
+
+  const RelationEdges fan_in =
+      RelationEdges::from_edges({{0, 2, 1.0f}, {1, 2, 1.0f}}, 3);
+  EXPECT_TRUE(fan_in.src_nodes.empty() && fan_in.src_slot.empty());
+  EXPECT_TRUE(fan_in.has_sender_index());
+}
+
+TEST(RgatConv, ProjectsSendersOfSingleEdgeRelationsOnly) {
+  // The cached g holds one row per sender of each single-edge relation
+  // and one per active node of each attention relation.
+  pg::Rng rng(12);
+  constexpr std::size_t kRelations = 4;
+  const RgatConv conv(6, 5, kRelations, rng);
+  for (int trial = 0; trial < 5; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 40));
+    const RelationalGraph g = random_relational_graph(rng, n, kRelations);
+    std::size_t expected = 0, active = 0;
+    for (const RelationEdges& rel : g.relations) {
+      expected += rel.all_single_edge() ? rel.src_nodes.size()
+                                        : rel.num_active_nodes();
+      active += rel.num_active_nodes();
+    }
+    ASSERT_LT(expected, active) << "no destination-only row to drop";
+    tensor::Matrix x(n, 6, 0.5f);
+    tensor::Workspace ws;
+    RgatConv::Cache cache;
+    (void)conv.forward(x, g, cache, ws);
+    EXPECT_EQ(cache.g->rows(), expected) << "trial " << trial;
+  }
+}
+
+TEST(RgatConv, SingleEdgeRelationWithoutSenderIndexThrows) {
+  // from_buckets builds the storage form, without the sender index;
+  // handed to the layer unpacked, a single-edge relation is refused.
+  const std::vector<RelEdge> edges = {{0, 1, 1.0f}, {1, 2, 1.0f},
+                                      {0, 2, 1.0f}};
+  const std::size_t buckets[] = {0, 1, 3};
+  const RelationalGraph g = RelationalGraph::from_buckets(edges, buckets, 3);
+  ASSERT_TRUE(g.relations[0].all_single_edge());
+  ASSERT_FALSE(g.relations[0].has_sender_index());
+  ASSERT_FALSE(g.relations[1].all_single_edge());
+  pg::Rng rng(13);
+  RgatConv conv(4, 4, 2, rng);
+  tensor::Matrix x(3, 4, 0.5f);
+  tensor::Workspace ws;
+  RgatConv::Cache cache;
+  EXPECT_THROW((void)conv.forward(x, g, cache, ws), InternalError);
+
+  // The same edges through from_edges carry the index and pass.
+  RelationalGraph indexed = g;
+  indexed.relations[0] = RelationEdges::from_edges({{0, 1, 1.0f}}, 3);
+  EXPECT_NO_THROW((void)conv.forward(x, indexed, cache, ws));
+}
+
 TEST(RgatConv, ParameterLayout) {
   pg::Rng rng(8);
   RgatConv conv(3, 5, 4, rng);
