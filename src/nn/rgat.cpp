@@ -196,8 +196,8 @@ const tensor::Matrix& RgatConv::forward_rows(std::size_t n,
 
     // Project only the rows this relation sends from (single-edge) or
     // touches (attention), straight into the relation's block of the
-    // concatenated cache (fused gather + matmul;
-    // the g block starts zero-filled, the kernel accumulates into it), then
+    // concatenated cache (fused gather + matmul; the g block starts
+    // zero-filled, the kernel accumulates into it), then
     // for an attention relation both attention dots over the rows just
     // projected, while they are still in L1 (lanes across rows, each row's
     // double sum in j order, so every dispatch level agrees). Row-range

@@ -4,6 +4,10 @@
 // max_threads(), thread_index(), in_parallel() and set_max_threads() are
 // the only calls into the OpenMP runtime outside `#pragma omp` lines; a
 // build without OpenMP (_OPENMP undefined) gets their serial answers.
+// Include this header only from targets that link pg_openmp: an inline
+// function must read the same in every translation unit, and one compiled
+// without the OpenMP flags would hold the serial bodies, which the linker
+// may then pick for the whole program.
 //
 // parallel_for_blocks cuts an index range [0, n) into at most
 // omp_get_max_threads() contiguous blocks and runs `fn(lo, hi)` on each.
